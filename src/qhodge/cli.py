@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -44,6 +45,8 @@ def _parse_theta(text: str):
     parts = [float(v) for v in text.split(",")]
     if len(parts) != 4:
         raise argparse.ArgumentTypeError("theta needs four comma-separated components")
+    if not all(math.isfinite(v) for v in parts):
+        raise argparse.ArgumentTypeError("theta components must be finite")
     return tuple(parts)
 
 

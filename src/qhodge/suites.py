@@ -73,8 +73,10 @@ class RunConfig:
     def __post_init__(self):
         if self.kmax < 1:
             raise ValueError("kmax must be >= 1")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError("tolerance must be positive and finite")
+        if not all(math.isfinite(float(v)) for v in self.theta):
+            raise ValueError("theta components must be finite")
         self.theta = tuple(float(v) % 1.0 for v in self.theta)
 
 

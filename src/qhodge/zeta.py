@@ -4,6 +4,16 @@ The scalar Laplacian twisted by a flat character theta in [0,1)^4 has
 spectrum 4 pi^2 |k + theta|^2 over k in Z^4.  Laplacians on (q,0)-forms
 (q = 0, 1, 2) are fiber_rank copies of the scalar one with ranks (1, 2, 1).
 
+Its heat trace factors over the four axes into 1D Jacobi theta sums,
+
+    sum_k e^{-4 pi^2 t |k+theta|^2} = prod_i sum_{k_i} e^{-4 pi^2 t (k_i+theta_i)^2},
+
+and so does its Poisson dual (4 pi t)^{-2} sum_m e^{-|m|^2/4t} cos(2 pi m.theta).
+`heat_trace_direct` and `heat_trace_dual` evaluate these products, each
+axis truncated to |k_i| <= ceil(R + 1) for the regime's radius R: a box
+that contains the ball |k + theta| <= R beyond which the terms are below
+~1e-20.
+
 Regularized integrals follow the Mellin-continuation convention
 
     int_{->0}^inf G(t) dt/t := zeta_G'(0),
@@ -154,35 +164,58 @@ def heat_trace(model: SpectrumModel, t: float, accuracy: float = 1e-12) -> float
 # dual-regime scalar heat trace for the analytic continuation
 # ---------------------------------------------------------------------------
 
+def _axis(radius: float) -> np.ndarray:
+    """Integers |k| <= ceil(radius + 1): one axis of the box that holds the radius ball."""
+    bound = int(math.ceil(radius + 1))
+    return np.arange(-bound, bound + 1, dtype=float)
+
+
 def heat_trace_direct(theta, t: float, radius: float | None = None) -> float:
-    """sum_k exp(-4 pi^2 t |k+theta|^2) by direct lattice summation (kernel kept)."""
+    """sum_k exp(-4 pi^2 t |k+theta|^2) as a product of 1D theta sums (kernel kept).
+
+    The Gaussian factors over the axes, so with a = 4 pi^2 t
+
+        sum_k e^{-a |k+theta|^2} = prod_i sum_{k_i} e^{-a (k_i + theta_i)^2},
+
+    each axis summed over |k_i| <= ceil(radius + 1).  That box contains the
+    ball |k + theta| <= radius, so the truncation error is at most the
+    ball's.
+    """
     th = _reduce_theta(theta)
     if radius is None:
         # e^{-4 pi^2 t R^2} ~ 1e-20 determines R
         radius = math.sqrt(46.1 / (4 * np.pi**2 * t)) + 2.0
-    n2 = _lattice_shifted_norms(th, radius)
-    return float(np.sum(np.exp(-4 * np.pi**2 * t * n2)))
+    x = _axis(radius) + th[:, None]
+    return float(np.prod(np.exp(-4 * np.pi**2 * t * x * x).sum(axis=1)))
 
 
 def heat_trace_dual(theta, t: float, radius: float | None = None) -> float:
     """Same sum through its modular (Poisson-resummed) representation:
 
     sum_k e^{-4 pi^2 t|k+theta|^2} = (4 pi t)^{-2} sum_m e^{-|m|^2/(4t)} cos(2 pi m.theta)
+                                   = (4 pi t)^{-2} prod_i sum_{m_i} e^{-m_i^2/(4t)} cos(2 pi m_i theta_i),
+
+    the cosine of a sum factoring because the odd sine terms cancel in each
+    symmetric axis sum.  Each axis runs over |m_i| <= ceil(radius + 1), a
+    box containing the ball |m| <= radius.
     """
     th = _reduce_theta(theta)
     if radius is None:
         radius = math.sqrt(4 * t * 46.1) + 2.0
-    bound = int(math.ceil(radius + 1))
-    r = np.arange(-bound, bound + 1)
-    ms = np.stack(np.meshgrid(r, r, r, r, indexing="ij"), axis=-1).reshape(-1, 4)
-    m2 = np.einsum("na,na->n", ms, ms)
-    sel = m2 <= radius**2 + 1e-12
-    ms, m2 = ms[sel], m2[sel]
-    phases = np.cos(2 * np.pi * ms @ th)
-    return float(np.sum(np.exp(-m2 / (4 * t)) * phases) / (4 * np.pi * t) ** 2)
+    m = _axis(radius)
+    terms = np.exp(-m * m / (4 * t)) * np.cos(2 * np.pi * m * th[:, None])
+    return float(np.prod(terms.sum(axis=1)) / (4 * np.pi * t) ** 2)
 
 
 _T_SWITCH = 0.05
+
+
+def _kept_kernel_trace(th: np.ndarray, ts: float) -> float:
+    """Heat trace at scaled time ts for a reduced theta, kernel kept.
+
+    Uses the Poisson-resummed form below ts = 0.05 and the direct sum above.
+    """
+    return heat_trace_dual(th, ts) if ts < _T_SWITCH else heat_trace_direct(th, ts)
 
 
 def scalar_heat_trace(theta, t: float, scale: float = 1.0, keep_kernel: bool = False) -> float:
@@ -192,14 +225,12 @@ def scalar_heat_trace(theta, t: float, scale: float = 1.0, keep_kernel: bool = F
     lattice sum above it; the scale multiplies every eigenvalue.
     """
     th = _reduce_theta(theta)
-    ts = t * scale
-    value = heat_trace_dual(th, ts) if ts < _T_SWITCH else heat_trace_direct(th, ts)
-    if not keep_kernel and np.allclose(th, 0.0):
-        value -= 1.0
-    return value
+    value = _kept_kernel_trace(th, t * scale)
+    return value if keep_kernel else value - kernel_dim_scalar(th)
 
 
 def kernel_dim_scalar(theta) -> int:
+    """1 when theta = 0 mod 1 (every |theta_i| <= 1e-8 after reduction), else 0."""
     th = _reduce_theta(theta)
     return 1 if np.allclose(th, 0.0) else 0
 
@@ -261,12 +292,12 @@ class ZetaResult:
 
 def _mellin_log_det(theta, fiber_rank: int, scale: float, split: float) -> ZetaResult:
     th = _reduce_theta(theta)
-    kernel = kernel_dim_scalar(th) * fiber_rank
+    kernel = kernel_dim_scalar(th)  # decided once, not per quadrature node
 
     def G(t):
-        return fiber_rank * scalar_heat_trace(th, t, scale=scale)
+        return fiber_rank * (_kept_kernel_trace(th, t * scale) - kernel)
 
-    singular = {-2: fiber_rank / (16 * np.pi**2 * scale**2), 0: -float(kernel)}
+    singular = {-2: fiber_rank / (16 * np.pi**2 * scale**2), 0: -float(kernel * fiber_rank)}
     zp, err = regularized_integral(G, singular, split=split)
     return ZetaResult(zp, -zp, "mellin_split", err, {"split": split})
 
@@ -302,7 +333,7 @@ def log_det_prime(model: SpectrumModel | None = None, *, theta=None, fiber_rank:
             raise ValueError("analytic continuation requires torus provenance (theta)")
         theta, fiber_rank, scale = model.theta, model.fiber_rank, model.scale
     th = _reduce_theta(theta)
-    untwisted = bool(np.allclose(th, 0.0))
+    untwisted = kernel_dim_scalar(th) == 1
     if method == "auto":
         method = "both" if untwisted else "mellin_split"
     if method in ("closed_form", "both") and not untwisted:
@@ -373,10 +404,11 @@ def beta0(theta, split: float = 1.0) -> float:
         (-1) ** q * (-((q - 1) ** 2)) * rank for q, rank in enumerate(FORM_RANKS)
     )  # = -6
 
-    def G(t):
-        return weight * scalar_heat_trace(th, t)
+    kernel = kernel_dim_scalar(th)  # decided once, not per quadrature node
 
-    kernel = kernel_dim_scalar(th)
+    def G(t):
+        return weight * (_kept_kernel_trace(th, t) - kernel)
+
     singular = {-2: weight / (16 * np.pi**2), 0: -weight * kernel}
     value, _ = regularized_integral(G, singular, split=split)
     return value

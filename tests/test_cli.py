@@ -63,6 +63,16 @@ class TestVerify:
         assert rep["config"]["kmax"] == 2  # from file
         assert rep["config"]["seed"] == 4  # flag wins
 
+    def test_nan_tolerance_usage_error(self, capsys):
+        assert run(["verify", "--suite", "exterior", "--tol", "nan"]) == 2
+        assert "tolerance" in capsys.readouterr().err
+
+    def test_nan_theta_in_config_usage_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"theta": [0.0, float("nan"), 0.0, 0.0]}))
+        assert run(["verify", "--suite", "exterior", "--config", str(cfg_path)]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_report_carries_structure_matrices(self, tmp_path):
         out = tmp_path / "rep.json"
         run(["verify", "--suite", "exterior", "--out", str(out)])
@@ -143,6 +153,14 @@ class TestTorsion:
 
     def test_theta_parse_error(self, capsys):
         assert run(["torsion", "--theta", "1,2"]) == 2
+
+    def test_nan_theta_usage_error(self, capsys):
+        assert run(["torsion", "--theta", "nan,0,0,0"]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_infinite_theta_usage_error(self, capsys):
+        assert run(["torsion", "--theta", "inf,0,0,0"]) == 2
+        assert "finite" in capsys.readouterr().err
 
 
 class TestLaplConstant:

@@ -15,6 +15,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from oracles import brute_heat_sum
 from qhodge import zeta as Z
 
 mpmath.mp.dps = 30
@@ -23,14 +24,6 @@ mpmath.mp.dps = 30
 # ---------------------------------------------------------------------------
 # independent oracles
 # ---------------------------------------------------------------------------
-
-def brute_heat_sum(theta, t, radius=12):
-    th = np.asarray(theta, float)
-    r = np.arange(-radius, radius + 1)
-    ks = np.stack(np.meshgrid(r, r, r, r, indexing="ij"), axis=-1).reshape(-1, 4)
-    n2 = ((ks + th) ** 2).sum(axis=1)
-    return float(np.sum(np.exp(-4 * np.pi**2 * t * n2[n2 > 1e-12])))
-
 
 def poisson_rhs_oracle(t, radius=25):
     """(4 pi t)^{-2} sum_m exp(-|m|^2/(4t)) written out from scratch."""
@@ -133,11 +126,36 @@ class TestHeatTraces:
         assert abs(dual - oracle) <= 1e-12
 
     def test_switchover_continuity(self):
-        theta = (0.5, 0.0, 0.0, 0.0)
-        for t in (0.04, 0.05, 0.06):
-            a = Z.heat_trace_direct(theta, t)
-            b = Z.heat_trace_dual(theta, t)
-            assert abs(a - b) <= 1e-12 * max(1.0, a)
+        # around the 0.05 switch and across t from 0.003 to 10; absolute at
+        # large t, where the dual sum reaches a tiny twisted trace only
+        # through cancellation of O(1) terms
+        for theta in ((0.5, 0.0, 0.0, 0.0), (0, 0, 0, 0), (0.1, 0.7, 0.3, 0.9)):
+            for t in (0.04, 0.05, 0.06, *np.geomspace(0.003, 10.0, 15)):
+                a = Z.heat_trace_direct(theta, t)
+                b = Z.heat_trace_dual(theta, t)
+                assert abs(a - b) <= 1e-12 * max(1.0, a), (theta, t)
+
+    @pytest.mark.parametrize("theta", [(0.1, 0.7, 0.3, 0.9), (0.5, 0.0, 0.25, 0.0), (0, 0, 0, 0)])
+    @pytest.mark.parametrize("t", [0.01, 0.04, 0.06, 0.2, 1.0])
+    def test_factored_sums_match_4d_brute_force(self, theta, t):
+        # the oracle drops the k = 0 term at theta = 0; the package sums keep it
+        oracle = brute_heat_sum(theta, t) + (0.0 if any(theta) else 1.0)
+        for trace in (Z.heat_trace_direct, Z.heat_trace_dual):
+            assert abs(trace(theta, t) - oracle) <= 1e-12 * oracle
+
+    def test_near_zero_theta_counts_as_untwisted(self):
+        # |theta_i| <= 1e-8 after reduction is the kernel criterion, decided
+        # once per integrand in log_det_prime and beta0
+        theta = (1e-9, 0, 0, 0)
+        assert Z.kernel_dim_scalar(theta) == 1
+        assert Z.kernel_dim_scalar((2e-8, 0, 0, 0)) == 0
+        base = Z.scalar_heat_trace((0, 0, 0, 0), 0.3)
+        assert Z.scalar_heat_trace(theta, 0.3) == pytest.approx(base, rel=1e-14)
+        res = Z.log_det_prime(theta=theta)
+        assert res.details["method_gap"] <= 1e-8
+        untwisted = Z.log_det_prime(theta=(0, 0, 0, 0), method="mellin_split")
+        assert abs(res.log_det_prime - untwisted.log_det_prime) <= 1e-9
+        assert abs(Z.beta0(theta) - Z.beta0((0, 0, 0, 0))) <= 1e-9
 
     def test_fiber_rank_multiplies(self):
         m1 = Z.torus_spectrum((0, 0, 0, 0), fiber_rank=1, radius=5.0)
