@@ -22,7 +22,6 @@ from .quaternionic import (
     type_projector,
 )
 from .operators import (
-    adjoint_d,
     d_star,
     exterior_d,
     green,
@@ -59,7 +58,7 @@ __all__ = [
     "I", "J", "K", "Quaternion", "ad_action", "group_action",
     "invariance_defect", "kahler_form", "lefschetz", "lefschetz_dual",
     "type_projector",
-    "adjoint_d", "d_star", "exterior_d", "green", "harmonic_project",
+    "d_star", "exterior_d", "green", "harmonic_project",
     "kodaira_suite", "laplacian", "quaternionic_d", "twisted_d",
     "TransgressionResult", "measure_lapl_constant",
     "transgress1", "transgress2", "transgress4",

@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import transgression, zeta
-from .fields import FormField
+from .fields import FormField, grid
 from .suites import RunConfig, SUITES, run_suites
 
 EXIT_OK = 0
@@ -31,9 +31,19 @@ EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
 EXIT_NUMERICAL = 4
 
+PROBE_KMAX = 3
+PROBE_MODES = (2 * PROBE_KMAX + 1) ** 4 - 1  # nonzero modes lapl-constant can probe
+
+
+class NonFiniteOutput(Exception):
+    """A report holds a NaN or infinite value, which strict JSON cannot carry."""
+
 
 def _emit(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, indent=1, sort_keys=True, default=float)
+    try:
+        text = json.dumps(doc, indent=1, sort_keys=True, default=float, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteOutput(f"nothing written: {exc}") from exc
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -48,6 +58,13 @@ def _parse_theta(text: str):
     if not all(math.isfinite(v) for v in parts):
         raise argparse.ArgumentTypeError("theta components must be finite")
     return tuple(parts)
+
+
+def _probe_count(text: str) -> int:
+    count = int(text)
+    if not 1 <= count <= PROBE_MODES:
+        raise argparse.ArgumentTypeError(f"--modes must lie in 1-{PROBE_MODES}")
+    return count
 
 
 class _Parser(argparse.ArgumentParser):
@@ -83,7 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
     z.add_argument("--out", default=None)
 
     l = sub.add_parser("lapl-constant", help="measure the quartic-differential constant")
-    l.add_argument("--modes", type=int, default=20, help="number of probe modes")
+    l.add_argument("--modes", type=_probe_count, default=20,
+                   help=f"number of probe modes, 1-{PROBE_MODES}")
     l.add_argument("--out", default=None)
     return p
 
@@ -93,6 +111,8 @@ def _load_config(path: str | None, args) -> RunConfig:
     if path:
         with open(path, "r", encoding="utf-8") as fh:
             base = json.load(fh)
+        if not isinstance(base, dict):
+            raise ValueError("a config file must hold a JSON object")
     merged = {
         "kmax": base.get("kmax", 4),
         "tolerance": base.get("tolerance", 1e-10),
@@ -122,7 +142,7 @@ def _load_config(path: str | None, args) -> RunConfig:
 def cmd_verify(args) -> int:
     try:
         cfg = _load_config(args.config, args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (TypeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     unknown = [s for s in cfg.suites if s not in SUITES]
@@ -148,12 +168,15 @@ def cmd_transgress(args) -> int:
     if args.order == 2 and args.structure is None:
         print("error: --order 2 requires --structure {I|J|K}", file=sys.stderr)
         return EXIT_USAGE
+    tol = args.tol if args.tol is not None else {1: 1e-9, 2: 1e-9, 4: 1e-8}[args.order]
+    if not (math.isfinite(tol) and tol > 0):
+        print("error: --tol must be positive and finite", file=sys.stderr)
+        return EXIT_USAGE
     try:
         target = FormField.load(args.input)
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: cannot read form file: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    tol = args.tol if args.tol is not None else {1: 1e-9, 2: 1e-9, 4: 1e-8}[args.order]
     try:
         if args.order == 1:
             result = transgression.transgress1(target, tol=tol)
@@ -182,14 +205,13 @@ def cmd_torsion(args) -> int:
 
 
 def _probe_modes(count: int):
-    """Deterministic enumeration of nonzero modes by increasing |k|^2."""
-    r = np.arange(-3, 4)
-    ks = np.stack(np.meshgrid(r, r, r, r, indexing="ij"), axis=-1).reshape(-1, 4)
-    n2 = (ks**2).sum(axis=1)
-    order = np.lexsort((ks[:, 3], ks[:, 2], ks[:, 1], ks[:, 0], n2))
-    ks = ks[order]
-    ks = ks[(ks != 0).any(axis=1)]
-    return [tuple(int(v) for v in k) for k in ks[:count]]
+    """The first `count` nonzero modes of the kmax-3 box by increasing |k|^2.
+
+    Ties keep the grid's lexicographic order; k = 0 sorts first and is dropped.
+    """
+    modes, ksq = grid(PROBE_KMAX)[:2]
+    order = np.argsort(ksq, kind="stable")[1:count + 1]
+    return [tuple(int(v) for v in k) for k in modes[order]]
 
 
 def cmd_lapl_constant(args) -> int:
@@ -215,7 +237,11 @@ def main(argv=None) -> int:
         "torsion": cmd_torsion,
         "lapl-constant": cmd_lapl_constant,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except NonFiniteOutput as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

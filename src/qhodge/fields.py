@@ -21,6 +21,12 @@ import numpy as np
 from .exterior import DEGREE, N_BLADES, Multivector
 
 
+def _mode_rows(k, kmax: int):
+    """Row of each mode k (last axis of length 4) in the grid of truncation kmax."""
+    place = (2 * kmax + 1) ** np.arange(3, -1, -1)
+    return np.asarray(k) @ place + kmax * place.sum()
+
+
 @lru_cache(maxsize=None)
 def grid(kmax: int):
     """Cached mode bookkeeping for a given truncation.
@@ -31,19 +37,26 @@ def grid(kmax: int):
     """
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
-    w = 2 * kmax + 1
     r = np.arange(-kmax, kmax + 1)
     modes = np.stack(np.meshgrid(r, r, r, r, indexing="ij"), axis=-1).reshape(-1, 4)
     ksq = np.einsum("na,na->n", modes, modes).astype(float)
-    digits = modes + kmax
-    idx = ((digits[:, 0] * w + digits[:, 1]) * w + digits[:, 2]) * w + digits[:, 3]
-    assert np.array_equal(idx, np.arange(len(modes)))
-    neg_digits = kmax - modes
-    neg_perm = ((neg_digits[:, 0] * w + neg_digits[:, 1]) * w + neg_digits[:, 2]) * w + neg_digits[:, 3]
+    assert np.array_equal(_mode_rows(modes, kmax), np.arange(len(modes)))
+    neg_perm = _mode_rows(-modes, kmax)
     zero_index = int(np.nonzero(ksq == 0)[0][0])
     for arr in (modes, ksq, neg_perm):
         arr.setflags(write=False)
     return modes, ksq, zero_index, neg_perm
+
+
+def _entry_column(entries, key: str, kinds: str, what: str) -> np.ndarray:
+    """One field of every form-document entry as an array of a numeric kind."""
+    try:
+        column = np.array([e[key] for e in entries])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"malformed entries: {key}: {exc!r}") from exc
+    if column.dtype.kind not in kinds:
+        raise ValueError(f"every {key} must be {what}")
+    return column
 
 
 class FormField:
@@ -75,9 +88,7 @@ class FormField:
         k = np.asarray(k, dtype=int).reshape(4)
         if np.abs(k).max() > self.kmax:
             raise KeyError(f"mode {tuple(k)} outside truncation kmax={self.kmax}")
-        w = 2 * self.kmax + 1
-        d = k + self.kmax
-        return int(((d[0] * w + d[1]) * w + d[2]) * w + d[3])
+        return int(_mode_rows(k, self.kmax))
 
     def coeff(self, k) -> Multivector:
         return Multivector(self.coeffs[self.mode_index(k)])
@@ -157,10 +168,35 @@ class FormField:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FormField":
-        f = cls(int(doc["truncation"]))
-        for e in doc["entries"]:
-            n = f.mode_index(e["k"])
-            f.coeffs[n, int(e["blade_mask"])] += complex(e["re"], e["im"])
+        """Parse a form document; ValueError when it is malformed.
+
+        Duplicate (k, blade_mask) entries add up.
+        """
+        if not isinstance(doc, dict) or not {"truncation", "entries"} <= doc.keys():
+            raise ValueError("a form document needs 'truncation' and 'entries'")
+        kmax = doc["truncation"]
+        if isinstance(kmax, bool) or not isinstance(kmax, int) or kmax < 0:
+            raise ValueError(f"truncation must be a non-negative integer, got {kmax!r}")
+        f = cls(kmax)
+        entries = doc["entries"]
+        if not isinstance(entries, list):
+            raise ValueError("entries must be a list")
+        if not entries:
+            return f
+        k = _entry_column(entries, "k", "iu", "a list of four integers")
+        mask = _entry_column(entries, "blade_mask", "iu", "an integer")
+        values = np.empty(len(entries), dtype=complex)
+        values.real = _entry_column(entries, "re", "iuf", "a number")
+        values.imag = _entry_column(entries, "im", "iuf", "a number")
+        if k.shape != (len(entries), 4):
+            raise ValueError("every k must be a list of four integers")
+        if k.min() < -kmax or k.max() > kmax:
+            raise ValueError(f"an entry's k lies outside truncation {kmax}")
+        if mask.min() < 0 or mask.max() >= N_BLADES:
+            raise ValueError(f"every blade_mask must lie in [0, {N_BLADES})")
+        if not np.isfinite(values).all():
+            raise ValueError("every re and im must be finite")
+        np.add.at(f.coeffs, (_mode_rows(k, kmax), mask), values)
         return f
 
     def save(self, path) -> None:

@@ -11,6 +11,10 @@ With kappa = 2 pi k the mode symbols are
     Delta   ->  4 pi^2 |k|^2 . Id
     G       ->  (4 pi^2 |k|^2)^{-1} off the k = 0 mode, 0 on it.
 
+Every first-order operator is therefore one symbol, i eps(L kappa) or its
+adjoint -i iota(L kappa) for a 4x4 matrix L (the identity, C or L_x),
+applied by `_first_order`.
+
 Adjoint signs are not transcribed from anywhere: they are forced by the
 L^2 adjointness property, which the test suite asserts directly.
 """
@@ -24,8 +28,6 @@ from .fields import FormField, grid
 from .quaternionic import (
     Quaternion,
     STRUCTURE_NAMES,
-    ad_matrix,
-    group_matrix,
     left_matrix,
     lefschetz_dual_matrix,
     lefschetz_matrix,
@@ -33,6 +35,8 @@ from .quaternionic import (
     structure_matrix,
     xhat_matrix,
 )
+
+_EYE = np.eye(4)
 
 
 def apply_fiber(f: FormField, mat: np.ndarray) -> FormField:
@@ -48,61 +52,38 @@ def _apply_symbol(f: FormField, weights: np.ndarray, mats, scale: complex) -> Fo
     return FormField(f.kmax, out * scale)
 
 
+def _first_order(f: FormField, L: np.ndarray, star: bool) -> FormField:
+    """i eps(L kappa), or its adjoint -i iota(L kappa) when star is set."""
+    weights = grid(f.kmax)[0] @ L.T
+    if star:
+        return _apply_symbol(f, weights, INTERIOR_E, -2j * np.pi)
+    return _apply_symbol(f, weights, WEDGE_E, 2j * np.pi)
+
+
 def exterior_d(f: FormField) -> FormField:
-    modes = grid(f.kmax)[0]
-    return _apply_symbol(f, modes.astype(float), WEDGE_E, 2j * np.pi)
+    return _first_order(f, _EYE, False)
 
 
 def d_star(f: FormField) -> FormField:
-    modes = grid(f.kmax)[0]
-    return _apply_symbol(f, modes.astype(float), INTERIOR_E, -2j * np.pi)
+    return _first_order(f, _EYE, True)
 
 
-def twisted_d(f: FormField, c, realization: str = "group") -> FormField:
-    """d_C, by conjugation with the group action or as [ad_C, d].
-
-    Both realizations coincide; `realization` exists so tests can assert it.
-    """
-    m = structure_matrix(c)
-    modes = grid(f.kmax)[0]
-    if realization == "group":
-        u = modes @ m.T
-        return _apply_symbol(f, u, WEDGE_E, 2j * np.pi)
-    if realization == "ad":
-        ad = ad_matrix(c)
-        df = exterior_d(f)
-        return FormField(f.kmax, df.coeffs @ ad.T - exterior_d(apply_fiber(f, ad)).coeffs)
-    raise ValueError(f"unknown realization {realization!r}")
+def twisted_d(f: FormField, c) -> FormField:
+    """d_C for a structure name, a 3-vector on the sphere, or a 4x4 matrix."""
+    return _first_order(f, structure_matrix(c), False)
 
 
 def twisted_d_star(f: FormField, c) -> FormField:
-    m = structure_matrix(c)
-    modes = grid(f.kmax)[0]
-    return _apply_symbol(f, modes @ m.T, INTERIOR_E, -2j * np.pi)
+    return _first_order(f, structure_matrix(c), True)
 
 
 def quaternionic_d(f: FormField, x) -> FormField:
     """d_x = x0 d + x1 d_I + x2 d_J + x3 d_K."""
-    lm = left_matrix(x)
-    modes = grid(f.kmax)[0]
-    return _apply_symbol(f, modes @ lm.T, WEDGE_E, 2j * np.pi)
+    return _first_order(f, left_matrix(x), False)
 
 
 def quaternionic_d_star(f: FormField, x) -> FormField:
-    lm = left_matrix(x)
-    modes = grid(f.kmax)[0]
-    return _apply_symbol(f, modes @ lm.T, INTERIOR_E, -2j * np.pi)
-
-
-def adjoint_d(f: FormField, label="d") -> FormField:
-    """Adjoint of d ("d"), d_C ("I"/"J"/"K"), or d_x (a Quaternion)."""
-    if isinstance(label, Quaternion) or (
-        not isinstance(label, str) and np.asarray(label).shape == (4,)
-    ):
-        return quaternionic_d_star(f, label)
-    if label == "d":
-        return d_star(f)
-    return twisted_d_star(f, label)
+    return _first_order(f, left_matrix(x), True)
 
 
 def grading(f: FormField) -> FormField:
@@ -138,24 +119,6 @@ def harmonic_project(f: FormField) -> FormField:
     out = np.zeros_like(f.coeffs)
     out[zero] = f.coeffs[zero]
     return FormField(f.kmax, out)
-
-
-def lefschetz_field(f: FormField, c) -> FormField:
-    return apply_fiber(f, lefschetz_matrix(c))
-
-
-def lefschetz_dual_field(f: FormField, c) -> FormField:
-    return apply_fiber(f, lefschetz_dual_matrix(c))
-
-
-def group_action_field(f: FormField, c) -> FormField:
-    """Multiplicative action of a structure matrix on every fiber."""
-    return apply_fiber(f, group_matrix(c))
-
-
-def rotor_action_field(f: FormField, u) -> FormField:
-    """Action of a general unit quaternion on every fiber."""
-    return apply_fiber(f, rotor_matrix(u))
 
 
 # ---------------------------------------------------------------------------

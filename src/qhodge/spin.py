@@ -26,6 +26,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .exterior import Multivector, N_BLADES, wedge_matrix
+from .fields import grid
 from .quaternionic import I, J, K, STRUCTURE_NAMES, ad_action, structure_matrix
 
 SQRT2 = np.sqrt(2.0)
@@ -238,12 +239,6 @@ def s_basis_forms() -> np.ndarray:
     return rows
 
 
-def embed(op: CliffordOp) -> np.ndarray:
-    """Conjugate an S-operator into the 16-dim fiber coordinates (16x16, rank <= 4)."""
-    phi = s_basis_forms()  # rows: images of the S basis
-    return phi.T @ op.matrix @ phi.conj()
-
-
 def omega_operator_check() -> dict:
     """Prop-forms verification: e is (a multiple of) wedging with Omega.
 
@@ -302,8 +297,7 @@ def dirac_block_check(theta=(0, 0, 0, 0), kmax: int = 3) -> dict:
     isomorphically off the kernel.
     """
     th = np.asarray(theta, dtype=float).reshape(4) % 1.0
-    r = np.arange(-kmax, kmax + 1)
-    modes = np.stack(np.meshgrid(r, r, r, r, indexing="ij"), axis=-1).reshape(-1, 4)
+    modes = grid(kmax)[0]
 
     max_c_defect = 0.0
     max_sq_defect = 0.0

@@ -9,6 +9,7 @@ fixed config reproduces a byte-identical report.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,7 @@ from . import spin, zeta
 from .exterior import DEGREE, Multivector, N_BLADES, STAR, VOL, interior, wedge
 from .fields import FormField, random_field, single_mode
 from .operators import (
+    apply_fiber,
     cancellation_defect,
     conjugation_defect,
     d_star,
@@ -71,12 +73,26 @@ class RunConfig:
     field_count: int = 20
 
     def __post_init__(self):
+        for name in ("kmax", "seed", "field_count"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if isinstance(self.tolerance, bool) or not isinstance(self.tolerance, numbers.Real):
+            raise ValueError(f"tolerance must be a number, got {self.tolerance!r}")
         if self.kmax < 1:
             raise ValueError("kmax must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if self.field_count < 1:
+            raise ValueError("field_count must be >= 1")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise ValueError("tolerance must be positive and finite")
-        if not all(math.isfinite(float(v)) for v in self.theta):
-            raise ValueError("theta components must be finite")
+        if len(self.theta) != 4 or not all(math.isfinite(float(v)) for v in self.theta):
+            raise ValueError("theta needs four finite components")
+        if not all(isinstance(v, str) for v in self.suites):
+            raise ValueError(f"suites must be names, got {list(self.suites)!r}")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ValueError(f"out must be a path, got {self.out!r}")
         self.theta = tuple(float(v) % 1.0 for v in self.theta)
 
 
@@ -235,9 +251,10 @@ def suite_operators(cfg: RunConfig) -> dict[str, float]:
         worst["d_squared"] = max(
             worst["d_squared"], exterior_d(df).norm() / max(df.norm(), 1e-300)
         )
+        # d_C is also the commutator [ad_C, d]
+        ad_form = apply_fiber(df, AD["I"]) - exterior_d(apply_fiber(f, AD["I"]))
         worst["twisted_realizations_agree"] = max(
-            worst["twisted_realizations_agree"],
-            rel_defect(twisted_d(f, "I", "group"), twisted_d(f, "I", "ad")),
+            worst["twisted_realizations_agree"], rel_defect(twisted_d(f, "I"), ad_form)
         )
         a = exterior_d(twisted_d(f, "I"))
         b = twisted_d(df, "I")

@@ -45,6 +45,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
+from .fields import grid
+
 # High-precision constants (OEIS A001620, A075700, A084448 conventions):
 #   gamma: Euler-Mascheroni constant
 #   zeta'(0) = -log(2 pi)/2
@@ -102,10 +104,7 @@ class SpectrumModel:
 
 def _lattice_shifted_norms(theta: np.ndarray, radius: float):
     """|k + theta|^2 for all k with |k + theta| <= radius."""
-    bound = int(math.ceil(radius + 1))
-    r = np.arange(-bound, bound + 1)
-    ks = np.stack(np.meshgrid(r, r, r, r, indexing="ij"), axis=-1).reshape(-1, 4)
-    shifted = ks + theta
+    shifted = grid(int(math.ceil(radius + 1)))[0] + theta
     n2 = np.einsum("na,na->n", shifted, shifted)
     return n2[n2 <= radius**2 + 1e-12]
 

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from qhodge import cli
 from qhodge.cli import main
 from qhodge.fields import random_field, single_mode
 from qhodge.exterior import VOL
@@ -73,6 +74,29 @@ class TestVerify:
         assert run(["verify", "--suite", "exterior", "--config", str(cfg_path)]) == 2
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config", [
+        {"tolerance": "1e-10"},
+        {"tolerance": True},
+        {"kmax": 2.5},
+        {"kmax": True},
+        {"seed": -1},
+        {"seed": "3"},
+        {"field_count": 0},
+        {"theta": None},
+        {"theta": [0.0, 0.0, 0.0]},
+        {"suites": [1]},
+        {"out": 123},
+    ], ids=lambda c: json.dumps(c))
+    def test_bad_config_value_usage_error(self, tmp_path, capsys, config):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"suites": ["exterior"], **config}))
+        assert run(["verify", "--config", str(cfg_path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_zero_fields_usage_error(self, capsys):
+        assert run(["verify", "--suite", "operators", "--suite", "kodaira", "--fields", "0"]) == 2
+        assert "field_count" in capsys.readouterr().err
+
     def test_report_carries_structure_matrices(self, tmp_path):
         out = tmp_path / "rep.json"
         run(["verify", "--suite", "exterior", "--out", str(out)])
@@ -130,6 +154,54 @@ class TestTransgress:
         assert code == 3
         assert "NotDCClosed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry, message", [
+        ({"re": float("nan")}, "finite"),
+        ({"im": float("inf")}, "finite"),
+        ({"blade_mask": 16}, "blade_mask"),
+        ({"blade_mask": -1}, "blade_mask"),
+        ({"k": [0.5, 0, 0, 0]}, "every k"),
+        ({"k": [0, 0, 0]}, "entries: k"),
+        ({"k": [2, 0, 0, 0]}, "truncation"),
+        ({"re": "1.0"}, "number"),
+    ], ids=["nan-re", "inf-im", "mask-16", "mask-minus-1", "fractional-k", "short-k",
+            "k-outside", "string-re"])
+    def test_malformed_form_file_usage_error(self, tmp_path, capsys, entry, message):
+        good = {"k": [1, 0, 0, 0], "blade_mask": 1, "re": 1.0, "im": 0.0}
+        inp = tmp_path / "t.json"
+        inp.write_text(json.dumps({"truncation": 1, "entries": [good, dict(good, **entry)]}))
+        out = tmp_path / "r.json"
+        assert run(["transgress", "--order", "1", "--input", str(inp), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])
+    def test_bad_tolerance_usage_error(self, tmp_path, capsys, tol):
+        # a NaN tolerance used to let a form that is not closed pass every check
+        rng = np.random.default_rng(6)
+        inp = tmp_path / "t.json"
+        random_field(1, rng, degree=1).save(inp)
+        out = tmp_path / "r.json"
+        code = run(["transgress", "--order", "1", f"--tol={tol}", "--input", str(inp), "--out", str(out)])
+        assert code == 2
+        assert "--tol" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("doc", [
+        {"truncation": 1.5, "entries": []},
+        {"truncation": -1, "entries": []},
+        {"truncation": True, "entries": []},
+        {"truncation": "1", "entries": []},
+        {"truncation": 1, "entries": 0},
+        {"truncation": 1},
+        [],
+    ], ids=lambda d: json.dumps(d))
+    def test_malformed_form_document_usage_error(self, tmp_path, capsys, doc):
+        inp = tmp_path / "t.json"
+        inp.write_text(json.dumps(doc))
+        assert run(["transgress", "--order", "1", "--input", str(inp),
+                    "--out", str(tmp_path / "r.json")]) == 2
+        assert "cannot read form file" in capsys.readouterr().err
+
     def test_bad_order_usage(self, tmp_path, capsys):
         code = run(["transgress", "--order", "3", "--input", "x", "--out", "y"])
         assert code == 2
@@ -162,6 +234,13 @@ class TestTorsion:
         assert run(["torsion", "--theta", "inf,0,0,0"]) == 2
         assert "finite" in capsys.readouterr().err
 
+    def test_non_finite_output_is_numerical_failure(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli.zeta, "torsion_report", lambda theta: {"T": float("nan")})
+        out = tmp_path / "torsion.json"
+        assert run(["torsion", "--out", str(out)]) == 4
+        assert "numerical failure" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestLaplConstant:
     def test_measured_constant(self, tmp_path):
@@ -173,6 +252,18 @@ class TestLaplConstant:
         assert rep["spread"] <= 1e-10
         assert len(rep["modes"]) == 6
         assert "16" in rep["note"]
+
+    @pytest.mark.parametrize("modes", ["0", "-3", "2401", "100000"])
+    def test_modes_out_of_range_usage_error(self, capsys, modes):
+        assert run(["lapl-constant", "--modes", modes]) == 2
+        assert "1-2400" in capsys.readouterr().err
+
+    def test_probe_modes_cover_the_box(self):
+        modes = cli._probe_modes(cli.PROBE_MODES)
+        assert cli.PROBE_MODES == 2400
+        assert len(set(modes)) == 2400 and (0, 0, 0, 0) not in modes
+        assert modes[:5] == [(-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1),
+                             (0, 0, 0, 1)]
 
     def test_stdout_emission(self, capsys):
         code = run(["lapl-constant", "--modes", "2"])

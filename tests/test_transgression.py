@@ -3,12 +3,14 @@
 The quartic-differential constant has an exact oracle: on the Fourier mode
 k the composite d d_I d_J d_K applied to a scalar produces the wedge of the
 four covectors (k, Ik, Jk, Kk), whose volume coefficient is the integer
-determinant det[k | Ik | Jk | Kk]; the oracle below evaluates it in exact
-fraction arithmetic and compares against |k|^4, with no floating point in
-the loop.
-"""
+determinant det[k | Ik | Jk | Kk]; `oracles.quartic_constant_oracle`
+evaluates it in exact fraction arithmetic and compares against |k|^4, with
+no floating point and no package code in the loop.
 
-from fractions import Fraction
+transgress4 returns the closed-form potential G^2 (vol coefficient);
+`literal_order4_potential` below is the Green-operator formula it replaces,
+kept as the regression oracle for it.
+"""
 
 import numpy as np
 import pytest
@@ -16,13 +18,15 @@ import pytest
 from qhodge.exterior import Multivector, VOL
 from qhodge.fields import random_field, single_mode, zero_field
 from qhodge.operators import (
+    d_star,
     exterior_d,
+    green,
     harmonic_project,
     laplacian,
     rel_defect,
     twisted_d,
+    twisted_d_star,
 )
-from qhodge.quaternionic import I, J, K
 from qhodge.transgression import (
     DegreeTooLow,
     InconsistentConstant,
@@ -39,33 +43,15 @@ from qhodge.transgression import (
     transgress4,
 )
 
+from oracles import quartic_constant_oracle
+
 SEED = 314
 
 
-def det4_exact(cols):
-    """4x4 determinant over Fraction entries by cofactor expansion."""
-    cols = [[Fraction(x) for x in col] for col in cols]
-    mat = [[cols[j][i] for j in range(4)] for i in range(4)]
-
-    def det(m):
-        n = len(m)
-        if n == 1:
-            return m[0][0]
-        total = Fraction(0)
-        for j in range(n):
-            minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-            total += (-1) ** j * m[0][j] * det(minor)
-        return total
-
-    return det(mat)
-
-
-def quartic_constant_oracle(k):
-    """det[k, Ik, Jk, Kk] / |k|^4, evaluated in exact arithmetic."""
-    k = [int(v) for v in k]
-    cols = [k] + [[int(m[a] @ np.array(k)) for a in range(4)] for m in (I, J, K)]
-    norm4 = Fraction(sum(v * v for v in k)) ** 2
-    return det4_exact(cols) / norm4
+def literal_order4_potential(target):
+    """s4 d* d_I* d_J* d_K* G^4 target, applied factor by factor."""
+    g4 = green(green(green(green(target))))
+    return ORDER4_SIGN * d_star(twisted_d_star(twisted_d_star(twisted_d_star(g4, "K"), "J"), "I"))
 
 
 class TestOrder1:
@@ -125,22 +111,25 @@ class TestOrder4:
 
     def test_roundtrip_plain_sigma(self):
         rng = np.random.default_rng(SEED + 4)
-        for _ in range(5):
-            sigma = random_field(3, rng, degree=0)
+        for kmax in [3] * 5 + [6]:
+            sigma = random_field(kmax, rng, degree=0)
             target = quartic_differential(sigma)
             res = transgress4(target)
             assert res.residual <= 1e-8
             assert res.sign == ORDER4_SIGN == +1.0
             # gauge freedom: tau equals sigma only up to its harmonic part
             assert rel_defect(res.potential, sigma - harmonic_project(sigma)) <= 1e-9
+            assert rel_defect(res.potential, literal_order4_potential(target)) <= 1e-14
 
     def test_roundtrip_invariant_sigma(self):
         rng = np.random.default_rng(SEED + 5)
-        sigma = random_field(2, rng, invariant=True)
-        target = quartic_differential(sigma)
-        res = transgress4(target)
-        assert res.residual <= 1e-8
-        assert res.potential.degrees(tol=1e-9) == [0]
+        for kmax in (2, 3, 6):
+            sigma = random_field(kmax, rng, invariant=True)
+            target = quartic_differential(sigma)
+            res = transgress4(target)
+            assert res.residual <= 1e-8
+            assert res.potential.degrees(tol=1e-9) == [0]
+            assert rel_defect(res.potential, literal_order4_potential(target)) <= 1e-14
 
     def test_potential_degree_drop(self):
         rng = np.random.default_rng(SEED + 6)
