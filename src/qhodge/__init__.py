@@ -39,15 +39,12 @@ from .transgression import (
     transgress4,
 )
 from .zeta import (
-    SpectrumModel,
     ZetaResult,
     beta0,
-    heat_trace,
     hyper_torsion,
     log_det_prime,
     regularized_integral,
     torsion_T,
-    torus_spectrum,
 )
 
 __version__ = "0.1.0"
@@ -62,7 +59,7 @@ __all__ = [
     "kodaira_suite", "laplacian", "quaternionic_d", "twisted_d",
     "TransgressionResult", "measure_lapl_constant",
     "transgress1", "transgress2", "transgress4",
-    "SpectrumModel", "ZetaResult", "beta0", "heat_trace", "hyper_torsion",
-    "log_det_prime", "regularized_integral", "torsion_T", "torus_spectrum",
+    "ZetaResult", "beta0", "hyper_torsion", "log_det_prime",
+    "regularized_integral", "torsion_T",
     "__version__",
 ]

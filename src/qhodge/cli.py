@@ -9,12 +9,13 @@ Exit codes: 0 success, 1 failed verification, 2 usage error,
 3 violated precondition, 4 numerical failure.
 
 A JSON config file (--config) may provide any of the RunConfig fields;
-explicit flags win over the file.
+explicit flags win over the file, and any other key is a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -107,35 +108,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(path: str | None, args) -> RunConfig:
-    base = {}
+    """RunConfig from its own defaults, then the --config file, then the flags."""
+    merged = {}
     if path:
         with open(path, "r", encoding="utf-8") as fh:
-            base = json.load(fh)
-        if not isinstance(base, dict):
+            merged = json.load(fh)
+        if not isinstance(merged, dict):
             raise ValueError("a config file must hold a JSON object")
-    merged = {
-        "kmax": base.get("kmax", 4),
-        "tolerance": base.get("tolerance", 1e-10),
-        "seed": base.get("seed", 0),
-        "theta": tuple(base.get("theta", (0.0, 0.0, 0.0, 0.0))),
-        "suites": tuple(base.get("suites", ())),
-        "out": base.get("out"),
-        "field_count": base.get("field_count", 20),
-    }
-    if args.kmax is not None:
-        merged["kmax"] = args.kmax
-    if args.tol is not None:
-        merged["tolerance"] = args.tol
-    if args.seed is not None:
-        merged["seed"] = args.seed
-    if args.theta is not None:
-        merged["theta"] = args.theta
-    if args.suite:
-        merged["suites"] = tuple(args.suite)
-    if args.fields is not None:
-        merged["field_count"] = args.fields
-    if args.out is not None:
-        merged["out"] = args.out
+        unknown = sorted(set(merged) - {f.name for f in dataclasses.fields(RunConfig)})
+        if unknown:
+            raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+    flags = {"kmax": args.kmax, "tolerance": args.tol, "seed": args.seed, "theta": args.theta,
+             "suites": args.suite, "field_count": args.fields, "out": args.out}
+    merged.update({k: v for k, v in flags.items() if v is not None})
     return RunConfig(**merged)
 
 
@@ -152,7 +137,7 @@ def cmd_verify(args) -> int:
         return EXIT_USAGE
     try:
         report = run_suites(cfg)
-    except (zeta.QuadratureFailure, zeta.MethodDisagreement, zeta.TruncationInsufficient,
+    except (zeta.QuadratureFailure, zeta.MethodDisagreement,
             transgression.InconsistentConstant) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

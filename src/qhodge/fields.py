@@ -21,6 +21,20 @@ import numpy as np
 from .exterior import DEGREE, N_BLADES, Multivector
 
 
+# bytes one dense field may take: truncation 12 ((2*12+1)^4 modes x 16 blades
+# x 16 B = 95 MiB) fits, truncation 13 (130 MiB) does not
+FIELD_BYTE_BUDGET = 128 * 2**20
+_MODE_BYTES = N_BLADES * np.dtype(complex).itemsize
+
+
+def check_truncation(kmax: int) -> None:
+    """ValueError when a dense field of truncation kmax would exceed FIELD_BYTE_BUDGET."""
+    nbytes = (2 * kmax + 1) ** 4 * _MODE_BYTES
+    if nbytes > FIELD_BYTE_BUDGET:
+        raise ValueError(f"truncation {kmax} needs {nbytes / 2**20:.0f} MiB per field, "
+                         f"above the {FIELD_BYTE_BUDGET // 2**20} MiB budget")
+
+
 def _mode_rows(k, kmax: int):
     """Row of each mode k (last axis of length 4) in the grid of truncation kmax."""
     place = (2 * kmax + 1) ** np.arange(3, -1, -1)
@@ -66,6 +80,7 @@ class FormField:
 
     def __init__(self, kmax: int, coeffs: np.ndarray | None = None):
         self.kmax = int(kmax)
+        check_truncation(self.kmax)
         n = (2 * self.kmax + 1) ** 4
         if coeffs is None:
             self.coeffs = np.zeros((n, N_BLADES), dtype=complex)
@@ -249,6 +264,7 @@ def random_field(
     coefficient onto the joint kernel of ad_I, ad_J, ad_K; real symmetrizes
     modes so that omega_{-k} = conj(omega_k).
     """
+    check_truncation(kmax)
     n = (2 * kmax + 1) ** 4
     c = (rng.standard_normal((n, N_BLADES)) + 1j * rng.standard_normal((n, N_BLADES))) / np.sqrt(2)
     if degree is not None:

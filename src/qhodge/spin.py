@@ -287,53 +287,60 @@ def omega_operator_check() -> dict:
     }
 
 
+def _dirac_basis() -> np.ndarray:
+    """(4, 4, 4): D_k = sum_a kappa_a basis[a], D_k = sqrt2 (del' + del'^dagger) at kappa.
+
+    del' is the holomorphic part of the twisted flat connection symbol; D is
+    real-linear in kappa, so its value on the four unit covectors fixes it.
+    """
+    proj_hol = 0.5 * (np.eye(4) - 1j * I)  # projector onto W components
+    blocks = []
+    for e in np.eye(4):
+        a1, a2, _, _ = _split_holomorphic(proj_hol @ e)  # Wbar parts vanish
+        dpr = 1j * SQRT2 * (a1 * _EPS[0] + a2 * _EPS[1])
+        blocks.append(dpr + dpr.conj().T)
+    return np.array(blocks)
+
+
 def dirac_block_check(theta=(0, 0, 0, 0), kmax: int = 3) -> dict:
     """Mode-level Dirac verification on (.,0)-forms.
 
-    For each lattice mode k the operator sqrt2 (del' + del'^dagger), with
-    del' the holomorphic part of the twisted flat connection symbol, must
-    (a) coincide with i c(kappa) for kappa = 2 pi (k + theta), (b) square
-    to 4 pi^2 |k+theta|^2 Id, and (c) swap the even and odd halves
-    isomorphically off the kernel.
+    For each lattice mode k the symbol D_k at kappa = 2 pi (k + theta) must
+    (a) coincide with i c(kappa), (b) square to |kappa|^2 Id, (c) be odd,
+    with its even->odd block B_k satisfying B_k^H B_k = |kappa|^2 Id, so
+    that it swaps the even and odd halves isomorphically off the kernel,
+    and (d) have vanishing graded heat trace |sum_k tr(Gamma exp(-D_k^2))|.
+    The pairing defect is relative: parity entries over |kappa|, the
+    B_k^H B_k residual over |kappa|^2.
     """
     th = np.asarray(theta, dtype=float).reshape(4) % 1.0
-    modes = grid(kmax)[0]
+    kappa = 2 * np.pi * (grid(kmax)[0] + th)
+    lam = np.einsum("na,na->n", kappa, kappa)
+    basis = _dirac_basis()
+    D = np.einsum("na,aij->nij", kappa, basis)
+    # i c(kappa) is linear in kappa too: compare the symbols term by term
+    gens = np.array([g.matrix for g in GENERATORS])
+    c_defect = np.abs(np.einsum("na,aij->nij", kappa, basis - 1j * gens)).max()
+    sq_defect = np.abs(D @ D - lam[:, None, None] * np.eye(4)).max()
 
-    max_c_defect = 0.0
-    max_sq_defect = 0.0
-    eig_even: dict[float, int] = {}
-    eig_odd: dict[float, int] = {}
-    lam_all = []
-    proj_hol = 0.5 * (np.eye(4) - 1j * I)  # projector onto W components
-    for k in modes:
-        kappa = 2 * np.pi * (k + th)
-        lam = float(kappa @ kappa)
-        lam_all.append(lam)
-        w = proj_hol @ kappa
-        a1, a2, _, _ = _split_holomorphic(w)  # w lies in W, Wbar parts vanish
-        dpr = 1j * SQRT2 * (a1 * _EPS[0] + a2 * _EPS[1])
-        D = dpr + dpr.conj().T
-        c_block = 1j * clifford_action(kappa).matrix
-        max_c_defect = max(max_c_defect, float(np.abs(D - c_block).max()))
-        max_sq_defect = max(
-            max_sq_defect, float(np.abs(D @ D - lam * np.eye(4)).max())
-        )
-        key = round(lam, 9)
-        if key > 0:
-            eig_even[key] = eig_even.get(key, 0) + 2  # q = 0 and q = 2
-            eig_odd[key] = eig_odd.get(key, 0) + 2  # two q = 1 states
-    pairing_ok = eig_even == eig_odd
+    odd = _S_DEGREES % 2 == 1
+    norm = np.sqrt(np.where(lam > 0, lam, 1.0))  # |kappa|, 1 on the kernel mode
+    parity = np.abs(D[:, odd == odd[:, None]]).max(axis=1) / norm
+    B = D[:, odd][:, :, ~odd]  # even -> odd block
+    BhB = np.conj(np.swapaxes(B, 1, 2)) @ B
+    iso = np.abs(BhB - lam[:, None, None] * np.eye(2)).max(axis=(1, 2)) / norm**2
+    pairing = float(max(parity.max(), iso.max()))
 
-    # graded trace: per mode the ranks (1, 2, 1) cancel with alternating signs
-    graded_rank = sum((-1) ** q * r for q, r in enumerate((1, 2, 1)))
-    str_t1 = float(graded_rank * np.sum(np.exp(-np.array(lam_all))))
+    mu, V = np.linalg.eigh(D)  # D_k is Hermitian
+    gamma_v = np.conj(np.swapaxes(V, 1, 2)) @ chirality().matrix @ V
+    graded = np.einsum("nj,njj->", np.exp(-mu**2), gamma_v)
 
     return {
-        "clifford_symbol_defect": max_c_defect,
-        "square_defect_rel": max_sq_defect / (4 * np.pi**2 * max(1.0, 3 * kmax**2)),
-        "square_defect": max_sq_defect,
-        "even_odd_pairing": bool(pairing_ok),
-        "graded_heat_trace_t1": str_t1,
+        "clifford_symbol_defect": float(c_defect),
+        "square_defect_rel": float(sq_defect) / (4 * np.pi**2 * max(1.0, 3 * kmax**2)),
+        "square_defect": float(sq_defect),
+        "even_odd_pairing_defect": pairing,
+        "graded_heat_trace_t1": float(abs(graded)),
     }
 
 

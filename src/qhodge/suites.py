@@ -16,7 +16,7 @@ import numpy as np
 
 from . import spin, zeta
 from .exterior import DEGREE, Multivector, N_BLADES, STAR, VOL, interior, wedge
-from .fields import FormField, random_field, single_mode
+from .fields import FormField, check_truncation, random_field, single_mode
 from .operators import (
     apply_fiber,
     cancellation_defect,
@@ -81,6 +81,7 @@ class RunConfig:
             raise ValueError(f"tolerance must be a number, got {self.tolerance!r}")
         if self.kmax < 1:
             raise ValueError("kmax must be >= 1")
+        check_truncation(self.kmax)
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.field_count < 1:
@@ -89,6 +90,7 @@ class RunConfig:
             raise ValueError("tolerance must be positive and finite")
         if len(self.theta) != 4 or not all(math.isfinite(float(v)) for v in self.theta):
             raise ValueError("theta needs four finite components")
+        self.suites = tuple(self.suites)
         if not all(isinstance(v, str) for v in self.suites):
             raise ValueError(f"suites must be names, got {list(self.suites)!r}")
         if self.out is not None and not isinstance(self.out, str):
@@ -332,11 +334,10 @@ def suite_operators(cfg: RunConfig) -> dict[str, float]:
     return out
 
 
-def suite_kodaira(cfg: RunConfig, count: int | None = None) -> dict[str, float]:
+def suite_kodaira(cfg: RunConfig) -> dict[str, float]:
     rng = _rng(cfg, 4)
     out: dict[str, float] = {}
-    n = count if count is not None else cfg.field_count
-    for _ in range(n):
+    for _ in range(cfg.field_count):
         f = random_field(cfg.kmax, rng)
         for name, val in kodaira_suite(f).items():
             out[name] = max(out.get(name, 0.0), val)
@@ -446,8 +447,8 @@ def suite_clifford(cfg: RunConfig) -> dict[str, float]:
         "vacuum_contraction": rep["omega_operator"]["f_kills_vacuum"],
         "dirac_symbol": rep["dirac_blocks"]["clifford_symbol_defect"],
         "dirac_square": rep["dirac_blocks"]["square_defect_rel"],
-        "dirac_even_odd_pairing": 0.0 if rep["dirac_blocks"]["even_odd_pairing"] else 1.0,
-        "dirac_graded_trace": abs(rep["dirac_blocks"]["graded_heat_trace_t1"]),
+        "dirac_even_odd_pairing": rep["dirac_blocks"]["even_odd_pairing_defect"],
+        "dirac_graded_trace": rep["dirac_blocks"]["graded_heat_trace_t1"],
     }
     return out
 

@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exterior import Multivector, VOL_MASK
-from .fields import FormField, real_single_mode
+from .exterior import VOL_MASK
+from .fields import FormField
 from .operators import (
     d_star,
     exterior_d,
@@ -171,31 +171,31 @@ def quartic_differential(f: FormField) -> FormField:
     return exterior_d(twisted_d(twisted_d(twisted_d(f, "K"), "J"), "I"))
 
 
-def measure_lapl_constant(modes, kmax: int | None = None, tol: float = 1e-10):
+def measure_lapl_constant(modes, tol: float = 1e-10):
     """Ratio c with d d_I d_J d_K(phi) = c * vol * Delta^2(phi), per mode.
 
     Each probe is the real single-mode function e^{2 pi i k.xi} + conjugate.
-    The ratio is a quaternionic-isotropy scalar, so it must not depend on
-    the mode; InconsistentConstant signals a sign error in the operator
-    algebra if the measured spread exceeds tol.
+    The operators are mode-diagonal, so one field carries every probe (the
+    scalar 1 set on each k and -k), both sides are computed once, and each
+    probe's ratio is read from its own two rows.  The ratio is a
+    quaternionic-isotropy scalar, so it must not depend on the mode;
+    InconsistentConstant signals a sign error in the operator algebra if
+    the measured spread exceeds tol.
 
     Returns (c, report) where report lists the per-mode ratios.
     """
     modes = [tuple(int(v) for v in np.asarray(k).reshape(4)) for k in modes]
     if any(k == (0, 0, 0, 0) for k in modes):
         raise ValueError("modes must be nonzero")
-    if kmax is None:
-        kmax = max(max(abs(v) for v in k) for k in modes)
+    phi = FormField(max(max(abs(v) for v in k) for k in modes))
+    rows = [sorted((phi.mode_index(k), phi.mode_index([-v for v in k]))) for k in modes]
+    phi.coeffs[np.ravel(rows), 0] = 1.0
+    # both sides live on the vol blade times each probe's mode pair
+    num = quartic_differential(phi).coeffs[:, VOL_MASK]
+    den = laplacian(laplacian(phi)).coeffs[:, 0]
     ratios = {}
-    for k in modes:
-        phi = real_single_mode(kmax, k, Multivector.scalar(1.0))
-        lhs = quartic_differential(phi)
-        rhs = laplacian(laplacian(phi))
-        # both sides live on the vol blade times the same mode pair
-        num = lhs.coeffs[:, 15]
-        den = rhs.coeffs[:, 0]
-        sel = np.abs(den) > 0
-        vals = num[sel] / den[sel]
+    for k, pair in zip(modes, rows):
+        vals = num[pair] / den[pair]
         spread_k = float(np.abs(vals - vals[0]).max())
         if spread_k > tol:
             raise InconsistentConstant(f"mode {k}: conjugate modes disagree by {spread_k:.3e}")

@@ -45,8 +45,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from .fields import grid
-
 # High-precision constants (OEIS A001620, A075700, A084448 conventions):
 #   gamma: Euler-Mascheroni constant
 #   zeta'(0) = -log(2 pi)/2
@@ -57,9 +55,9 @@ ZETA_PRIME_MINUS_1 = -0.1654211437004509292139196602427293
 
 FORM_RANKS = (1, 2, 1)  # ranks of (q,0)-form bundles on T^4, q = 0, 1, 2
 
-
-class TruncationInsufficient(Exception):
-    pass
+# largest |mellin - closed form| accepted for log det' (unless the quadrature
+# error estimate is larger)
+METHOD_GAP_TOL = 1e-8
 
 
 class QuadratureFailure(Exception):
@@ -70,93 +68,8 @@ class MethodDisagreement(Exception):
     pass
 
 
-# ---------------------------------------------------------------------------
-# spectrum enumeration
-# ---------------------------------------------------------------------------
-
 def _reduce_theta(theta) -> np.ndarray:
-    th = np.asarray(theta, dtype=float).reshape(4) % 1.0
-    return th
-
-
-@dataclass
-class SpectrumModel:
-    """Eigenvalue/multiplicity description of a twisted form Laplacian.
-
-    eigenvalues holds the distinct nonzero eigenvalues with multiplicities
-    counted per scalar copy; the (q,0)-form Laplacian is fiber_rank copies
-    of that scalar spectrum.  kernel_dim counts the excluded zero modes
-    (fiber_rank when theta = 0, else 0).
-    """
-
-    eigenvalues: list  # [(lambda, multiplicity)]
-    fiber_rank: int
-    kernel_dim: int
-    theta: np.ndarray | None = None
-    scale: float = 1.0
-    radius: float = 0.0
-
-    def arrays(self):
-        lam = np.array([l for l, _ in self.eigenvalues])
-        mult = np.array([m for _, m in self.eigenvalues], dtype=float)
-        return lam, mult
-
-
-def _lattice_shifted_norms(theta: np.ndarray, radius: float):
-    """|k + theta|^2 for all k with |k + theta| <= radius."""
-    shifted = grid(int(math.ceil(radius + 1)))[0] + theta
-    n2 = np.einsum("na,na->n", shifted, shifted)
-    return n2[n2 <= radius**2 + 1e-12]
-
-
-def torus_spectrum(theta=(0, 0, 0, 0), fiber_rank: int = 1, radius: float = 6.0,
-                   scale: float = 1.0) -> SpectrumModel:
-    """Enumerated spectrum of the theta-twisted scalar Laplacian, |k+theta| <= radius."""
-    th = _reduce_theta(theta)
-    n2 = _lattice_shifted_norms(th, radius)
-    nonzero = n2[n2 > 1e-12]
-    kernel = int(np.count_nonzero(n2 <= 1e-12)) * fiber_rank
-    lam = scale * 4 * np.pi**2 * np.sort(nonzero)
-    # aggregate equal eigenvalues for a compact model
-    uniq, counts = np.unique(np.round(lam, 12), return_counts=True)
-    eigs = [(float(l), int(c)) for l, c in zip(uniq, counts)]
-    return SpectrumModel(eigs, fiber_rank, kernel, th, scale, radius)
-
-
-def _tail_bound(t: float, radius: float, scale: float = 1.0) -> float:
-    """Upper bound on the dropped part of sum exp(-4 pi^2 scale t |k+theta|^2).
-
-    Crude shell-count bound: at most 20*(r+2)^3 lattice points per unit
-    shell [r, r+1).
-    """
-    a = 4 * np.pi**2 * scale * t
-    total = 0.0
-    r = max(radius, 0.0)
-    for _ in range(10000):
-        term = 20.0 * (r + 2) ** 3 * math.exp(-a * r * r)
-        total += term
-        if term < 1e-300 or term < 1e-18 * total:
-            break
-        r += 1.0
-    return total
-
-
-def heat_trace(model: SpectrumModel, t: float, accuracy: float = 1e-12) -> float:
-    """Tr' exp(-t Delta) from the enumerated spectrum (kernel excluded).
-
-    Raises TruncationInsufficient when the tail beyond the enumeration
-    radius cannot be bounded below `accuracy`.
-    """
-    if t <= 0:
-        raise ValueError("t must be positive")
-    if model.radius:
-        tail = model.fiber_rank * _tail_bound(t, model.radius, model.scale)
-        if tail > accuracy:
-            raise TruncationInsufficient(
-                f"tail bound {tail:.3e} exceeds accuracy {accuracy:.1e} at t={t}"
-            )
-    lam, mult = model.arrays()
-    return float(model.fiber_rank * np.sum(mult * np.exp(-t * lam)))
+    return np.asarray(theta, dtype=float).reshape(4) % 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -169,39 +82,34 @@ def _axis(radius: float) -> np.ndarray:
     return np.arange(-bound, bound + 1, dtype=float)
 
 
-def heat_trace_direct(theta, t: float, radius: float | None = None) -> float:
+def heat_trace_direct(theta, t: float) -> float:
     """sum_k exp(-4 pi^2 t |k+theta|^2) as a product of 1D theta sums (kernel kept).
 
     The Gaussian factors over the axes, so with a = 4 pi^2 t
 
         sum_k e^{-a |k+theta|^2} = prod_i sum_{k_i} e^{-a (k_i + theta_i)^2},
 
-    each axis summed over |k_i| <= ceil(radius + 1).  That box contains the
-    ball |k + theta| <= radius, so the truncation error is at most the
-    ball's.
+    each axis summed over |k_i| <= ceil(R + 1) for the radius R at which
+    e^{-a R^2} ~ 1e-20.  That box contains the ball |k + theta| <= R, so
+    the truncation error is at most the ball's.
     """
     th = _reduce_theta(theta)
-    if radius is None:
-        # e^{-4 pi^2 t R^2} ~ 1e-20 determines R
-        radius = math.sqrt(46.1 / (4 * np.pi**2 * t)) + 2.0
-    x = _axis(radius) + th[:, None]
+    x = _axis(math.sqrt(46.1 / (4 * np.pi**2 * t)) + 2.0) + th[:, None]
     return float(np.prod(np.exp(-4 * np.pi**2 * t * x * x).sum(axis=1)))
 
 
-def heat_trace_dual(theta, t: float, radius: float | None = None) -> float:
+def heat_trace_dual(theta, t: float) -> float:
     """Same sum through its modular (Poisson-resummed) representation:
 
     sum_k e^{-4 pi^2 t|k+theta|^2} = (4 pi t)^{-2} sum_m e^{-|m|^2/(4t)} cos(2 pi m.theta)
                                    = (4 pi t)^{-2} prod_i sum_{m_i} e^{-m_i^2/(4t)} cos(2 pi m_i theta_i),
 
     the cosine of a sum factoring because the odd sine terms cancel in each
-    symmetric axis sum.  Each axis runs over |m_i| <= ceil(radius + 1), a
-    box containing the ball |m| <= radius.
+    symmetric axis sum.  Each axis runs over |m_i| <= ceil(R + 1) for the
+    radius R at which e^{-R^2/(4t)} ~ 1e-20.
     """
     th = _reduce_theta(theta)
-    if radius is None:
-        radius = math.sqrt(4 * t * 46.1) + 2.0
-    m = _axis(radius)
+    m = _axis(math.sqrt(4 * t * 46.1) + 2.0)
     terms = np.exp(-m * m / (4 * t)) * np.cos(2 * np.pi * m * th[:, None])
     return float(np.prod(terms.sum(axis=1)) / (4 * np.pi * t) ** 2)
 
@@ -209,23 +117,22 @@ def heat_trace_dual(theta, t: float, radius: float | None = None) -> float:
 _T_SWITCH = 0.05
 
 
-def _kept_kernel_trace(th: np.ndarray, ts: float) -> float:
-    """Heat trace at scaled time ts for a reduced theta, kernel kept.
+def _kept_kernel_trace(th: np.ndarray, t: float) -> float:
+    """Heat trace at time t for a reduced theta, kernel kept.
 
-    Uses the Poisson-resummed form below ts = 0.05 and the direct sum above.
+    Uses the Poisson-resummed form below t = 0.05 and the direct sum above.
     """
-    return heat_trace_dual(th, ts) if ts < _T_SWITCH else heat_trace_direct(th, ts)
+    return heat_trace_dual(th, t) if t < _T_SWITCH else heat_trace_direct(th, t)
 
 
-def scalar_heat_trace(theta, t: float, scale: float = 1.0, keep_kernel: bool = False) -> float:
-    """Theta-twisted scalar heat trace, exact to ~1e-15 at any t > 0.
+def scalar_heat_trace(theta, t: float) -> float:
+    """Theta-twisted scalar heat trace Tr' exp(-t Delta), kernel excluded.
 
-    Uses the Poisson-resummed form below t = 0.05 / scale and the direct
-    lattice sum above it; the scale multiplies every eigenvalue.
+    Exact to ~1e-15 at any t > 0: the dual sum below t = 0.05, the direct
+    sum above it.
     """
     th = _reduce_theta(theta)
-    value = _kept_kernel_trace(th, t * scale)
-    return value if keep_kernel else value - kernel_dim_scalar(th)
+    return _kept_kernel_trace(th, t) - kernel_dim_scalar(th)
 
 
 def kernel_dim_scalar(theta) -> int:
@@ -317,20 +224,14 @@ def _closed_form_log_det(fiber_rank: int, scale: float) -> ZetaResult:
     return ZetaResult(zeta_prime, -zeta_prime, "closed_form", 1e-15, {})
 
 
-def log_det_prime(model: SpectrumModel | None = None, *, theta=None, fiber_rank: int = 1,
-                  scale: float = 1.0, method: str = "auto", split: float = 1.0,
-                  tol: float = 1e-8) -> ZetaResult:
+def log_det_prime(theta, *, fiber_rank: int = 1, scale: float = 1.0, method: str = "auto",
+                  split: float = 1.0) -> ZetaResult:
     """-zeta'_Delta(0) for the theta-twisted (q,0)-form Laplacian.
 
-    Accepts either a SpectrumModel (torus provenance required for the
-    continuation) or explicit theta/fiber_rank/scale.  method is one of
-    "mellin_split", "closed_form" (theta = 0 only), "both" (cross-validate)
-    or "auto" (cross-validate when the closed form applies).
+    fiber_rank copies of the scalar Laplacian, every eigenvalue times scale.
+    method is one of "mellin_split", "closed_form" (theta = 0 only), "both"
+    (cross-validate) or "auto" (cross-validate when the closed form applies).
     """
-    if model is not None:
-        if model.theta is None:
-            raise ValueError("analytic continuation requires torus provenance (theta)")
-        theta, fiber_rank, scale = model.theta, model.fiber_rank, model.scale
     th = _reduce_theta(theta)
     untwisted = kernel_dim_scalar(th) == 1
     if method == "auto":
@@ -345,7 +246,7 @@ def log_det_prime(model: SpectrumModel | None = None, *, theta=None, fiber_rank:
         a = _mellin_log_det(th, fiber_rank, scale, split)
         b = _closed_form_log_det(fiber_rank, scale)
         gap = abs(a.log_det_prime - b.log_det_prime)
-        if gap > max(tol, 10 * a.error_estimate):
+        if gap > max(METHOD_GAP_TOL, 10 * a.error_estimate):
             raise MethodDisagreement(
                 f"mellin {a.log_det_prime!r} vs closed form {b.log_det_prime!r} (gap {gap:.3e})"
             )
@@ -363,26 +264,17 @@ def log_det_prime(model: SpectrumModel | None = None, *, theta=None, fiber_rank:
 _DEGREE_SPLITS = (0.8, 1.0, 1.25)
 
 
-def log_det_by_degree(theta, split: float = 1.0) -> list[float]:
-    """log det' Delta_q for q = 0, 1, 2 on (q,0)-forms."""
-    return [
-        _mellin_log_det(theta, rank, 1.0, split * _DEGREE_SPLITS[q]).log_det_prime
-        for q, rank in enumerate(FORM_RANKS)
-    ]
+def torsion_T(logs) -> float:
+    """prod_q det' Delta_q^{q (-1)^q}; trivial on the hyperkahler torus.
+
+    logs[q] = log det' Delta_q for q = 0, 1, 2, as torsion_report computes them.
+    """
+    return math.exp(sum(q * (-1) ** q * logs[q] for q in range(3)))
 
 
-def torsion_T(theta, split: float = 1.0, logs: list[float] | None = None) -> float:
-    """prod_q det' Delta_q^{q (-1)^q}; trivial on the hyperkahler torus."""
-    logs = log_det_by_degree(theta, split) if logs is None else logs
-    log_t = sum(q * (-1) ** q * logs[q] for q in range(3))
-    return math.exp(log_t)
-
-
-def hyper_torsion(theta, split: float = 1.0, logs: list[float] | None = None) -> float:
+def hyper_torsion(logs) -> float:
     """prod_q det' Delta_q^{(-1)^q q^2}; equals (det' Delta_0)^2 in dimension 4."""
-    logs = log_det_by_degree(theta, split) if logs is None else logs
-    log_th = sum((-1) ** q * q * q * logs[q] for q in range(3))
-    return math.exp(log_th)
+    return math.exp(sum((-1) ** q * q * q * logs[q] for q in range(3)))
 
 
 def alternating_heat_sum(theta, t: float) -> float:
@@ -391,7 +283,7 @@ def alternating_heat_sum(theta, t: float) -> float:
     return sum((-1) ** q * rank * base for q, rank in enumerate(FORM_RANKS))
 
 
-def beta0(theta, split: float = 1.0) -> float:
+def beta0(theta) -> float:
     """Regularized integral of the graded trace of sum_C (ad_C)^2 e^{-t D^2}.
 
     On (q,0)-forms each ad_C contributes -(q-1)^2 through the isotropy
@@ -409,28 +301,28 @@ def beta0(theta, split: float = 1.0) -> float:
         return weight * (_kept_kernel_trace(th, t) - kernel)
 
     singular = {-2: weight / (16 * np.pi**2), 0: -weight * kernel}
-    value, _ = regularized_integral(G, singular, split=split)
+    value, _ = regularized_integral(G, singular)
     return value
 
 
-def torsion_report(theta, split: float = 1.0, tol: float = 1e-8) -> dict:
-    """Full torsion computation with the cross-identities evaluated."""
+def torsion_report(theta) -> dict:
+    """Full torsion computation with the cross-identities evaluated.
+
+    The one place that computes the per-degree logs log det' Delta_q.
+    """
     th = _reduce_theta(theta)
     per_q = {}
     logs = []
     for q, rank in enumerate(FORM_RANKS):
-        res = log_det_prime(
-            theta=th, fiber_rank=rank, method="auto",
-            split=split * _DEGREE_SPLITS[q], tol=tol,
-        )
+        res = log_det_prime(th, fiber_rank=rank, split=_DEGREE_SPLITS[q])
         logs.append(res.log_det_prime)
         per_q[str(q)] = {
             "log_det_prime": res.log_det_prime,
             "method_agreement": res.details.get("method_gap"),
         }
-    T = torsion_T(th, logs=logs)
-    Th = hyper_torsion(th, logs=logs)
-    b0 = beta0(th, split=split)
+    T = torsion_T(logs)
+    Th = hyper_torsion(logs)
+    b0 = beta0(th)
     det0_sq = math.exp(2 * logs[0])
     return {
         "schema_version": 1,

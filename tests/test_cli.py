@@ -93,6 +93,33 @@ class TestVerify:
         assert run(["verify", "--config", str(cfg_path)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_unknown_config_key_usage_error(self, tmp_path, capsys):
+        # a misspelled key used to be ignored and the run went on at the default
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"suites": ["exterior"], "tolerence": 1e-3}))
+        assert run(["verify", "--config", str(cfg_path)]) == 2
+        assert "tolerence" in capsys.readouterr().err
+
+    def test_config_defaults_are_runconfig_defaults(self):
+        args = cli.build_parser().parse_args(["verify"])
+        assert cli._load_config(None, args) == RunConfig()
+
+    @pytest.mark.parametrize("kmax", ["13", "200"])
+    def test_kmax_over_memory_budget_usage_error(self, capsys, kmax):
+        assert run(["verify", "--suite", "exterior", "--kmax", kmax]) == 2
+        assert "budget" in capsys.readouterr().err
+
+    def test_config_kmax_over_memory_budget_usage_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"suites": ["exterior"], "kmax": 13}))
+        assert run(["verify", "--config", str(cfg_path)]) == 2
+        assert "budget" in capsys.readouterr().err
+
+    def test_kmax_memory_budget_boundary(self):
+        assert RunConfig(kmax=12).kmax == 12
+        with pytest.raises(ValueError, match="budget"):
+            RunConfig(kmax=13)
+
     def test_zero_fields_usage_error(self, capsys):
         assert run(["verify", "--suite", "operators", "--suite", "kodaira", "--fields", "0"]) == 2
         assert "field_count" in capsys.readouterr().err
@@ -201,6 +228,14 @@ class TestTransgress:
         assert run(["transgress", "--order", "1", "--input", str(inp),
                     "--out", str(tmp_path / "r.json")]) == 2
         assert "cannot read form file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("truncation", [13, 1000])
+    def test_truncation_over_memory_budget_usage_error(self, tmp_path, capsys, truncation):
+        inp = tmp_path / "t.json"
+        inp.write_text(json.dumps({"truncation": truncation, "entries": []}))
+        assert run(["transgress", "--order", "1", "--input", str(inp),
+                    "--out", str(tmp_path / "r.json")]) == 2
+        assert "budget" in capsys.readouterr().err
 
     def test_bad_order_usage(self, tmp_path, capsys):
         code = run(["transgress", "--order", "3", "--input", "x", "--out", "y"])

@@ -7,7 +7,9 @@ import pytest
 
 from qhodge.exterior import Multivector, VOL
 from qhodge.fields import (
+    FIELD_BYTE_BUDGET,
     FormField,
+    check_truncation,
     grid,
     random_field,
     real_single_mode,
@@ -142,3 +144,22 @@ class TestSerialization:
         f = single_mode(1, (0, 0, 0, 0), VOL)
         (entry,) = f.to_dict()["entries"]
         assert entry["blade_mask"] == 15
+
+
+class TestMemoryBudget:
+    def test_budget_admits_truncation_12_only(self):
+        assert (2 * 12 + 1) ** 4 * 256 <= FIELD_BYTE_BUDGET < (2 * 13 + 1) ** 4 * 256
+        check_truncation(12)
+        with pytest.raises(ValueError, match="budget"):
+            check_truncation(13)
+
+    def test_from_dict_checks_before_allocating(self):
+        # np.zeros leaves an untouched field unmapped, so truncation 12 is cheap here
+        assert FormField.from_dict({"truncation": 12, "entries": []}).kmax == 12
+        for kmax in (13, 30, 10**6):
+            with pytest.raises(ValueError, match="budget"):
+                FormField.from_dict({"truncation": kmax, "entries": []})
+
+    def test_random_field_checks_before_allocating(self):
+        with pytest.raises(ValueError, match="budget"):
+            random_field(13, np.random.default_rng(0))

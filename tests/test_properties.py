@@ -1,0 +1,117 @@
+"""Property-based checks of the input boundary and the fiber algebra.
+
+Examples are derandomized and bounded, so every run draws the same cases.
+"""
+
+import json
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from qhodge.exterior import DEGREE, Multivector, N_BLADES, interior, wedge
+from qhodge.fields import FormField
+
+PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
+
+# a JSON-like scalar of any type a form document could hold by mistake
+junk = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**70, 2**70),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=3),
+)
+
+# small truncations, and ones far above the per-field memory budget
+truncation = st.one_of(st.integers(-2, 3), st.integers(10**3, 10**12), junk)
+
+entry = st.one_of(
+    st.fixed_dictionaries({}, optional={
+        "k": st.one_of(st.lists(st.integers(-5, 5), max_size=5), junk),
+        "blade_mask": st.one_of(st.integers(-20, 20), junk),
+        "re": junk,
+        "im": junk,
+    }),
+    junk,
+)
+
+document = st.one_of(
+    st.fixed_dictionaries({}, optional={
+        "truncation": truncation,
+        "entries": st.one_of(st.lists(entry, max_size=4), junk),
+    }),
+    junk,
+)
+
+
+@PROPERTY
+@given(document)
+def test_from_dict_returns_a_field_or_raises_value_error(doc):
+    try:
+        f = FormField.from_dict(doc)
+    except ValueError:
+        return
+    assert isinstance(f, FormField)
+    assert np.isfinite(f.coeffs).all()
+
+
+finite = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def sparse_field(draw):
+    kmax = draw(st.integers(0, 2))
+    f = FormField(kmax)
+    for _ in range(draw(st.integers(0, 6))):
+        row = draw(st.integers(0, f.n_modes - 1))
+        mask = draw(st.integers(0, N_BLADES - 1))
+        f.coeffs[row, mask] = complex(draw(finite), draw(finite))
+    return f
+
+
+@PROPERTY
+@given(sparse_field())
+def test_to_dict_from_dict_round_trip_is_exact(f):
+    back = FormField.from_dict(json.loads(json.dumps(f.to_dict())))
+    assert back.kmax == f.kmax
+    assert np.array_equal(back.coeffs, f.coeffs)
+
+
+@st.composite
+def blades(draw):
+    """A sum of blades with small integer coefficients: every product is exact."""
+    c = np.zeros(N_BLADES, dtype=complex)
+    for mask in draw(st.lists(st.integers(0, N_BLADES - 1), min_size=1, max_size=4)):
+        c[mask] += draw(st.integers(-3, 3))
+    return Multivector(c)
+
+
+def homogeneous(mv: Multivector, p: int) -> Multivector:
+    return Multivector(mv.c * (DEGREE == p))
+
+
+vectors = st.lists(st.integers(-3, 3), min_size=4, max_size=4).map(np.array)
+degrees = st.integers(0, 4)
+
+
+@PROPERTY
+@given(blades(), blades(), blades(), degrees, degrees)
+def test_wedge_is_associative_and_graded_commutative(a, b, c, p, q):
+    assert np.array_equal(wedge(wedge(a, b), c).c, wedge(a, wedge(b, c)).c)
+    ap, bq = homogeneous(a, p), homogeneous(b, q)
+    assert np.array_equal(wedge(ap, bq).c, (-1) ** (p * q) * wedge(bq, ap).c)
+
+
+@PROPERTY
+@given(vectors, blades(), blades(), degrees)
+def test_interior_is_a_nilpotent_graded_derivation(v, a, b, p):
+    ap = homogeneous(a, p)
+    lhs = interior(v, wedge(ap, b))
+    rhs = wedge(interior(v, ap), b) + wedge(ap, interior(v, b)) * (-1) ** p
+    assert np.array_equal(lhs.c, rhs.c)
+    assert not interior(v, interior(v, a)).c.any()
+
+
+@PROPERTY
+@given(vectors, blades(), blades())
+def test_interior_is_adjoint_to_wedging_with_the_dual_covector(v, a, b):
+    # v has integer entries, so the one-form with the same components is its dual
+    lhs = wedge(Multivector.one_form(v), a).inner(b)
+    assert lhs == a.inner(interior(v, b))

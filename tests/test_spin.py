@@ -183,14 +183,25 @@ class TestDiracBlocks:
         rep = spin.dirac_block_check((0, 0, 0, 0), kmax=3)
         assert rep["clifford_symbol_defect"] <= 1e-12
         assert rep["square_defect_rel"] <= 1e-12
-        assert rep["even_odd_pairing"]
-        assert abs(rep["graded_heat_trace_t1"]) <= 1e-14
+        assert rep["even_odd_pairing_defect"] <= 1e-12
+        assert rep["graded_heat_trace_t1"] <= 1e-14
 
     def test_twisted(self):
         rep = spin.dirac_block_check((0.5, 0.0, 0.25, 0.0), kmax=2)
         assert rep["clifford_symbol_defect"] <= 1e-12
         assert rep["square_defect_rel"] <= 1e-12
-        assert rep["even_odd_pairing"]
+        assert rep["even_odd_pairing_defect"] <= 1e-12
+        assert rep["graded_heat_trace_t1"] <= 1e-14
+
+    @pytest.mark.parametrize("row, col, value", [(2, 0, 1.0), (1, 0, 1.5)])
+    def test_corrupted_symbol_breaks_pairing(self, monkeypatch, row, col, value):
+        # an even -> even entry makes D_k mix parities; a rescaled entry
+        # keeps D_k odd but no longer an isometry (up to |kappa|) between halves
+        bad = spin._EPS[0].copy()
+        bad[row, col] = value * (bad[row, col] if bad[row, col] else 1.0)
+        monkeypatch.setattr(spin, "_EPS", [bad, spin._EPS[1]])
+        rep = spin.dirac_block_check((0.13, 0.71, 0.29, 0.9), kmax=2)
+        assert rep["even_odd_pairing_defect"] > 1e-10
 
     def test_single_mode_eigenvalue(self):
         # D^2 on the mode k with character theta acts as 4 pi^2 |k+theta|^2

@@ -55,6 +55,15 @@ def closed_form_logdet_oracle():
     return float(-zeta_prime)
 
 
+def per_degree_logs(theta):
+    """log det' Delta_q for q = 0, 1, 2, computed afresh by torsion_report."""
+    per_q = Z.torsion_report(theta)["per_q"]
+    logs = [per_q[str(q)]["log_det_prime"] for q in range(3)]
+    # the torsion checks must not pass on a placeholder such as (0, 0, 0)
+    assert all(math.isfinite(v) and v != 0.0 for v in logs)
+    return logs
+
+
 class TestRegularizedIntegral:
     def test_exponential_gives_minus_log(self):
         for h in (0.5, 2.0, 10.0):
@@ -96,26 +105,6 @@ class TestRegularizedIntegral:
 
 
 class TestHeatTraces:
-    def test_direct_matches_brute_force(self):
-        m = Z.torus_spectrum((0, 0, 0, 0), radius=6.0)
-        val = Z.heat_trace(m, 1.0)
-        assert abs(val - brute_heat_sum((0, 0, 0, 0), 1.0)) <= 1e-12
-
-    def test_twisted_matches_brute_force(self):
-        theta = (0.5, 0.0, 0.25, 0.0)
-        m = Z.torus_spectrum(theta, radius=6.0)
-        val = Z.heat_trace(m, 0.7)
-        assert abs(val - brute_heat_sum(theta, 0.7)) <= 1e-12
-
-    def test_decay_at_large_t(self):
-        m = Z.torus_spectrum((0, 0, 0, 0), radius=4.0)
-        assert Z.heat_trace(m, 50.0) < 1e-12
-
-    def test_truncation_error_fires(self):
-        m = Z.torus_spectrum((0, 0, 0, 0), radius=4.0)
-        with pytest.raises(Z.TruncationInsufficient):
-            Z.heat_trace(m, 1e-3)
-
     def test_poisson_summation_identity(self):
         # direct and modular representations at t = 0.1 against the oracle
         t = 0.1
@@ -136,12 +125,18 @@ class TestHeatTraces:
                 assert abs(a - b) <= 1e-12 * max(1.0, a), (theta, t)
 
     @pytest.mark.parametrize("theta", [(0.1, 0.7, 0.3, 0.9), (0.5, 0.0, 0.25, 0.0), (0, 0, 0, 0)])
-    @pytest.mark.parametrize("t", [0.01, 0.04, 0.06, 0.2, 1.0])
+    @pytest.mark.parametrize("t", [0.01, 0.04, 0.06, 0.2, 1.0, 50.0])
     def test_factored_sums_match_4d_brute_force(self, theta, t):
-        # the oracle drops the k = 0 term at theta = 0; the package sums keep it
-        oracle = brute_heat_sum(theta, t) + (0.0 if any(theta) else 1.0)
-        for trace in (Z.heat_trace_direct, Z.heat_trace_dual):
-            assert abs(trace(theta, t) - oracle) <= 1e-12 * oracle
+        # the oracle drops the k = 0 term at theta = 0, as scalar_heat_trace
+        # does; the two regime sums keep it.  At t = 50 (the decay case) a
+        # twisted trace is ~1e-268, which the dual sum could only reach
+        # through cancellation of O(1) terms; only the direct sum runs there
+        oracle = brute_heat_sum(theta, t)
+        kept = oracle + (0.0 if any(theta) else 1.0)
+        assert abs(Z.scalar_heat_trace(theta, t) - oracle) <= 1e-12 * kept
+        regimes = [Z.heat_trace_direct] + ([Z.heat_trace_dual] if t < 10 else [])
+        for trace in regimes:
+            assert abs(trace(theta, t) - kept) <= 1e-12 * kept
 
     def test_near_zero_theta_counts_as_untwisted(self):
         # |theta_i| <= 1e-8 after reduction is the kernel criterion, decided
@@ -156,15 +151,6 @@ class TestHeatTraces:
         untwisted = Z.log_det_prime(theta=(0, 0, 0, 0), method="mellin_split")
         assert abs(res.log_det_prime - untwisted.log_det_prime) <= 1e-9
         assert abs(Z.beta0(theta) - Z.beta0((0, 0, 0, 0))) <= 1e-9
-
-    def test_fiber_rank_multiplies(self):
-        m1 = Z.torus_spectrum((0, 0, 0, 0), fiber_rank=1, radius=5.0)
-        m2 = Z.torus_spectrum((0, 0, 0, 0), fiber_rank=2, radius=5.0)
-        assert Z.heat_trace(m2, 1.3) == pytest.approx(2 * Z.heat_trace(m1, 1.3), rel=1e-14)
-
-    def test_kernel_bookkeeping(self):
-        assert Z.torus_spectrum((0, 0, 0, 0), fiber_rank=2).kernel_dim == 2
-        assert Z.torus_spectrum((0.5, 0, 0, 0), fiber_rank=2).kernel_dim == 0
 
 
 class TestLogDet:
@@ -226,20 +212,22 @@ class TestTorsion:
         assert Th == pytest.approx(D**2, rel=1e-12)
 
     def test_torsion_trivial_untwisted(self):
-        assert abs(Z.torsion_T((0, 0, 0, 0)) - 1.0) <= 1e-8
+        logs = per_degree_logs((0, 0, 0, 0))
+        assert abs(Z.torsion_T(logs) - 1.0) <= 1e-8
 
     def test_torsion_trivial_twisted(self):
-        assert abs(Z.torsion_T((0.5, 0, 0, 0)) - 1.0) <= 1e-8
+        logs = per_degree_logs((0.5, 0, 0, 0))
+        assert abs(Z.torsion_T(logs) - 1.0) <= 1e-8
 
     def test_hypertorsion_is_det0_squared(self):
-        logs = Z.log_det_by_degree((0, 0, 0, 0))
-        Th = Z.hyper_torsion((0, 0, 0, 0), logs=logs)
+        logs = per_degree_logs((0, 0, 0, 0))
+        Th = Z.hyper_torsion(logs)
         assert abs(Th - math.exp(2 * logs[0])) / Th <= 1e-8
 
     def test_beta0_identity(self):
         for theta in ((0, 0, 0, 0), (0.5, 0, 0, 0)):
             b0 = Z.beta0(theta)
-            th = Z.hyper_torsion(theta)
+            th = Z.hyper_torsion(per_degree_logs(theta))
             assert abs(b0 - 3 * math.log(th)) <= 1e-6
 
     def test_alternating_sum_vanishes(self):
