@@ -155,11 +155,12 @@ def kodaira_suite(f: FormField) -> dict[str, float]:
     out: dict[str, float] = {}
     df = exterior_d(f)
     sf = d_star(f)
+    dC, dC_star = {}, {}
     for name in STRUCTURE_NAMES:
         L = lefschetz_matrix(name)
         Lam = lefschetz_dual_matrix(name)
-        dc = twisted_d(f, name)
-        dcs = twisted_d_star(f, name)
+        dc = dC[name] = twisted_d(f, name)
+        dcs = dC_star[name] = twisted_d_star(f, name)
 
         lhs = apply_fiber(df, Lam) - exterior_d(apply_fiber(f, Lam))
         out[f"dC_star_eq_comm_Lambda_d[{name}]"] = rel_defect(dcs, lhs)
@@ -174,12 +175,10 @@ def kodaira_suite(f: FormField) -> dict[str, float]:
         out[f"dC_eq_minus_comm_L_d_star[{name}]"] = rel_defect(dc, -1 * lhs)
 
     LamI = lefschetz_dual_matrix("I")
-    dJ = twisted_d(f, "J")
-    dK = twisted_d(f, "K")
-    lhs = apply_fiber(dJ, LamI) - twisted_d(apply_fiber(f, LamI), "J")
-    out["dK_star_eq_comm_LambdaI_dJ"] = rel_defect(twisted_d_star(f, "K"), lhs)
-    lhs = twisted_d(apply_fiber(f, LamI), "K") - apply_fiber(dK, LamI)
-    out["dJ_star_eq_comm_dK_LambdaI"] = rel_defect(twisted_d_star(f, "J"), lhs)
+    lhs = apply_fiber(dC["J"], LamI) - twisted_d(apply_fiber(f, LamI), "J")
+    out["dK_star_eq_comm_LambdaI_dJ"] = rel_defect(dC_star["K"], lhs)
+    lhs = twisted_d(apply_fiber(f, LamI), "K") - apply_fiber(dC["K"], LamI)
+    out["dJ_star_eq_comm_dK_LambdaI"] = rel_defect(dC_star["J"], lhs)
     return out
 
 

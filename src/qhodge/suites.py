@@ -90,9 +90,14 @@ class RunConfig:
             raise ValueError("tolerance must be positive and finite")
         if len(self.theta) != 4 or not all(math.isfinite(float(v)) for v in self.theta):
             raise ValueError("theta needs four finite components")
+        if isinstance(self.suites, str) or not all(isinstance(v, str) for v in self.suites):
+            raise ValueError(f"suites must be a list of names, got {self.suites!r}")
         self.suites = tuple(self.suites)
-        if not all(isinstance(v, str) for v in self.suites):
-            raise ValueError(f"suites must be names, got {list(self.suites)!r}")
+        unknown = [v for v in self.suites if v not in SUITES]
+        if unknown:
+            raise ValueError(f"unknown suite(s): {', '.join(unknown)}; known: {', '.join(SUITES)}")
+        if len(set(self.suites)) < len(self.suites):
+            raise ValueError(f"suites must not repeat, got {list(self.suites)!r}")
         if self.out is not None and not isinstance(self.out, str):
             raise ValueError(f"out must be a path, got {self.out!r}")
         self.theta = tuple(float(v) % 1.0 for v in self.theta)
@@ -231,117 +236,78 @@ def suite_quaternionic(cfg: RunConfig) -> dict[str, float]:
     return out
 
 
-def suite_operators(cfg: RunConfig) -> dict[str, float]:
-    rng = _rng(cfg, 3)
-    out: dict[str, float] = {}
-    names = [
-        "d_squared", "twisted_realizations_agree", "d_dI_anticommute",
-        "relation_i_xhat_dy", "relation_ii_dx_dy", "relation_iii_dx_dy_star",
-        "adjointness_d", "adjointness_dI", "adjointness_dx",
-        "laplacian_vs_hodge", "hodge_decomposition", "grading_commutator",
-        "conjugation_law", "realness_preserved", "laplacian_commutes_dC",
-    ]
-    worst = {n: 0.0 for n in names}
+def _worst(samples) -> dict[str, float]:
+    """Per-check maximum over residual dicts with the same keys; a NaN stays NaN."""
+    rows = list(samples)
+    return {name: float(np.max([r[name] for r in rows])) for name in rows[0]}
+
+
+def _operator_samples(cfg: RunConfig, rng: np.random.Generator):
+    """One dict of residuals per random sample (f, g, x, y, u, real fr).
+
+    A loop, not a function per sample: each sample's fields stay bound until
+    the next sample rebinds them, so the allocator reuses their memory
+    instead of returning it to the OS and faulting it back in.
+    """
     for _ in range(cfg.field_count):
         f = random_field(cfg.kmax, rng)
         g = random_field(cfg.kmax, rng)
         x = _random_quaternion(rng)
         y = _random_quaternion(rng)
         u = _random_quaternion(rng).normalized()
+        fr = random_field(cfg.kmax, rng, real=True)
 
         df = exterior_d(f)
-        worst["d_squared"] = max(
-            worst["d_squared"], exterior_d(df).norm() / max(df.norm(), 1e-300)
-        )
+        dIf = twisted_d(f, "I")
+        dxf = quaternionic_d(f, x)
+        dyf = quaternionic_d(f, y)
+        lapf = laplacian(f)
         # d_C is also the commutator [ad_C, d]
         ad_form = apply_fiber(df, AD["I"]) - exterior_d(apply_fiber(f, AD["I"]))
-        worst["twisted_realizations_agree"] = max(
-            worst["twisted_realizations_agree"], rel_defect(twisted_d(f, "I"), ad_form)
-        )
-        a = exterior_d(twisted_d(f, "I"))
-        b = twisted_d(df, "I")
-        worst["d_dI_anticommute"] = max(
-            worst["d_dI_anticommute"], cancellation_defect(a + b, a, b)
-        )
-
-        dyf = quaternionic_d(f, y)
-        lhs = xhat(dyf, x) - quaternionic_d(xhat(f, x), y)
-        worst["relation_i_xhat_dy"] = max(
-            worst["relation_i_xhat_dy"], rel_defect(lhs, quaternionic_d(f, x * y))
-        )
-        a = quaternionic_d(quaternionic_d(f, y), x)
-        b = quaternionic_d(quaternionic_d(f, x), y)
-        worst["relation_ii_dx_dy"] = max(
-            worst["relation_ii_dx_dy"], cancellation_defect(a + b, a, b)
-        )
-        a = quaternionic_d(quaternionic_d_star(f, y), x)
-        b = quaternionic_d_star(quaternionic_d(f, x), y)
-        rhs = (x.conjugate() * y).x0 * laplacian(f)
-        worst["relation_iii_dx_dy_star"] = max(
-            worst["relation_iii_dx_dy_star"],
-            (a + b - rhs).norm() / max(a.norm() + b.norm(), rhs.norm(), 1e-300),
-        )
-
+        d_dI, dI_d = exterior_d(dIf), twisted_d(df, "I")
+        dxdy, dydx = quaternionic_d(dyf, x), quaternionic_d(dxf, y)
+        dx_dystar = quaternionic_d(quaternionic_d_star(f, y), x)
+        dystar_dx = quaternionic_d_star(dxf, y)
+        re_xbar_y_lap = (x.conjugate() * y).x0 * lapf
         scale = max(f.norm() * g.norm(), 1e-300) * 2 * np.pi * cfg.kmax
-        worst["adjointness_d"] = max(
-            worst["adjointness_d"], abs(df.inner(g) - f.inner(d_star(g))) / scale
-        )
-        worst["adjointness_dI"] = max(
-            worst["adjointness_dI"],
-            abs(twisted_d(f, "I").inner(g) - f.inner(twisted_d_star(g, "I"))) / scale,
-        )
-        worst["adjointness_dx"] = max(
-            worst["adjointness_dx"],
-            abs(quaternionic_d(f, x).inner(g) - f.inner(quaternionic_d_star(g, x)))
+        yield {
+            "d_squared": exterior_d(df).norm() / max(df.norm(), 1e-300),
+            "twisted_realizations_agree": rel_defect(dIf, ad_form),
+            "d_dI_anticommute": cancellation_defect(d_dI + dI_d, d_dI, dI_d),
+            "relation_i_xhat_dy": rel_defect(
+                xhat(dyf, x) - quaternionic_d(xhat(f, x), y), quaternionic_d(f, x * y)
+            ),
+            "relation_ii_dx_dy": cancellation_defect(dxdy + dydx, dxdy, dydx),
+            "relation_iii_dx_dy_star": (dx_dystar + dystar_dx - re_xbar_y_lap).norm()
+            / max(dx_dystar.norm() + dystar_dx.norm(), re_xbar_y_lap.norm(), 1e-300),
+            "adjointness_d": abs(df.inner(g) - f.inner(d_star(g))) / scale,
+            "adjointness_dI": abs(dIf.inner(g) - f.inner(twisted_d_star(g, "I"))) / scale,
+            "adjointness_dx": abs(dxf.inner(g) - f.inner(quaternionic_d_star(g, x)))
             / (scale * abs(x)),
-        )
-
-        worst["laplacian_vs_hodge"] = max(
-            worst["laplacian_vs_hodge"], rel_defect(laplacian(f), laplacian_hodge(f))
-        )
-        worst["hodge_decomposition"] = max(
-            worst["hodge_decomposition"],
-            rel_defect(harmonic_project(f) + laplacian(green(f)), f),
-        )
-        worst["grading_commutator"] = max(
-            worst["grading_commutator"],
-            rel_defect(grading(df) - exterior_d(grading(f)), df),
-        )
-        worst["conjugation_law"] = max(
-            worst["conjugation_law"], conjugation_defect(f, u, x)
-        )
-
-        fr = random_field(cfg.kmax, rng, real=True)
-        worst["realness_preserved"] = max(
-            worst["realness_preserved"],
-            max(
+            "laplacian_vs_hodge": rel_defect(lapf, laplacian_hodge(f)),
+            "hodge_decomposition": rel_defect(harmonic_project(f) + laplacian(green(f)), f),
+            "grading_commutator": rel_defect(grading(df) - exterior_d(grading(f)), df),
+            "conjugation_law": conjugation_defect(f, u, x),
+            "realness_preserved": max(
                 op(fr).realness_defect()
                 for op in (exterior_d, d_star, laplacian, green, harmonic_project)
-            )
-            / max(fr.norm(), 1e-300),
-        )
-        dc = twisted_d(f, "J")
-        lapd = laplacian(dc)
-        worst["laplacian_commutes_dC"] = max(
-            worst["laplacian_commutes_dC"], rel_defect(lapd, twisted_d(laplacian(f), "J"))
-        )
-    out.update(worst)
+            ) / max(fr.norm(), 1e-300),
+            "laplacian_commutes_dC": rel_defect(laplacian(twisted_d(f, "J")), twisted_d(lapf, "J")),
+        }
 
+
+def suite_operators(cfg: RunConfig) -> dict[str, float]:
+    rng = _rng(cfg, 3)
+    out = _worst(_operator_samples(cfg, rng))
     f = random_field(cfg.kmax, rng)
-    doc = f.to_dict()
-    back = FormField.from_dict(doc)
+    back = FormField.from_dict(f.to_dict())
     out["serialization_roundtrip"] = float(np.abs(f.coeffs - back.coeffs).max())
     return out
 
 
 def suite_kodaira(cfg: RunConfig) -> dict[str, float]:
     rng = _rng(cfg, 4)
-    out: dict[str, float] = {}
-    for _ in range(cfg.field_count):
-        f = random_field(cfg.kmax, rng)
-        for name, val in kodaira_suite(f).items():
-            out[name] = max(out.get(name, 0.0), val)
-    return out
+    return _worst(kodaira_suite(random_field(cfg.kmax, rng)) for _ in range(cfg.field_count))
 
 
 def suite_transgression(cfg: RunConfig) -> dict[str, float]:
@@ -425,32 +391,33 @@ def suite_zeta(cfg: RunConfig) -> dict[str, float]:
 
 
 def suite_clifford(cfg: RunConfig) -> dict[str, float]:
-    rep = spin.spin_report(theta=cfg.theta, kmax=min(cfg.kmax, 3), seed=cfg.seed)
-    out = {
-        "clifford_relation": rep["clifford_relation_defect"],
-        "chirality_squares_to_one": rep["chirality_defect"],
-        "chirality_supertrace": abs(rep["chirality_supertrace"] - 4.0),
-        "vacuum_annihilation": rep["vacuum_annihilation_defect"],
-        "spin_conjugation_law": rep["conjugation_defect"],
-        "sl2_closure": max(v["residual"] for v in rep["sl2_table"].values()),
-        "sl2_ef_h": abs(rep["sl2_table"]["[e,f]"]["h"] - 1.0),
+    rng = np.random.default_rng(cfg.seed)
+    gamma = spin.chirality()
+    h = spin.sl2_triple()[0]
+    table = spin.sl2_table()
+    omega = spin.omega_operator_check()
+    dirac = spin.dirac_block_check(cfg.theta, min(cfg.kmax, 3))
+    return {
+        "clifford_relation": spin.clifford_relation_defect(),
+        "chirality_squares_to_one": float(np.abs(gamma @ gamma - np.eye(4)).max()),
+        "chirality_supertrace": abs(spin.supertrace(gamma) - 4.0),
+        "vacuum_annihilation": spin.vacuum_annihilation_defect(),
+        "spin_conjugation_law": max(spin.conjugation_defect_sample(rng) for _ in range(10)),
+        "sl2_closure": max(v["residual"] for v in table.values()),
+        "sl2_ef_h": abs(table["[e,f]"]["h"] - 1.0),
         "grading_eigenvalues": max(
-            abs(complex(z) - 1j * (2 * q - 2))
-            for z, q in zip(rep["grading_eigenvalues"], (0, 1, 1, 2))
+            abs(z - 1j * (2 * q - 2)) for z, q in zip(spin.grading_eigenvalues(), (0, 1, 1, 2))
         ),
-        "h_spectrum": max(
-            abs(a - b) for a, b in zip(rep["h_spectrum"], (-1.0, 0.0, 0.0, 1.0))
-        ),
-        "omega_is_20_type": rep["omega_operator"]["omega_is_20_type"],
-        "prop_forms_e": rep["omega_operator"]["e_defect"],
-        "prop_forms_f": rep["omega_operator"]["f_defect"],
-        "vacuum_contraction": rep["omega_operator"]["f_kills_vacuum"],
-        "dirac_symbol": rep["dirac_blocks"]["clifford_symbol_defect"],
-        "dirac_square": rep["dirac_blocks"]["square_defect_rel"],
-        "dirac_even_odd_pairing": rep["dirac_blocks"]["even_odd_pairing_defect"],
-        "dirac_graded_trace": rep["dirac_blocks"]["graded_heat_trace_t1"],
+        "h_spectrum": float(np.abs(np.sort(np.diag(h).real) - (-1.0, 0.0, 0.0, 1.0)).max()),
+        "omega_is_20_type": omega["omega_is_20_type"],
+        "prop_forms_e": omega["e_defect"],
+        "prop_forms_f": omega["f_defect"],
+        "vacuum_contraction": omega["f_kills_vacuum"],
+        "dirac_symbol": dirac["clifford_symbol_defect"],
+        "dirac_square": dirac["square_defect_rel"],
+        "dirac_even_odd_pairing": dirac["even_odd_pairing_defect"],
+        "dirac_graded_trace": dirac["graded_heat_trace_rel"],
     }
-    return out
 
 
 SUITES = {
@@ -467,9 +434,6 @@ SUITES = {
 def run_suites(cfg: RunConfig) -> dict:
     """Run the selected suites and assemble the verification report."""
     selected = cfg.suites or tuple(SUITES)
-    unknown = [s for s in selected if s not in SUITES]
-    if unknown:
-        raise KeyError(f"unknown suite(s): {', '.join(unknown)}")
     report = {
         "schema_version": 1,
         "config": {

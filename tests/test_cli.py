@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from qhodge import cli
+from qhodge import cli, spin
 from qhodge.cli import main
 from qhodge.fields import random_field, single_mode
 from qhodge.exterior import VOL
@@ -20,21 +20,39 @@ def run(argv):
 
 class TestVerify:
     def test_single_suite_passes(self, tmp_path, capsys):
-        out = tmp_path / "report.json"
-        code = run(["verify", "--suite", "exterior", "--seed", "1", "--out", str(out)])
-        assert code == 0
-        rep = json.loads(out.read_text())
-        assert rep["all_pass"] is True
-        assert rep["suites"]["exterior"]["max_residual"] <= 1e-10
-        assert rep["schema_version"] == 1
-        for check in rep["suites"]["exterior"]["checks"].values():
-            assert check["pass"] is True
-            assert check["residual"] <= 1e-10
+        for suite in ("exterior", "clifford"):
+            out = tmp_path / f"{suite}.json"
+            code = run(["verify", "--suite", suite, "--seed", "1", "--out", str(out)])
+            assert code == 0
+            rep = json.loads(out.read_text())  # strict JSON: complex values would not load
+            assert rep["all_pass"] is True
+            assert rep["config"]["suites"] == [suite]
+            assert rep["suites"][suite]["max_residual"] <= 1e-10
+            assert rep["schema_version"] == 1
+            for check in rep["suites"][suite]["checks"].values():
+                assert check["pass"] is True
+                assert isinstance(check["residual"], float)
+                assert check["residual"] <= 1e-10
 
     def test_unknown_suite_usage_error(self, capsys):
         code = run(["verify", "--suite", "nonsense"])
         assert code == 2
         assert "unknown suite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, flags, message", [
+        ({"suites": ["exterior", "nonsense"]}, [], "unknown suite(s): nonsense"),
+        # a bare string is not a list: it must not run as the suites z, e, t, a
+        ({"suites": "zeta"}, [], "list of names"),
+        # a repeated suite would run, and be echoed, twice
+        ({}, ["--suite", "zeta", "--suite", "zeta"], "repeat"),
+    ], ids=["unknown", "bare-string", "repeated"])
+    def test_bad_suite_selection_usage_error(self, tmp_path, capsys, config, flags, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        assert run(["verify", "--config", str(cfg_path), *flags]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
 
     def test_unattainable_tolerance_fails_with_named_check(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -47,6 +65,20 @@ class TestVerify:
         rep = json.loads(out.read_text())
         assert rep["all_pass"] is False
         assert rep["first_failure"].startswith("exterior:")
+
+    def test_open_sl2_closure_is_a_failed_check(self, tmp_path, monkeypatch, capsys):
+        # an open closure is a failed residual in the report, not an exception
+        triple = spin.sl2_triple
+
+        def perturbed():
+            h, e, f = triple()
+            return h, e + 0.1 * np.eye(4), f
+
+        monkeypatch.setattr(spin, "sl2_triple", perturbed)
+        out = tmp_path / "report.json"
+        assert run(["verify", "--suite", "clifford", "--out", str(out)]) == 1
+        check = json.loads(out.read_text())["suites"]["clifford"]["checks"]["sl2_closure"]
+        assert check["pass"] is False and check["residual"] > 1e-3
 
     def test_determinism_byte_identical(self, tmp_path):
         cfg = dict(kmax=2, field_count=2, seed=7, suites=("operators", "kodaira"))

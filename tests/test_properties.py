@@ -1,4 +1,5 @@
-"""Property-based checks of the input boundary and the fiber algebra.
+"""Property-based checks of the input boundary, the fiber algebra and the
+first-order field operators.
 
 Examples are derandomized and bounded, so every run draws the same cases.
 """
@@ -9,7 +10,15 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from qhodge.exterior import DEGREE, Multivector, N_BLADES, interior, wedge
-from qhodge.fields import FormField
+from qhodge.fields import FormField, random_field
+from qhodge.operators import (
+    d_star,
+    exterior_d,
+    quaternionic_d,
+    quaternionic_d_star,
+    twisted_d,
+    twisted_d_star,
+)
 
 PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
 
@@ -115,3 +124,38 @@ def test_interior_is_adjoint_to_wedging_with_the_dual_covector(v, a, b):
     # v has integer entries, so the one-form with the same components is its dual
     lhs = wedge(Multivector.one_form(v), a).inner(b)
     assert lhs == a.inner(interior(v, b))
+
+
+@st.composite
+def kmax1_field(draw):
+    """A dense seeded kmax-1 field, or a sparse one with Gaussian-integer entries."""
+    if draw(st.booleans()):
+        return random_field(1, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    f = FormField(1)
+    for _ in range(draw(st.integers(1, 8))):
+        row = draw(st.integers(0, f.n_modes - 1))
+        mask = draw(st.integers(0, N_BLADES - 1))
+        f.coeffs[row, mask] += complex(draw(st.integers(-3, 3)), draw(st.integers(-3, 3)))
+    return f
+
+
+unit_vectors = (
+    st.lists(st.floats(-1, 1), min_size=3, max_size=3)
+    .filter(lambda v: np.linalg.norm(v) > 1e-3)
+    .map(lambda v: np.array(v) / np.linalg.norm(v))
+)
+structures = st.one_of(st.sampled_from(["I", "J", "K"]), unit_vectors)
+quaternions = st.lists(st.floats(-2, 2), min_size=4, max_size=4).map(np.array)
+
+
+@PROPERTY
+@given(kmax1_field(), kmax1_field(), structures, quaternions)
+def test_first_order_operators_are_l2_adjoint(f, g, c, x):
+    # <P f, g> = <f, P* g> for d, d_C (|C v| = |v|) and d_x (|x v| = |x||v|)
+    scale = 1e-12 * 2 * np.pi * f.norm() * g.norm()
+    for op, adj, size in (
+        (exterior_d, d_star, 1.0),
+        (lambda h: twisted_d(h, c), lambda h: twisted_d_star(h, c), 1.0),
+        (lambda h: quaternionic_d(h, x), lambda h: quaternionic_d_star(h, x), np.linalg.norm(x)),
+    ):
+        assert abs(op(f).inner(g) - f.inner(adj(g))) <= scale * size

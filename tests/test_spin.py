@@ -18,14 +18,14 @@ class TestCliffordAction:
         for _ in range(20):
             u, v = rng.standard_normal(4), rng.standard_normal(4)
             cu, cv = spin.clifford_action(u), spin.clifford_action(v)
-            anti = cu.anticommutator(cv).matrix
+            anti = cu @ cv + cv @ cu
             assert np.abs(anti + 2 * float(u @ v) * np.eye(4)).max() <= 1e-12
 
     def test_creation_on_vacuum(self):
         # c(w^1)|1> = sqrt2 * w^1, i.e. sqrt2 times the unit basis vector
         vac = np.zeros(4, complex)
         vac[0] = 1.0
-        out = spin.clifford_action(spin.W_COFRAME[0]).matrix @ vac
+        out = spin.clifford_action(spin.W_COFRAME[0]) @ vac
         expected = np.zeros(4, complex)
         expected[1] = spin.SQRT2 * np.sqrt(2.0)  # |w^1| = sqrt2 in the fiber
         assert np.abs(out - expected).max() <= 1e-14
@@ -35,40 +35,41 @@ class TestCliffordAction:
 
     def test_real_unit_vector_squares_to_minus_one(self):
         for a in range(4):
-            c = spin.GENERATORS[a].matrix
+            c = spin.GENERATORS[a]
             assert np.abs(c @ c + np.eye(4)).max() <= 1e-14
 
     def test_generators_odd_and_antihermitian(self):
+        odd = spin._S_DEGREES % 2 == 1
         for g in spin.GENERATORS:
-            assert g.parity == "odd"
-            assert np.abs(g.matrix + g.matrix.conj().T).max() <= 1e-14
+            assert not g[odd == odd[:, None]].any()  # only parity-changing entries
+            assert np.abs(g + g.conj().T).max() <= 1e-14
 
 
 class TestQuantization:
     def test_two_blade_is_ordered_product(self):
         form = Multivector.blade(0b0011)  # e^1 ^ e^2
-        lhs = spin.quantize(form).matrix
-        rhs = spin.GENERATORS[0].matrix @ spin.GENERATORS[1].matrix
+        lhs = spin.quantize(form)
+        rhs = spin.GENERATORS[0] @ spin.GENERATORS[1]
         assert np.abs(lhs - rhs).max() == 0.0
 
     def test_linear(self):
         rng = np.random.default_rng(2)
         a = Multivector(rng.standard_normal(16) + 1j * rng.standard_normal(16))
         b = Multivector(rng.standard_normal(16))
-        lhs = spin.quantize(a + 2.0 * b).matrix
-        rhs = spin.quantize(a).matrix + 2.0 * spin.quantize(b).matrix
+        lhs = spin.quantize(a + 2.0 * b)
+        rhs = spin.quantize(a) + 2.0 * spin.quantize(b)
         assert np.abs(lhs - rhs).max() <= 1e-12
 
     def test_tau_map_gives_structure_rotation(self):
         # [c(omega^C)/2, c(v)] = c(C v)
         rng = np.random.default_rng(3)
         for name, mat in (("I", I), ("J", J), ("K", K)):
-            com = spin.quantize(spin.spin_kahler_form(name)).matrix
+            com = spin.quantize(spin.spin_kahler_form(name))
             for _ in range(10):
                 v = rng.standard_normal(4)
-                cv = spin.clifford_action(v).matrix
+                cv = spin.clifford_action(v)
                 lhs = (com @ cv - cv @ com) / 2.0
-                rhs = spin.clifford_action(mat @ v).matrix
+                rhs = spin.clifford_action(mat @ v)
                 assert np.abs(lhs - rhs).max() <= 1e-12
 
     def test_grading_eigenvalues(self):
@@ -80,11 +81,11 @@ class TestQuantization:
 
 class TestChirality:
     def test_squares_to_one(self):
-        g = spin.chirality().matrix
+        g = spin.chirality()
         assert np.abs(g @ g - np.eye(4)).max() <= 1e-13
 
     def test_is_parity_operator(self):
-        g = spin.chirality().matrix
+        g = spin.chirality()
         assert np.allclose(g, np.diag([1, -1, -1, 1]))
 
     def test_supertrace_four(self):
@@ -92,20 +93,20 @@ class TestChirality:
 
     def test_commutes_with_even_anticommutes_with_odd(self):
         # n = 4: c(v) Gamma = -Gamma c(v)
-        g = spin.chirality().matrix
+        g = spin.chirality()
         for c in spin.GENERATORS:
-            assert np.abs(c.matrix @ g + g @ c.matrix).max() <= 1e-13
+            assert np.abs(c @ g + g @ c).max() <= 1e-13
 
 
 class TestSl2:
     def test_h_spectrum(self):
         h, _, _ = spin.sl2_triple()
-        assert np.allclose(np.diag(h.matrix), [-1, 0, 0, 1], atol=1e-13)
-        assert np.abs(h.matrix - np.diag(np.diag(h.matrix))).max() <= 1e-13
+        assert np.allclose(np.diag(h), [-1, 0, 0, 1], atol=1e-13)
+        assert np.abs(h - np.diag(np.diag(h))).max() <= 1e-13
 
     def test_ef_is_adjoint_pair(self):
         _, e, f = spin.sl2_triple()
-        assert np.abs(f.matrix - e.matrix.conj().T).max() <= 1e-13
+        assert np.abs(f - e.conj().T).max() <= 1e-13
 
     def test_table_closure_and_ef_h(self):
         table = spin.sl2_table()
@@ -141,11 +142,11 @@ class TestSpGroupAction:
 
     def test_explicit_quarter_turn(self):
         # exp((pi/4) c(omega^I)) conjugates c(v) to c(exp((pi/2) I) v) = c(Iv)
-        com = spin.quantize(spin.spin_kahler_form("I")).matrix
+        com = spin.quantize(spin.spin_kahler_form("I"))
         rot = expm(np.pi / 4 * com / 1.0)
         v = np.array([1.0, 0.0, 0.0, 0.0])
-        lhs = rot @ spin.clifford_action(v).matrix @ np.linalg.inv(rot)
-        rhs = spin.clifford_action(expm(np.pi / 2 * I) @ v).matrix
+        lhs = rot @ spin.clifford_action(v) @ np.linalg.inv(rot)
+        rhs = spin.clifford_action(expm(np.pi / 2 * I) @ v)
         assert np.abs(lhs - rhs).max() <= 1e-12
 
 
@@ -184,48 +185,37 @@ class TestDiracBlocks:
         assert rep["clifford_symbol_defect"] <= 1e-12
         assert rep["square_defect_rel"] <= 1e-12
         assert rep["even_odd_pairing_defect"] <= 1e-12
-        assert rep["graded_heat_trace_t1"] <= 1e-14
+        assert rep["graded_heat_trace_rel"] <= 1e-14
 
     def test_twisted(self):
         rep = spin.dirac_block_check((0.5, 0.0, 0.25, 0.0), kmax=2)
         assert rep["clifford_symbol_defect"] <= 1e-12
         assert rep["square_defect_rel"] <= 1e-12
         assert rep["even_odd_pairing_defect"] <= 1e-12
-        assert rep["graded_heat_trace_t1"] <= 1e-14
+        assert rep["graded_heat_trace_rel"] <= 1e-14
 
-    @pytest.mark.parametrize("row, col, value", [(2, 0, 1.0), (1, 0, 1.5)])
-    def test_corrupted_symbol_breaks_pairing(self, monkeypatch, row, col, value):
-        # an even -> even entry makes D_k mix parities; a rescaled entry
-        # keeps D_k odd but no longer an isometry (up to |kappa|) between halves
+    @pytest.mark.parametrize("row, col, value, residual, floor", [
+        pytest.param(2, 0, 1.0, "even_odd_pairing_defect", 1e-10, id="2-0-1.0"),
+        pytest.param(1, 0, 1.5, "even_odd_pairing_defect", 1e-10, id="1-0-1.5"),
+        pytest.param(3, 0, 1.0, "graded_heat_trace_rel", 0.1, id="3-0-1.0"),
+    ])
+    def test_corrupted_symbol_breaks_pairing(self, monkeypatch, row, col, value, residual, floor):
+        # a wrong odd entry makes D_k mix parities; a rescaled entry keeps
+        # D_k odd but no longer an isometry (up to |kappa|) between halves;
+        # an even -> even entry breaks the grading, which the graded trace sees
         bad = spin._EPS[0].copy()
         bad[row, col] = value * (bad[row, col] if bad[row, col] else 1.0)
         monkeypatch.setattr(spin, "_EPS", [bad, spin._EPS[1]])
-        rep = spin.dirac_block_check((0.13, 0.71, 0.29, 0.9), kmax=2)
-        assert rep["even_odd_pairing_defect"] > 1e-10
+        for theta in ((0, 0, 0, 0), (0.13, 0.71, 0.29, 0.9)):
+            assert spin.dirac_block_check(theta, kmax=2)[residual] > floor
 
     def test_single_mode_eigenvalue(self):
         # D^2 on the mode k with character theta acts as 4 pi^2 |k+theta|^2
         theta = np.array([0.5, 0.0, 0.0, 0.0])
         k = np.array([1, 0, 0, 0])
         kappa = 2 * np.pi * (k + theta)
-        D = 1j * spin.clifford_action(kappa).matrix
+        D = 1j * spin.clifford_action(kappa)
         lam = float(kappa @ kappa)
         assert np.abs(D @ D - lam * np.eye(4)).max() <= 1e-12 * lam
         assert np.abs(D - D.conj().T).max() <= 1e-13  # self-adjoint
 
-
-class TestReport:
-    def test_report_keys(self):
-        rep = spin.spin_report()
-        assert {
-            "clifford_relation_defect",
-            "chirality_defect",
-            "sl2_table",
-            "grading_eigenvalues",
-            "dirac_blocks",
-        } <= set(rep)
-
-    def test_report_is_json_serializable(self):
-        import json
-
-        json.dumps(spin.spin_report(), default=float)
