@@ -6,20 +6,20 @@ transgression at orders 1, 2 and 4, and zeta-regularized torsion
 invariants with cross-validated analytic continuations.
 """
 
-from .exterior import Multivector, VOL, hodge_star, interior, wedge
+from .exterior import STAR, VOL, interior, one_form, wedge
 from .fields import FormField, random_field, single_mode, zero_field
 from .quaternionic import (
     I,
     J,
     K,
     Quaternion,
-    ad_action,
-    group_action,
+    ad_matrix,
+    group_matrix,
     invariance_defect,
     kahler_form,
-    lefschetz,
-    lefschetz_dual,
-    type_projector,
+    lefschetz_dual_matrix,
+    lefschetz_matrix,
+    type_projector_matrix,
 )
 from .operators import (
     d_star,
@@ -50,11 +50,11 @@ from .zeta import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Multivector", "VOL", "hodge_star", "interior", "wedge",
+    "STAR", "VOL", "interior", "one_form", "wedge",
     "FormField", "random_field", "single_mode", "zero_field",
-    "I", "J", "K", "Quaternion", "ad_action", "group_action",
-    "invariance_defect", "kahler_form", "lefschetz", "lefschetz_dual",
-    "type_projector",
+    "I", "J", "K", "Quaternion", "ad_matrix", "group_matrix",
+    "invariance_defect", "kahler_form", "lefschetz_dual_matrix",
+    "lefschetz_matrix", "type_projector_matrix",
     "d_star", "exterior_d", "green", "harmonic_project",
     "kodaira_suite", "laplacian", "quaternionic_d", "twisted_d",
     "TransgressionResult", "measure_lapl_constant",

@@ -136,7 +136,13 @@ def cmd_verify(args) -> int:
             transgression.InconsistentConstant) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    _emit(report, cfg.out)
+    try:
+        _emit(report, cfg.out)
+    except NonFiniteOutput as exc:
+        if report["all_pass"]:
+            raise
+        # a non-finite residual is a failed check: exit 1 and name it below
+        print(f"report not written: {exc}", file=sys.stderr)
     if not report["all_pass"]:
         print(f"FAILED: {report['first_failure']} exceeds tolerance {cfg.tolerance}",
               file=sys.stderr)

@@ -8,6 +8,10 @@ float rounding.  The orientation is fixed once and for all by
     vol = dxi^1 ^ dxi^2 ^ dxi^3 ^ dxi^4   (mask 0b1111),
 
 and every adjoint/sign convention downstream derives from it.
+
+A fiber element is a plain (16,) array of blade coefficients: linear maps
+act as `mat @ a`, the Hodge star as `STAR @ a`, and the blades are
+orthonormal, so the Hermitian pairing <a, b> is `np.vdot(b, a)`.
 """
 
 from __future__ import annotations
@@ -17,12 +21,6 @@ import numpy as np
 DIM = 4
 N_BLADES = 16
 VOL_MASK = 0b1111
-
-_BLADE_NAMES = [
-    "1", "dx1", "dx2", "dx1^dx2", "dx3", "dx1^dx3", "dx2^dx3", "dx1^dx2^dx3",
-    "dx4", "dx1^dx4", "dx2^dx4", "dx1^dx2^dx4", "dx3^dx4", "dx1^dx3^dx4",
-    "dx2^dx3^dx4", "dx1^dx2^dx3^dx4",
-]
 
 DEGREE = np.array([bin(m).count("1") for m in range(N_BLADES)], dtype=np.int64)
 
@@ -71,115 +69,33 @@ STAR = _build_star()
 STAR.setflags(write=False)
 
 
-class Multivector:
-    """Element of Lambda^*(R^4) (x) C, stored as 16 complex blade coefficients."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, coeffs=None):
-        if coeffs is None:
-            self.c = np.zeros(N_BLADES, dtype=complex)
-        else:
-            self.c = np.asarray(coeffs, dtype=complex).reshape(N_BLADES).copy()
-
-    @classmethod
-    def blade(cls, mask: int, coeff: complex = 1.0) -> "Multivector":
-        m = cls()
-        m.c[mask] = coeff
-        return m
-
-    @classmethod
-    def scalar(cls, value: complex) -> "Multivector":
-        return cls.blade(0, value)
-
-    @classmethod
-    def one_form(cls, v) -> "Multivector":
-        """The covector v_1 dxi^1 + ... + v_4 dxi^4."""
-        m = cls()
-        for a in range(DIM):
-            m.c[1 << a] = v[a]
-        return m
-
-    def copy(self) -> "Multivector":
-        return Multivector(self.c)
-
-    def __add__(self, other):
-        return Multivector(self.c + other.c)
-
-    def __sub__(self, other):
-        return Multivector(self.c - other.c)
-
-    def __neg__(self):
-        return Multivector(-self.c)
-
-    def __mul__(self, scalar):
-        return Multivector(self.c * scalar)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        return Multivector(self.c / scalar)
-
-    def wedge(self, other: "Multivector") -> "Multivector":
-        return Multivector(np.einsum("i,ikj,j->k", self.c, WEDGE, other.c))
-
-    __xor__ = wedge
-
-    def conjugate(self) -> "Multivector":
-        return Multivector(np.conj(self.c))
-
-    def degree_part(self, p: int) -> "Multivector":
-        out = self.c.copy()
-        out[DEGREE != p] = 0.0
-        return Multivector(out)
-
-    def degrees(self, tol: float = 0.0):
-        """Degrees carrying a coefficient above tol (in absolute value)."""
-        return sorted({int(DEGREE[m]) for m in range(N_BLADES) if abs(self.c[m]) > tol})
-
-    def inner(self, other: "Multivector") -> complex:
-        """Hermitian pairing <a, b>, linear in a, conjugate-linear in b.
-
-        Equals the coefficient of vol in a ^ star(conj(b)); blades are
-        orthonormal, so this is a plain coefficient contraction.
-        """
-        return complex(np.sum(self.c * np.conj(other.c)))
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.c))
-
-    def star(self) -> "Multivector":
-        return Multivector(STAR @ self.c)
-
-    def is_real(self, tol: float = 1e-12) -> bool:
-        return float(np.abs(self.c.imag).max()) <= tol
-
-    def __repr__(self):
-        terms = []
-        for m in range(N_BLADES):
-            z = self.c[m]
-            if z != 0:
-                terms.append(f"({z:.6g})*{_BLADE_NAMES[m]}")
-        return " + ".join(terms) if terms else "0"
+VOL = np.zeros(N_BLADES)
+VOL[VOL_MASK] = 1.0
+VOL.setflags(write=False)
 
 
-VOL = Multivector.blade(VOL_MASK)
+def one_form(v) -> np.ndarray:
+    """Blade coefficients of the covector v_1 dxi^1 + ... + v_4 dxi^4."""
+    v = np.asarray(v)
+    out = np.zeros(N_BLADES, dtype=np.result_type(v, float))
+    out[1 << np.arange(DIM)] = v
+    return out
+
+
+def wedge(a, b) -> np.ndarray:
+    """Exterior product a ^ b of two (16,) blade-coefficient arrays."""
+    return np.einsum("i,ikj,j->k", a, WEDGE, b)
 
 
 def wedge_matrix(x) -> np.ndarray:
     """16x16 matrix of left exterior multiplication by x.
 
-    x may be a Multivector, a 16-vector of blade coefficients, or a
-    4-vector of covector components.
+    x may be a 16-vector of blade coefficients or a 4-vector of covector
+    components.
     """
-    if isinstance(x, Multivector):
-        x = x.c
     x = np.asarray(x)
     if x.shape == (DIM,):
-        full = np.zeros(N_BLADES, dtype=x.dtype if x.dtype.kind in "fc" else float)
-        for a in range(DIM):
-            full[1 << a] = x[a]
-        x = full
+        x = one_form(x)
     return np.einsum("i,ikj->kj", x, WEDGE)
 
 
@@ -197,21 +113,9 @@ def interior_matrix(v) -> np.ndarray:
     return np.einsum("a,aij->ij", v, INTERIOR_E)
 
 
-def wedge(a: Multivector, b: Multivector) -> Multivector:
-    return a.wedge(b)
-
-
-def interior(v, a: Multivector) -> Multivector:
-    """Contraction of the multivector a with the vector v (degree -1 derivation)."""
-    return Multivector(interior_matrix(v) @ a.c)
-
-
-def hodge_star(a: Multivector) -> Multivector:
-    return a.star()
-
-
-def apply_matrix(mat: np.ndarray, a: Multivector) -> Multivector:
-    return Multivector(mat @ a.c)
+def interior(v, a) -> np.ndarray:
+    """Contraction of the (16,) array a with the vector v (degree -1 derivation)."""
+    return interior_matrix(v) @ a
 
 
 GRADING = np.diag(DEGREE.astype(float))

@@ -1,7 +1,7 @@
 """Differential forms on T^4 = R^4/Z^4 as truncated Fourier data.
 
-A FormField stores one Multivector coefficient per lattice mode k with
-||k||_inf <= kmax, under the convention
+A FormField stores one (16,) fiber array of blade coefficients per lattice
+mode k with ||k||_inf <= kmax, under the convention
 
     omega(xi) = sum_k omega_k * exp(2 pi i k . xi).
 
@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .exterior import DEGREE, N_BLADES, Multivector
+from .exterior import DEGREE, N_BLADES
 
 
 # bytes one dense field may take: truncation 12 ((2*12+1)^4 modes x 16 blades
@@ -95,22 +95,18 @@ class FormField:
     def modes(self) -> np.ndarray:
         return grid(self.kmax)[0]
 
-    @property
-    def n_modes(self) -> int:
-        return self.coeffs.shape[0]
-
     def mode_index(self, k) -> int:
         k = np.asarray(k, dtype=int).reshape(4)
         if np.abs(k).max() > self.kmax:
             raise KeyError(f"mode {tuple(k)} outside truncation kmax={self.kmax}")
         return int(_mode_rows(k, self.kmax))
 
-    def coeff(self, k) -> Multivector:
-        return Multivector(self.coeffs[self.mode_index(k)])
+    def coeff(self, k) -> np.ndarray:
+        """A copy of the (16,) fiber coefficient of mode k."""
+        return self.coeffs[self.mode_index(k)].copy()
 
-    def set_coeff(self, k, mv) -> None:
-        c = mv.c if isinstance(mv, Multivector) else np.asarray(mv, dtype=complex)
-        self.coeffs[self.mode_index(k)] = c
+    def set_coeff(self, k, a) -> None:
+        self.coeffs[self.mode_index(k)] = a
 
     def copy(self) -> "FormField":
         return FormField(self.kmax, self.coeffs)
@@ -148,11 +144,6 @@ class FormField:
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
 
-    def degree_project(self, p: int) -> "FormField":
-        out = self.coeffs.copy()
-        out[:, DEGREE != p] = 0.0
-        return FormField(self.kmax, out)
-
     def degrees(self, tol: float = 0.0):
         present = np.abs(self.coeffs).max(axis=0)
         return sorted({int(DEGREE[m]) for m in range(N_BLADES) if present[m] > tol})
@@ -165,9 +156,6 @@ class FormField:
     def realness_defect(self) -> float:
         _, _, _, neg = grid(self.kmax)
         return float(np.abs(self.coeffs - np.conj(self.coeffs)[neg]).max())
-
-    def is_real(self, tol: float = 1e-12) -> bool:
-        return self.realness_defect() <= tol
 
     # -- serialization -----------------------------------------------------
     def to_dict(self) -> dict:
@@ -233,21 +221,10 @@ def zero_field(kmax: int) -> FormField:
     return FormField(kmax)
 
 
-def single_mode(kmax: int, k, mv) -> FormField:
-    """Field with one Fourier mode: mv * exp(2 pi i k . xi)."""
+def single_mode(kmax: int, k, a) -> FormField:
+    """Field with one Fourier mode: a * exp(2 pi i k . xi) for a (16,) fiber array a."""
     f = FormField(kmax)
-    f.set_coeff(k, mv)
-    return f
-
-
-def real_single_mode(kmax: int, k, mv) -> FormField:
-    """mv * e^{2 pi i k.xi} + conjugate; a real field when mv is real."""
-    f = FormField(kmax)
-    f.set_coeff(k, mv)
-    c = mv.c if isinstance(mv, Multivector) else np.asarray(mv, dtype=complex)
-    kk = np.asarray(k, dtype=int)
-    if not np.array_equal(kk, -kk):
-        f.coeffs[f.mode_index(-kk)] += np.conj(c)
+    f.set_coeff(k, a)
     return f
 
 

@@ -13,9 +13,15 @@ Kahler two-forms use the convention
 
 the unique sign for which the generalized Kodaira commutator identities
 between twisted differentials, their adjoints and the Lefschetz operators
-hold literally (see operators.kodaira_suite).  The multiplicative group
-action on the 16-dimensional fiber is the exponential of the derivation
-action, computed once per structure.
+hold literally (see operators.kodaira_suite).
+
+Every fiber operator here is a 16x16 matrix acting on (16,) blade-coefficient
+arrays.  A 4x4 matrix M acts on the fiber in two ways: as the derivation
+extension `ad_matrix(M)` and as the multiplicative extension `group_matrix(M)`,
+the induced action on blades (on degree-p blades, the p x p minors of M).
+They are related by group_matrix(exp A) = exp(ad_matrix(A)), so a unit
+quaternion u = exp(phi n.(i, j, k)) acts as `group_matrix(left_matrix(u))`
+and no matrix exponential is computed.
 """
 
 from __future__ import annotations
@@ -23,18 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm, null_space
 
-from .exterior import (
-    DEGREE,
-    DIM,
-    GRADING,
-    INTERIOR_E,
-    N_BLADES,
-    Multivector,
-    apply_matrix,
-    wedge_matrix,
-)
+from .exterior import DEGREE, DIM, GRADING, INTERIOR_E, N_BLADES, wedge_matrix
 
 # left multiplication by i, j, k on quaternion coordinates (x0, x1, x2, x3)
 I = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]], dtype=float)
@@ -78,9 +74,6 @@ class Quaternion:
         return Quaternion.from_components(self.components / abs(self))
 
 
-ONE = Quaternion(1.0)
-
-
 def left_matrix(x) -> np.ndarray:
     """4x4 matrix of left multiplication by the quaternion x."""
     v = x.components if isinstance(x, Quaternion) else np.asarray(x, dtype=float)
@@ -103,19 +96,14 @@ def structure_matrix(c) -> np.ndarray:
     raise ValueError(f"cannot interpret {c!r} as a complex structure")
 
 
-def kahler_form_coeffs(c) -> np.ndarray:
-    """Blade coefficients of omega_C with omega_C(u, v) = g(u, C v)."""
+def kahler_form(c) -> np.ndarray:
+    """Blade coefficients of the real 2-form omega_C(u, v) = g(u, C v)."""
     m = structure_matrix(c)
     out = np.zeros(N_BLADES)
     for a in range(DIM):
         for b in range(a + 1, DIM):
             out[(1 << a) | (1 << b)] = m[a, b]
     return out
-
-
-def kahler_form(c) -> Multivector:
-    """omega_C with omega_C(u, v) = g(u, C v); a real 2-form."""
-    return Multivector(kahler_form_coeffs(c))
 
 
 def ad_matrix(c) -> np.ndarray:
@@ -148,50 +136,23 @@ for _m in list(AD.values()) + list(GROUP.values()):
 def rotor_matrix(u) -> np.ndarray:
     """Fiber action of a unit quaternion u = exp(phi * n.(i,j,k)).
 
-    Realized as the 16x16 exponential of the ad generators, which is the
-    multiplicative extension of the corresponding SO(4) rotation.
+    The multiplicative extension of left multiplication by u, which equals
+    the 16x16 exponential of phi * n.(ad_I, ad_J, ad_K).
     """
     q = u if isinstance(u, Quaternion) else Quaternion.from_components(u)
     n = abs(q)
     if abs(n - 1.0) > 1e-9:
         raise ValueError(f"rotor requires a unit quaternion, got |u| = {n}")
-    vec = q.components[1:]
-    s = np.linalg.norm(vec)
-    phi = np.arctan2(s, q.x0)
-    if s < 1e-300:
-        if q.x0 < 0:
-            # u = -1: rotate by pi about any axis
-            return expm(np.pi * AD["I"])
-        return np.eye(N_BLADES)
-    axis = vec / s
-    gen = axis[0] * AD["I"] + axis[1] * AD["J"] + axis[2] * AD["K"]
-    return expm(phi * gen)
-
-
-def ad_action(c, a: Multivector) -> Multivector:
-    return apply_matrix(ad_matrix(c), a)
-
-
-def group_action(c, a: Multivector) -> Multivector:
-    """Multiplicative action of a structure (or any 4x4 matrix) on the fiber."""
-    return apply_matrix(group_matrix(c), a)
+    return group_matrix(left_matrix(q))
 
 
 def lefschetz_matrix(c) -> np.ndarray:
-    return wedge_matrix(kahler_form_coeffs(c))
+    return wedge_matrix(kahler_form(c))
 
 
 def lefschetz_dual_matrix(c) -> np.ndarray:
     # adjoint w.r.t. the blade Hermitian pairing; the matrix is real
     return lefschetz_matrix(c).T.copy()
-
-
-def lefschetz(c, a: Multivector) -> Multivector:
-    return apply_matrix(lefschetz_matrix(c), a)
-
-
-def lefschetz_dual(c, a: Multivector) -> Multivector:
-    return apply_matrix(lefschetz_dual_matrix(c), a)
 
 
 def _type_eigenvalues(k: int):
@@ -222,28 +183,24 @@ def type_projector_matrix(c, p: int, q: int) -> np.ndarray:
     return deg @ proj
 
 
-def type_projector(c, p: int, q: int, a: Multivector) -> Multivector:
-    return apply_matrix(type_projector_matrix(c, p, q), a)
-
-
 def invariance_defect(a) -> float:
     """max over C in {I, J, K} of ||ad_C a||; zero iff a is isotropy-invariant.
 
-    Accepts a Multivector or any object with an ndarray attribute `coeffs`
-    whose last axis indexes blades (e.g. a FormField).
+    Accepts a (16,) fiber array or a FormField (its (n, 16) `coeffs`).
     """
-    if isinstance(a, Multivector):
-        return max(float(np.linalg.norm(AD[n] @ a.c)) for n in STRUCTURE_NAMES)
-    coeffs = a.coeffs
+    coeffs = getattr(a, "coeffs", a)
     return max(
         float(np.linalg.norm(coeffs @ AD[n].T)) for n in STRUCTURE_NAMES
     )
 
 
 def _invariant_projector() -> np.ndarray:
+    # SVD null space, rank cut at 1e-12 of the largest singular value: the
+    # same cut as the null-space oracle in tests/test_quaternionic.py
     stacked = np.vstack([AD[n] for n in STRUCTURE_NAMES])
-    basis = null_space(stacked, rcond=1e-12)
-    return basis @ basis.T
+    _, s, vt = np.linalg.svd(stacked)
+    basis = vt[np.count_nonzero(s > 1e-12 * s[0]):]
+    return basis.T @ basis
 
 
 # orthogonal projector onto the joint kernel of ad_I, ad_J, ad_K

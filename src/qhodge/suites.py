@@ -13,9 +13,10 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import norm
 
 from . import spin, zeta
-from .exterior import DEGREE, Multivector, N_BLADES, STAR, VOL, interior, wedge
+from .exterior import DEGREE, N_BLADES, STAR, VOL, VOL_MASK, interior, wedge
 from .fields import FormField, check_truncation, random_field, single_mode
 from .operators import (
     apply_fiber,
@@ -44,10 +45,9 @@ from .quaternionic import (
     K,
     Quaternion,
     STRUCTURE_NAMES,
-    group_action,
     invariance_defect,
     kahler_form,
-    lefschetz_dual,
+    lefschetz_dual_matrix,
     rotor_matrix,
     type_projector_matrix,
 )
@@ -111,49 +111,42 @@ def _random_quaternion(rng) -> Quaternion:
     return Quaternion.from_components(rng.standard_normal(4))
 
 
+def _random_fiber(rng) -> np.ndarray:
+    return rng.standard_normal(N_BLADES) + 1j * rng.standard_normal(N_BLADES)
+
+
 # ---------------------------------------------------------------------------
 
 def suite_exterior(cfg: RunConfig) -> dict[str, float]:
     rng = _rng(cfg, 1)
     out: dict[str, float] = {}
 
-    worst = 0.0
-    for _ in range(1000):
+    def commutativity() -> float:
         pa, pb = rng.integers(0, 5, size=2)
-        a = Multivector((rng.standard_normal(N_BLADES) + 1j * rng.standard_normal(N_BLADES)) * (DEGREE == pa))
-        b = Multivector((rng.standard_normal(N_BLADES) + 1j * rng.standard_normal(N_BLADES)) * (DEGREE == pb))
+        a = _random_fiber(rng) * (DEGREE == pa)
+        b = _random_fiber(rng) * (DEGREE == pb)
         lhs = wedge(a, b)
         rhs = (-1.0) ** (pa * pb) * wedge(b, a)
-        scale = max(a.norm() * b.norm(), 1e-300)
-        worst = max(worst, (lhs - rhs).norm() / scale)
-    out["wedge_graded_commutativity"] = worst
+        return norm(lhs - rhs) / max(norm(a) * norm(b), 1e-300)
 
-    worst = 0.0
-    for _ in range(300):
+    out["wedge_graded_commutativity"] = float(np.max([commutativity() for _ in range(1000)]))
+
+    def derivation() -> float:
         v = rng.standard_normal(4)
         pa = int(rng.integers(0, 5))
-        a = Multivector((rng.standard_normal(N_BLADES) + 1j * rng.standard_normal(N_BLADES)) * (DEGREE == pa))
-        b = Multivector(rng.standard_normal(N_BLADES) + 1j * rng.standard_normal(N_BLADES))
+        a = _random_fiber(rng) * (DEGREE == pa)
+        b = _random_fiber(rng)
         lhs = interior(v, wedge(a, b))
         rhs = wedge(interior(v, a), b) + (-1.0) ** pa * wedge(a, interior(v, b))
-        scale = max(np.linalg.norm(v) * a.norm() * b.norm(), 1e-300)
-        worst = max(worst, (lhs - rhs).norm() / scale)
-    out["interior_derivation"] = worst
+        return norm(lhs - rhs) / max(norm(v) * norm(a) * norm(b), 1e-300)
 
-    worst = 0.0
-    for m in range(N_BLADES):
-        p = int(DEGREE[m])
-        ss = STAR @ STAR[:, m]
-        target = (-1.0) ** (p * (4 - p)) * np.eye(N_BLADES)[m]
-        worst = max(worst, float(np.abs(ss - target).max()))
-    out["star_involution_sign"] = worst
+    out["interior_derivation"] = float(np.max([derivation() for _ in range(300)]))
 
-    gram = np.zeros((N_BLADES, N_BLADES), complex)
-    for a in range(N_BLADES):
-        for b in range(N_BLADES):
-            ea = Multivector.blade(a)
-            eb = Multivector.blade(b)
-            gram[a, b] = wedge(ea, eb.conjugate().star()).c[15]
+    signs = np.diag((-1.0) ** (DEGREE * (4 - DEGREE)))
+    out["star_involution_sign"] = float(np.abs(STAR @ STAR - signs).max())
+
+    blades = np.eye(N_BLADES, dtype=complex)
+    gram = np.array([[wedge(ea, STAR @ eb.conj())[VOL_MASK] for eb in blades] for ea in blades])
     out["blade_gram_identity"] = float(np.abs(gram - np.eye(N_BLADES)).max())
     return out
 
@@ -162,77 +155,66 @@ def suite_quaternionic(cfg: RunConfig) -> dict[str, float]:
     rng = _rng(cfg, 2)
     out: dict[str, float] = {}
     eye = np.eye(4)
-    out["matrix_relations"] = float(
-        max(
-            np.abs(I @ I + eye).max(),
-            np.abs(J @ J + eye).max(),
-            np.abs(K @ K + eye).max(),
-            np.abs(I @ J @ K + eye).max(),
-        )
-    )
-    out["matrix_orthogonality"] = float(
-        max(np.abs(m @ m.T - eye).max() for m in (I, J, K))
-    )
-    out["ad_commutators"] = float(
-        max(
-            np.abs(AD["I"] @ AD["J"] - AD["J"] @ AD["I"] - 2 * AD["K"]).max(),
-            np.abs(AD["J"] @ AD["K"] - AD["K"] @ AD["J"] - 2 * AD["I"]).max(),
-            np.abs(AD["K"] @ AD["I"] - AD["I"] @ AD["K"] - 2 * AD["J"]).max(),
-        )
-    )
-    out["group_fourth_power"] = float(
-        max(np.abs(np.linalg.matrix_power(GROUP[n], 4) - np.eye(16)).max() for n in STRUCTURE_NAMES)
-    )
+    out["matrix_relations"] = float(np.max([
+        np.abs(I @ I + eye).max(),
+        np.abs(J @ J + eye).max(),
+        np.abs(K @ K + eye).max(),
+        np.abs(I @ J @ K + eye).max(),
+    ]))
+    out["matrix_orthogonality"] = float(np.max([np.abs(m @ m.T - eye).max() for m in (I, J, K)]))
+    out["ad_commutators"] = float(np.max([
+        np.abs(AD["I"] @ AD["J"] - AD["J"] @ AD["I"] - 2 * AD["K"]).max(),
+        np.abs(AD["J"] @ AD["K"] - AD["K"] @ AD["J"] - 2 * AD["I"]).max(),
+        np.abs(AD["K"] @ AD["I"] - AD["I"] @ AD["K"] - 2 * AD["J"]).max(),
+    ]))
+    out["group_fourth_power"] = float(np.max([
+        np.abs(np.linalg.matrix_power(GROUP[n], 4) - np.eye(16)).max() for n in STRUCTURE_NAMES
+    ]))
 
-    worst = 0.0
-    for n in STRUCTURE_NAMES:
-        for _ in range(50):
-            a = Multivector(rng.standard_normal(16) + 1j * rng.standard_normal(16))
-            b = Multivector(rng.standard_normal(16) + 1j * rng.standard_normal(16))
-            lhs = group_action(n, wedge(a, b))
-            rhs = wedge(group_action(n, a), group_action(n, b))
-            worst = max(worst, (lhs - rhs).norm() / max(a.norm() * b.norm(), 1e-300))
-    out["group_multiplicativity"] = worst
+    def multiplicativity(n) -> float:
+        a, b = _random_fiber(rng), _random_fiber(rng)
+        lhs = GROUP[n] @ wedge(a, b)
+        rhs = wedge(GROUP[n] @ a, GROUP[n] @ b)
+        return norm(lhs - rhs) / max(norm(a) * norm(b), 1e-300)
 
-    worst = 0.0
+    out["group_multiplicativity"] = float(np.max(
+        [multiplicativity(n) for n in STRUCTURE_NAMES for _ in range(50)]
+    ))
+
+    defects = []
     for k in range(5):
         pairs = [(p, k - p) for p in range(max(0, k - 2), min(k, 2) + 1)]
         total = sum(type_projector_matrix("I", p, q) for p, q in pairs)
         deg = np.diag((DEGREE == k).astype(float))
-        worst = max(worst, float(np.abs(total - deg).max()))
+        defects.append(np.abs(total - deg).max())
         for p, q in pairs:
             proj = type_projector_matrix("I", p, q)
-            worst = max(worst, float(np.abs(proj @ proj - proj).max()))
-    out["type_projector_completeness"] = worst
+            defects.append(np.abs(proj @ proj - proj).max())
+    out["type_projector_completeness"] = float(np.max(defects))
 
     omegas = {n: kahler_form(n) for n in STRUCTURE_NAMES}
-    basis = np.stack([omegas[n].c for n in STRUCTURE_NAMES], axis=1)
-    worst = 0.0
-    for n in STRUCTURE_NAMES:
-        for m in STRUCTURE_NAMES:
-            image = AD[n] @ omegas[m].c
-            coeff, *_ = np.linalg.lstsq(basis, image, rcond=None)
-            worst = max(worst, float(np.linalg.norm(basis @ coeff - image)))
-    out["kahler_triple_ad_invariant_span"] = worst
+    basis = np.stack([omegas[n] for n in STRUCTURE_NAMES], axis=1)
 
-    out["kahler_selfdual_norm"] = float(
-        max(
-            (wedge(omegas[n], omegas[n]) - 2.0 * VOL).norm()
-            for n in STRUCTURE_NAMES
-        )
-    )
-    out["lefschetz_dual_omega"] = (
-        lefschetz_dual("I", omegas["I"]) - Multivector.scalar(2.0)
-    ).norm()
+    def outside_span(image) -> float:
+        coeff, *_ = np.linalg.lstsq(basis, image, rcond=None)
+        return norm(basis @ coeff - image)
+
+    out["kahler_triple_ad_invariant_span"] = float(np.max([
+        outside_span(AD[n] @ omegas[m]) for n in STRUCTURE_NAMES for m in STRUCTURE_NAMES
+    ]))
+    out["kahler_selfdual_norm"] = float(np.max([
+        norm(wedge(omegas[n], omegas[n]) - 2.0 * VOL) for n in STRUCTURE_NAMES
+    ]))
+    out["lefschetz_dual_omega"] = float(norm(
+        lefschetz_dual_matrix("I") @ omegas["I"] - 2.0 * np.eye(N_BLADES)[0]
+    ))
     out["vol_invariance"] = invariance_defect(VOL)
 
-    worst = 0.0
-    for _ in range(10):
-        u = _random_quaternion(rng).normalized()
-        rot = rotor_matrix(u)
-        worst = max(worst, float(np.abs(rot @ VOL.c - VOL.c).max()))
-        worst = max(worst, float(np.abs(rot @ rot.T - np.eye(16)).max()))
-    out["rotor_preserves_vol"] = worst
+    def rotor_defect() -> float:
+        rot = rotor_matrix(_random_quaternion(rng).normalized())
+        return np.max([np.abs(rot @ VOL - VOL).max(), np.abs(rot @ rot.T - np.eye(16)).max()])
+
+    out["rotor_preserves_vol"] = float(np.max([rotor_defect() for _ in range(10)]))
     return out
 
 
@@ -312,22 +294,21 @@ def suite_kodaira(cfg: RunConfig) -> dict[str, float]:
 
 def suite_transgression(cfg: RunConfig) -> dict[str, float]:
     rng = _rng(cfg, 5)
-    out: dict[str, float] = {}
     kmax = min(cfg.kmax, 4)
 
-    worst1 = worst2 = worst4 = worst4i = 0.0
-    for _ in range(5):
-        f = random_field(kmax, rng)
-        worst1 = max(worst1, transgress1(exterior_d(f)).residual)
-        worst2 = max(worst2, transgress2(exterior_d(twisted_d(f, "I")), "I").residual)
-        sigma = random_field(kmax, rng, degree=0)
-        worst4 = max(worst4, transgress4(quartic_differential(sigma)).residual)
-        inv = random_field(kmax, rng, invariant=True)
-        worst4i = max(worst4i, transgress4(quartic_differential(inv)).residual)
-    out["transgress1_roundtrip"] = worst1
-    out["transgress2_roundtrip"] = worst2
-    out["transgress4_roundtrip"] = worst4
-    out["transgress4_invariant_roundtrip"] = worst4i
+    def roundtrips():
+        for _ in range(5):
+            f = random_field(kmax, rng)
+            sigma = random_field(kmax, rng, degree=0)
+            inv = random_field(kmax, rng, invariant=True)
+            yield {
+                "transgress1_roundtrip": transgress1(exterior_d(f)).residual,
+                "transgress2_roundtrip": transgress2(exterior_d(twisted_d(f, "I")), "I").residual,
+                "transgress4_roundtrip": transgress4(quartic_differential(sigma)).residual,
+                "transgress4_invariant_roundtrip": transgress4(quartic_differential(inv)).residual,
+            }
+
+    out = _worst(roundtrips())
 
     rejected = 0
     trials = 5
@@ -402,12 +383,14 @@ def suite_clifford(cfg: RunConfig) -> dict[str, float]:
         "chirality_squares_to_one": float(np.abs(gamma @ gamma - np.eye(4)).max()),
         "chirality_supertrace": abs(spin.supertrace(gamma) - 4.0),
         "vacuum_annihilation": spin.vacuum_annihilation_defect(),
-        "spin_conjugation_law": max(spin.conjugation_defect_sample(rng) for _ in range(10)),
-        "sl2_closure": max(v["residual"] for v in table.values()),
+        "spin_conjugation_law": float(np.max(
+            [spin.conjugation_defect_sample(rng) for _ in range(10)]
+        )),
+        "sl2_closure": float(np.max([v["residual"] for v in table.values()])),
         "sl2_ef_h": abs(table["[e,f]"]["h"] - 1.0),
-        "grading_eigenvalues": max(
+        "grading_eigenvalues": float(np.max([
             abs(z - 1j * (2 * q - 2)) for z, q in zip(spin.grading_eigenvalues(), (0, 1, 1, 2))
-        ),
+        ])),
         "h_spectrum": float(np.abs(np.sort(np.diag(h).real) - (-1.0, 0.0, 0.0, 1.0)).max()),
         "omega_is_20_type": omega["omega_is_20_type"],
         "prop_forms_e": omega["e_defect"],
@@ -451,14 +434,14 @@ def run_suites(cfg: RunConfig) -> dict:
         },
         "suites": {},
     }
-    overall_max = 0.0
+    suite_maxes = []
     all_pass = True
     first_failure = None
     for name in selected:
         residuals = SUITES[name](cfg)
         failures = sorted(k for k, v in residuals.items() if not (v <= cfg.tolerance))
-        suite_max = max(residuals.values()) if residuals else 0.0
-        overall_max = max(overall_max, suite_max)
+        suite_max = float(np.max(list(residuals.values())))
+        suite_maxes.append(suite_max)
         ok = not failures
         all_pass = all_pass and ok
         if failures and first_failure is None:
@@ -471,7 +454,7 @@ def run_suites(cfg: RunConfig) -> dict:
             "max_residual": suite_max,
             "pass": ok,
         }
-    report["max_residual"] = overall_max
+    report["max_residual"] = float(np.max(suite_maxes))
     report["all_pass"] = all_pass
     if first_failure:
         report["first_failure"] = first_failure

@@ -1,17 +1,20 @@
 """Command-line surface: exit codes, report schemas, determinism."""
 
+import dataclasses
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
 
-from qhodge import cli, spin
+from qhodge import cli, spin, suites
 from qhodge.cli import main
 from qhodge.fields import random_field, single_mode
 from qhodge.exterior import VOL
 from qhodge.operators import exterior_d
 from qhodge.suites import RunConfig, run_suites
-from qhodge.transgression import quartic_differential
+from qhodge.transgression import TransgressionResult, quartic_differential
 
 
 def run(argv):
@@ -163,6 +166,56 @@ class TestVerify:
         mats = rep["structure_matrices"]
         assert set(mats) == {"I", "J", "K"}
         assert np.array(mats["I"]).shape == (4, 4)
+
+
+def nan_on_call(fn, call: int):
+    """fn, except that its call-th call returns NaN in place of its result."""
+    count = itertools.count(1)
+
+    def wrapped(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        if next(count) != call:
+            return out
+        if isinstance(out, TransgressionResult):
+            return dataclasses.replace(out, residual=float("nan"))
+        return out * float("nan")
+
+    return wrapped
+
+
+class TestNonFiniteResidual:
+    """A NaN in any one sample fails its check, whatever sample it lands in."""
+
+    @pytest.mark.parametrize("suite, module, name, call, check", [
+        ("exterior", suites, "wedge", 5, "wedge_graded_commutativity"),
+        ("quaternionic", suites, "rotor_matrix", 3, "rotor_preserves_vol"),
+        ("transgression", suites, "transgress1", 2, "transgress1_roundtrip"),
+        ("clifford", spin, "conjugation_defect_sample", 2, "spin_conjugation_law"),
+    ], ids=["exterior", "quaternionic", "transgression", "clifford"])
+    def test_nan_sample_fails_check(self, suite, module, name, call, check, tmp_path,
+                                    monkeypatch, capsys):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, nan_on_call(original, call))
+        rep = run_suites(RunConfig(suites=(suite,)))
+        assert math.isnan(rep["suites"][suite]["checks"][check]["residual"])
+        assert rep["suites"][suite]["checks"][check]["pass"] is False
+        assert math.isnan(rep["suites"][suite]["max_residual"])
+        assert math.isnan(rep["max_residual"])
+        assert rep["all_pass"] is False
+
+        # the report cannot be strict JSON; verify still exits 1 naming the check
+        monkeypatch.setattr(module, name, nan_on_call(original, call))
+        out = tmp_path / "report.json"
+        assert run(["verify", "--suite", suite, "--out", str(out)]) == 1
+        assert f"FAILED: {suite}:{check}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_suite_and_overall_max_keep_nan(self, monkeypatch):
+        monkeypatch.setitem(suites.SUITES, "zeta", lambda cfg: {"a": 0.0, "b": float("nan")})
+        rep = run_suites(RunConfig(suites=("zeta",)))
+        assert math.isnan(rep["suites"]["zeta"]["max_residual"])
+        assert math.isnan(rep["max_residual"])
+        assert rep["first_failure"] == "zeta:b"
 
 
 class TestTransgress:

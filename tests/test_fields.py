@@ -5,17 +5,18 @@ import json
 import numpy as np
 import pytest
 
-from qhodge.exterior import Multivector, VOL
+from qhodge.exterior import N_BLADES, VOL
 from qhodge.fields import (
     FIELD_BYTE_BUDGET,
     FormField,
     check_truncation,
     grid,
     random_field,
-    real_single_mode,
     single_mode,
     zero_field,
 )
+
+ONE = np.eye(N_BLADES)[0]
 
 
 class TestGrid:
@@ -39,6 +40,12 @@ class TestGrid:
         with pytest.raises(KeyError):
             f.mode_index((2, 0, 0, 0))
 
+    def test_coeff_is_a_copy(self):
+        f = single_mode(1, (1, 0, 0, 0), ONE)
+        row = f.coeff((1, 0, 0, 0))
+        row[0] = 7.0
+        assert f.coeff((1, 0, 0, 0))[0] == 1.0
+
 
 class TestAlgebra:
     def test_add_and_scale(self):
@@ -53,33 +60,26 @@ class TestAlgebra:
             zero_field(1) + zero_field(2)
 
     def test_inner_is_mode_orthonormal(self):
-        f = single_mode(2, (1, 0, 0, 0), Multivector.scalar(1.0))
-        g = single_mode(2, (0, 1, 0, 0), Multivector.scalar(1.0))
+        f = single_mode(2, (1, 0, 0, 0), ONE)
+        g = single_mode(2, (0, 1, 0, 0), ONE)
         assert f.inner(f) == pytest.approx(1.0)
         assert f.inner(g) == 0.0
-
-    def test_degree_project(self):
-        rng = np.random.default_rng(1)
-        f = random_field(1, rng)
-        parts = [f.degree_project(p) for p in range(5)]
-        total = parts[0]
-        for p in parts[1:]:
-            total = total + p
-        assert np.array_equal(total.coeffs, f.coeffs)
-        assert parts[2].degrees() == [2]
 
 
 class TestRealness:
     def test_real_random_field(self):
         rng = np.random.default_rng(2)
         f = random_field(2, rng, real=True)
-        assert f.is_real()
+        assert f.realness_defect() <= 1e-12
 
     def test_real_single_mode(self):
-        f = real_single_mode(2, (1, 0, 0, 0), Multivector.scalar(0.5))
-        assert f.is_real()
-        assert f.coeff((1, 0, 0, 0)).c[0] == 0.5
-        assert f.coeff((-1, 0, 0, 0)).c[0] == 0.5
+        # a e^{2 pi i k.xi} + conj(a) e^{-2 pi i k.xi} is real
+        a = (0.5 + 0.25j) * ONE
+        f = single_mode(2, (1, 0, 0, 0), a) + single_mode(2, (-1, 0, 0, 0), a.conj())
+        assert f.realness_defect() == 0.0
+        assert f.coeff((1, 0, 0, 0))[0] == 0.5 + 0.25j
+        assert f.coeff((-1, 0, 0, 0))[0] == 0.5 - 0.25j
+        assert single_mode(2, (1, 0, 0, 0), a).realness_defect() == abs(0.5 + 0.25j)
 
     def test_conjugate_involution(self):
         rng = np.random.default_rng(3)
@@ -88,7 +88,7 @@ class TestRealness:
 
     def test_generic_field_not_real(self):
         rng = np.random.default_rng(4)
-        assert not random_field(1, rng).is_real()
+        assert random_field(1, rng).realness_defect() > 1e-12
 
 
 class TestRandom:
@@ -121,7 +121,7 @@ class TestSerialization:
         assert back.kmax == f.kmax
 
     def test_schema_fields(self):
-        f = single_mode(1, (1, 0, -1, 0), Multivector.blade(0b0101, 2.5 - 1.5j))
+        f = single_mode(1, (1, 0, -1, 0), (2.5 - 1.5j) * np.eye(N_BLADES)[0b0101])
         doc = f.to_dict()
         assert doc["truncation"] == 1
         assert doc["entries"] == [

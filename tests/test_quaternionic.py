@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from numpy.linalg import norm
+from scipy.linalg import expm, null_space
 
-from qhodge.exterior import DEGREE, Multivector, N_BLADES, VOL, wedge
+from qhodge.exterior import DEGREE, N_BLADES, VOL, one_form, wedge
 from qhodge.quaternionic import (
     AD,
     GROUP,
@@ -13,18 +14,15 @@ from qhodge.quaternionic import (
     K,
     INVARIANT_PROJECTOR,
     Quaternion,
-    ad_action,
     ad_matrix,
-    group_action,
     group_matrix,
     invariance_defect,
     kahler_form,
     left_matrix,
-    lefschetz,
-    lefschetz_dual,
+    lefschetz_dual_matrix,
+    lefschetz_matrix,
     rotor_matrix,
     structure_matrix,
-    type_projector,
     type_projector_matrix,
 )
 
@@ -35,7 +33,13 @@ def rand_mv(rng, degree=None):
     c = rng.standard_normal(N_BLADES) + 1j * rng.standard_normal(N_BLADES)
     if degree is not None:
         c = c * (DEGREE == degree)
-    return Multivector(c)
+    return c
+
+
+def scalar(value):
+    out = np.zeros(N_BLADES, complex)
+    out[0] = value
+    return out
 
 
 class TestMatrices:
@@ -69,7 +73,7 @@ class TestMatrices:
 class TestAdAction:
     def test_kills_scalars(self):
         for n in "IJK":
-            assert ad_action(n, Multivector.scalar(1.0)).norm() == 0.0
+            assert not (AD[n] @ scalar(1.0)).any()
 
     def test_su2_commutators(self):
         assert np.abs(AD["I"] @ AD["J"] - AD["J"] @ AD["I"] - 2 * AD["K"]).max() <= 1e-12
@@ -80,50 +84,54 @@ class TestAdAction:
         rng = np.random.default_rng(RNG_SEED + 2)
         for _ in range(50):
             a = rand_mv(rng)
-            lhs = ad_action("I", ad_action("J", a)) - ad_action("J", ad_action("I", a))
-            rhs = 2 * ad_action("K", a)
-            assert (lhs - rhs).norm() <= 1e-12 * a.norm()
+            lhs = AD["I"] @ (AD["J"] @ a) - AD["J"] @ (AD["I"] @ a)
+            rhs = 2 * AD["K"] @ a
+            assert norm(lhs - rhs) <= 1e-12 * norm(a)
 
     def test_type_eigenvalue(self):
         # a (p,q) form w.r.t. I satisfies ad_I a = i(p-q) a
         rng = np.random.default_rng(RNG_SEED + 3)
         for p in range(3):
             for q in range(3):
-                a = type_projector("I", p, q, rand_mv(rng, p + q))
-                if a.norm() < 1e-9:
+                a = type_projector_matrix("I", p, q) @ rand_mv(rng, p + q)
+                if norm(a) < 1e-9:
                     continue
-                assert (ad_action("I", a) - 1j * (p - q) * a).norm() <= 1e-12 * a.norm()
+                assert norm(AD["I"] @ a - 1j * (p - q) * a) <= 1e-12 * norm(a)
 
     def test_leibniz_rule(self):
         rng = np.random.default_rng(RNG_SEED + 4)
         for _ in range(50):
             a, b = rand_mv(rng), rand_mv(rng)
-            lhs = ad_action("J", wedge(a, b))
-            rhs = wedge(ad_action("J", a), b) + wedge(a, ad_action("J", b))
-            assert (lhs - rhs).norm() <= 1e-12 * a.norm() * b.norm()
+            lhs = AD["J"] @ wedge(a, b)
+            rhs = wedge(AD["J"] @ a, b) + wedge(a, AD["J"] @ b)
+            assert norm(lhs - rhs) <= 1e-12 * norm(a) * norm(b)
+
+    def test_ad_matrix_builds_table(self):
+        for n in "IJK":
+            assert np.array_equal(ad_matrix(n), AD[n])
 
 
 class TestGroupAction:
     def test_definition_on_two_blade(self):
-        a = Multivector.blade(0b0001)  # dxi^1
-        b = Multivector.blade(0b0010)  # dxi^2
-        lhs = group_action("I", wedge(a, b))
-        rhs = wedge(Multivector.one_form(I[:, 0]), Multivector.one_form(I[:, 1]))
-        assert np.allclose(lhs.c, rhs.c)
+        a = np.eye(N_BLADES)[0b0001]  # dxi^1
+        b = np.eye(N_BLADES)[0b0010]  # dxi^2
+        lhs = group_matrix("I") @ wedge(a, b)
+        rhs = wedge(one_form(I[:, 0]), one_form(I[:, 1]))
+        assert np.allclose(lhs, rhs)
 
     def test_eigenvalue_on_pq_form(self):
         rng = np.random.default_rng(RNG_SEED + 5)
         for p, q in [(1, 0), (2, 0), (1, 1), (2, 1), (0, 2)]:
-            a = type_projector("I", p, q, rand_mv(rng, p + q))
-            assert a.norm() > 1e-9
-            assert (group_action("I", a) - 1j ** (p - q) * a).norm() <= 1e-12 * a.norm()
+            a = type_projector_matrix("I", p, q) @ rand_mv(rng, p + q)
+            assert norm(a) > 1e-9
+            assert norm(GROUP["I"] @ a - 1j ** (p - q) * a) <= 1e-12 * norm(a)
 
     def test_unit_rotor_preserves_vol(self):
         rng = np.random.default_rng(RNG_SEED + 6)
         for _ in range(20):
             u = Quaternion.from_components(rng.standard_normal(4)).normalized()
             rot = rotor_matrix(u)
-            assert np.abs(rot @ VOL.c - VOL.c).max() <= 1e-12
+            assert np.abs(rot @ VOL - VOL).max() <= 1e-12
 
     def test_fourth_power_is_identity(self):
         for n in "IJK":
@@ -135,28 +143,55 @@ class TestGroupAction:
     def test_multiplicativity(self):
         rng = np.random.default_rng(RNG_SEED + 7)
         a, b = rand_mv(rng), rand_mv(rng)
-        lhs = group_action("J", wedge(a, b))
-        rhs = wedge(group_action("J", a), group_action("J", b))
-        assert (lhs - rhs).norm() <= 1e-12 * a.norm() * b.norm()
+        lhs = GROUP["J"] @ wedge(a, b)
+        rhs = wedge(GROUP["J"] @ a, GROUP["J"] @ b)
+        assert norm(lhs - rhs) <= 1e-12 * norm(a) * norm(b)
+
+
+def expm_rotor_oracle(u):
+    """exp(phi n.(ad_I, ad_J, ad_K)) for the unit quaternion u = exp(phi n.(i, j, k))."""
+    s = norm(u[1:])
+    phi = np.arctan2(s, u[0])
+    axis = u[1:] / s if s > 0 else np.array([1.0, 0.0, 0.0])  # u = +-1: any axis
+    return expm(phi * sum(c * AD[n] for c, n in zip(axis, "IJK")))
+
+
+class TestRotor:
+    def test_matches_exponential_oracle(self):
+        rng = np.random.default_rng(RNG_SEED + 11)
+        units = [sign * e for e in np.eye(4) for sign in (1.0, -1.0)]  # +-1, +-i, +-j, +-k
+        for u in [v / norm(v) for v in rng.standard_normal((50, 4))] + units:
+            rot = rotor_matrix(u)
+            assert np.abs(rot - expm_rotor_oracle(u)).max() <= 1e-13
+            assert np.abs(rot @ rot.T - np.eye(N_BLADES)).max() <= 1e-14
+
+    def test_accepts_quaternion(self):
+        u = Quaternion(0.5, -0.5, 0.5, 0.5)
+        assert np.array_equal(rotor_matrix(u), rotor_matrix(u.components))
+
+    def test_rejects_non_unit(self):
+        u = np.array([0.5, -0.5, 0.5, 0.5])
+        with pytest.raises(ValueError):
+            rotor_matrix(2.0 * u)
 
 
 class TestLefschetz:
     def test_on_scalar(self):
-        out = lefschetz("I", Multivector.scalar(1.0))
-        assert np.allclose(out.c, kahler_form("I").c)
+        out = lefschetz_matrix("I") @ scalar(1.0)
+        assert np.allclose(out, kahler_form("I"))
 
     def test_dual_on_omega(self):
         # <omega_I, omega_I> = 2 for the unit-coefficient construction
         om = kahler_form("I")
-        assert om.inner(om) == pytest.approx(2.0, abs=1e-14)
-        out = lefschetz_dual("I", om)
-        assert np.allclose(out.c, Multivector.scalar(2.0).c)
+        assert np.vdot(om, om) == pytest.approx(2.0, abs=1e-14)
+        out = lefschetz_dual_matrix("I") @ om
+        assert np.allclose(out, scalar(2.0))
 
     def test_top_degree_relation(self):
         # Lambda_C^2 (psi vol) = 2 psi
         for n in "IJK":
-            out = lefschetz_dual(n, lefschetz_dual(n, VOL))
-            assert np.allclose(out.c, Multivector.scalar(2.0).c, atol=1e-13)
+            out = lefschetz_dual_matrix(n) @ (lefschetz_dual_matrix(n) @ VOL)
+            assert np.allclose(out, scalar(2.0), atol=1e-13)
 
     def test_ko2_conjugation(self):
         # J Lambda_I J^{-1} = -Lambda_I as fiber operators
@@ -165,13 +200,11 @@ class TestLefschetz:
         gj_inv = np.linalg.inv(gj)
         for _ in range(20):
             a = rand_mv(rng)
-            lhs = group_action("J", lefschetz_dual("I", Multivector(gj_inv @ a.c)))
-            rhs = -1.0 * lefschetz_dual("I", a)
-            assert (lhs - rhs).norm() <= 1e-12 * a.norm()
+            lhs = gj @ lefschetz_dual_matrix("I") @ gj_inv @ a
+            rhs = -1.0 * lefschetz_dual_matrix("I") @ a
+            assert norm(lhs - rhs) <= 1e-12 * norm(a)
 
     def test_ko2_l_operator(self):
-        from qhodge.quaternionic import lefschetz_matrix
-
         gj = GROUP["J"]
         li = lefschetz_matrix("I")
         assert np.abs(gj @ li @ np.linalg.inv(gj) + li).max() <= 1e-12
@@ -180,13 +213,13 @@ class TestLefschetz:
 class TestTypeProjectors:
     def test_omega_I_is_11(self):
         om = kahler_form("I")
-        assert (type_projector("I", 1, 1, om) - om).norm() <= 1e-13
-        assert ad_action("I", om).norm() <= 1e-13
+        assert norm(type_projector_matrix("I", 1, 1) @ om - om) <= 1e-13
+        assert norm(AD["I"] @ om) <= 1e-13
 
     def test_canonical_20_form(self):
         omega = (kahler_form("J") - 1j * kahler_form("K")) * 0.25
-        assert (type_projector("I", 2, 0, omega) - omega).norm() <= 1e-13
-        assert type_projector("I", 0, 2, omega).norm() <= 1e-13
+        assert norm(type_projector_matrix("I", 2, 0) @ omega - omega) <= 1e-13
+        assert norm(type_projector_matrix("I", 0, 2) @ omega) <= 1e-13
 
     def test_idempotent_and_complete(self):
         for k in range(5):
@@ -200,8 +233,8 @@ class TestTypeProjectors:
     def test_commutes_with_degree(self):
         rng = np.random.default_rng(RNG_SEED + 9)
         a = rand_mv(rng)
-        out = type_projector("J", 1, 1, a)
-        assert out.degrees(tol=1e-12) in ([], [2])
+        out = type_projector_matrix("J", 1, 1) @ a
+        assert set(DEGREE[np.abs(out) > 1e-12]) <= {2}
 
 
 class TestInvariance:
@@ -209,10 +242,10 @@ class TestInvariance:
         assert invariance_defect(VOL) == 0.0
 
     def test_scalar_invariant(self):
-        assert invariance_defect(Multivector.scalar(3.7 + 1j)) == 0.0
+        assert invariance_defect(scalar(3.7 + 1j)) == 0.0
 
     def test_one_form_not_invariant(self):
-        d1 = Multivector.blade(0b0001)
+        d1 = np.eye(N_BLADES)[0b0001]
         # ad_I(dxi^1) = I(dxi^1), a unit covector
         assert invariance_defect(d1) == pytest.approx(1.0, abs=1e-14)
 
@@ -221,11 +254,15 @@ class TestInvariance:
         assert INVARIANT_PROJECTOR.shape == (16, 16)
         assert np.trace(INVARIANT_PROJECTOR) == pytest.approx(5.0, abs=1e-10)
         rng = np.random.default_rng(RNG_SEED + 10)
-        a = Multivector(INVARIANT_PROJECTOR @ rand_mv(rng).c)
+        a = INVARIANT_PROJECTOR @ rand_mv(rng)
         assert invariance_defect(a) <= 1e-12
 
+    def test_invariant_projector_matches_null_space_oracle(self):
+        basis = null_space(np.vstack([AD[n] for n in "IJK"]), rcond=1e-12)
+        assert np.abs(INVARIANT_PROJECTOR - basis @ basis.T).max() <= 1e-14
+
     def test_omega_span_is_ad_invariant(self):
-        omegas = [kahler_form(n).c for n in "IJK"]
+        omegas = [kahler_form(n) for n in "IJK"]
         basis = np.stack(omegas, axis=1)
         for n in "IJK":
             for om in omegas:

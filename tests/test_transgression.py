@@ -15,7 +15,7 @@ kept as the regression oracle for it.
 import numpy as np
 import pytest
 
-from qhodge.exterior import Multivector, VOL
+from qhodge.exterior import VOL
 from qhodge.fields import random_field, single_mode, zero_field
 from qhodge.operators import (
     d_star,
