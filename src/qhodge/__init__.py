@@ -7,7 +7,7 @@ invariants with cross-validated analytic continuations.
 """
 
 from .exterior import STAR, VOL, interior, one_form, wedge
-from .fields import FormField, random_field, single_mode, zero_field
+from .fields import FormField, random_field, single_mode
 from .quaternionic import (
     I,
     J,
@@ -51,7 +51,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "STAR", "VOL", "interior", "one_form", "wedge",
-    "FormField", "random_field", "single_mode", "zero_field",
+    "FormField", "random_field", "single_mode",
     "I", "J", "K", "Quaternion", "ad_matrix", "group_matrix",
     "invariance_defect", "kahler_form", "lefschetz_dual_matrix",
     "lefschetz_matrix", "type_projector_matrix",

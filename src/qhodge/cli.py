@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import transgression, zeta
-from .fields import FormField, grid
+from .fields import FormField, dump_json, grid
 from .suites import RunConfig, run_suites
 
 EXIT_OK = 0
@@ -42,7 +42,7 @@ class NonFiniteOutput(Exception):
 
 def _emit(doc: dict, out: str | None) -> None:
     try:
-        text = json.dumps(doc, indent=1, sort_keys=True, default=float, allow_nan=False)
+        text = dump_json(doc)
     except ValueError as exc:
         raise NonFiniteOutput(f"nothing written: {exc}") from exc
     if out:
@@ -130,12 +130,7 @@ def cmd_verify(args) -> int:
     except (TypeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        report = run_suites(cfg)
-    except (zeta.QuadratureFailure, zeta.MethodDisagreement,
-            transgression.InconsistentConstant) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    report = run_suites(cfg)
     try:
         _emit(report, cfg.out)
     except NonFiniteOutput as exc:
@@ -154,7 +149,7 @@ def cmd_transgress(args) -> int:
     if args.order == 2 and args.structure is None:
         print("error: --order 2 requires --structure {I|J|K}", file=sys.stderr)
         return EXIT_USAGE
-    tol = args.tol if args.tol is not None else {1: 1e-9, 2: 1e-9, 4: 1e-8}[args.order]
+    tol = args.tol if args.tol is not None else transgression.DEFAULT_TOL[args.order]
     if not (math.isfinite(tol) and tol > 0):
         print("error: --tol must be positive and finite", file=sys.stderr)
         return EXIT_USAGE
@@ -181,12 +176,7 @@ def cmd_transgress(args) -> int:
 
 
 def cmd_torsion(args) -> int:
-    try:
-        report = zeta.torsion_report(args.theta)
-    except (zeta.QuadratureFailure, zeta.MethodDisagreement) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    _emit(report, args.out)
+    _emit(zeta.torsion_report(args.theta), args.out)
     return EXIT_OK
 
 
@@ -195,18 +185,13 @@ def _probe_modes(count: int):
 
     Ties keep the grid's lexicographic order; k = 0 sorts first and is dropped.
     """
-    modes, ksq = grid(PROBE_KMAX)[:2]
+    modes, ksq = grid(PROBE_KMAX)
     order = np.argsort(ksq, kind="stable")[1:count + 1]
     return [tuple(int(v) for v in k) for k in modes[order]]
 
 
 def cmd_lapl_constant(args) -> int:
-    modes = _probe_modes(args.modes)
-    try:
-        constant, report = transgression.measure_lapl_constant(modes)
-    except transgression.InconsistentConstant as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    _, report = transgression.measure_lapl_constant(_probe_modes(args.modes))
     _emit(report, args.out)
     return EXIT_OK
 
@@ -225,7 +210,8 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except NonFiniteOutput as exc:
+    except (NonFiniteOutput, zeta.QuadratureFailure, zeta.MethodDisagreement,
+            transgression.InconsistentConstant) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

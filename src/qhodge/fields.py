@@ -45,9 +45,9 @@ def _mode_rows(k, kmax: int):
 def grid(kmax: int):
     """Cached mode bookkeeping for a given truncation.
 
-    Returns (modes, ksq, zero_index, neg_perm): the (n, 4) integer mode
-    array in lexicographic order, |k|^2 per mode, the index of k = 0, and
-    the permutation sending the entry for k to the entry for -k.
+    Returns (modes, ksq): the (n, 4) integer mode array in lexicographic
+    order and |k|^2 per mode.  The grid is symmetric about k = 0, so the row
+    of -k is n - 1 - row(k) and k = 0 is the middle row, n // 2.
     """
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
@@ -55,11 +55,14 @@ def grid(kmax: int):
     modes = np.stack(np.meshgrid(r, r, r, r, indexing="ij"), axis=-1).reshape(-1, 4)
     ksq = np.einsum("na,na->n", modes, modes).astype(float)
     assert np.array_equal(_mode_rows(modes, kmax), np.arange(len(modes)))
-    neg_perm = _mode_rows(-modes, kmax)
-    zero_index = int(np.nonzero(ksq == 0)[0][0])
-    for arr in (modes, ksq, neg_perm):
+    for arr in (modes, ksq):
         arr.setflags(write=False)
-    return modes, ksq, zero_index, neg_perm
+    return modes, ksq
+
+
+def dump_json(doc) -> str:
+    """Strict JSON text of a document, indent 1 and sorted keys; ValueError on NaN or inf."""
+    return json.dumps(doc, indent=1, sort_keys=True, default=float, allow_nan=False)
 
 
 def _entry_column(entries, key: str, kinds: str, what: str) -> np.ndarray:
@@ -149,13 +152,11 @@ class FormField:
         return sorted({int(DEGREE[m]) for m in range(N_BLADES) if present[m] > tol})
 
     def conjugate(self) -> "FormField":
-        """Complex conjugate of the form (modes swap k -> -k)."""
-        _, _, _, neg = grid(self.kmax)
-        return FormField(self.kmax, np.conj(self.coeffs)[neg])
+        """Complex conjugate of the form (modes swap k -> -k, reversing the rows)."""
+        return FormField(self.kmax, np.conj(self.coeffs)[::-1])
 
     def realness_defect(self) -> float:
-        _, _, _, neg = grid(self.kmax)
-        return float(np.abs(self.coeffs - np.conj(self.coeffs)[neg]).max())
+        return float(np.abs(self.coeffs - np.conj(self.coeffs)[::-1]).max())
 
     # -- serialization -----------------------------------------------------
     def to_dict(self) -> dict:
@@ -203,9 +204,10 @@ class FormField:
         return f
 
     def save(self, path) -> None:
+        """Write the form document; ValueError, with no file written, if it is not finite."""
+        text = dump_json(self.to_dict())
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
-            fh.write("\n")
+            fh.write(text + "\n")
 
     @classmethod
     def load(cls, path) -> "FormField":
@@ -215,10 +217,6 @@ class FormField:
     def __repr__(self):
         nz = int(np.count_nonzero(np.abs(self.coeffs).sum(axis=1)))
         return f"FormField(kmax={self.kmax}, nonzero_modes={nz}, degrees={self.degrees()})"
-
-
-def zero_field(kmax: int) -> FormField:
-    return FormField(kmax)
 
 
 def single_mode(kmax: int, k, a) -> FormField:
@@ -252,6 +250,5 @@ def random_field(
         c = c @ INVARIANT_PROJECTOR.T
     f = FormField(kmax, c)
     if real:
-        _, _, _, neg = grid(kmax)
-        f.coeffs = (f.coeffs + np.conj(f.coeffs)[neg]) / 2
+        f.coeffs = (f.coeffs + np.conj(f.coeffs)[::-1]) / 2
     return f

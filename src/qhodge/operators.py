@@ -115,10 +115,10 @@ def green(f: FormField) -> FormField:
 
 
 def harmonic_project(f: FormField) -> FormField:
-    _, _, zero, _ = grid(f.kmax)
-    out = np.zeros_like(f.coeffs)
-    out[zero] = f.coeffs[zero]
-    return FormField(f.kmax, out)
+    out = FormField(f.kmax)
+    zero = len(f.coeffs) // 2  # k = 0, the middle row of the grid
+    out.coeffs[zero] = f.coeffs[zero]
+    return out
 
 
 # ---------------------------------------------------------------------------

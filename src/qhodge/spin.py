@@ -23,7 +23,7 @@ import numpy as np
 
 from .exterior import N_BLADES, one_form, wedge, wedge_matrix
 from .fields import grid
-from .quaternionic import AD, I, STRUCTURE_NAMES, left_matrix, structure_matrix
+from .quaternionic import AD, I, STRUCTURE_NAMES, kahler_form, left_matrix
 
 SQRT2 = np.sqrt(2.0)
 
@@ -110,13 +110,8 @@ def quantize(form: np.ndarray) -> np.ndarray:
 
 
 def spin_kahler_form(c) -> np.ndarray:
-    """omega^C = g(C., .), the spin-side sign convention (see module doc)."""
-    m = structure_matrix(c)
-    out = np.zeros(N_BLADES)
-    for a in range(4):
-        for b in range(a + 1, 4):
-            out[(1 << a) | (1 << b)] = m[b, a]
-    return out
+    """omega^C = g(C., .), the spin-side sign (see module doc); C is antisymmetric."""
+    return -kahler_form(c)
 
 
 def chirality() -> np.ndarray:

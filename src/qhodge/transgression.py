@@ -18,8 +18,12 @@ measure_lapl_constant), transgress4 uses the closed form tau = G^2 of the
 target's vol coefficient; the tests keep the literal order-4 formula as its
 oracle, and the residual still goes through the literal quartic_differential.
 
-Preconditions are validated numerically with per-structure residual
-reporting rather than assumed.
+Preconditions are validated numerically rather than assumed, by one gate,
+_hypotheses, in a fixed order: d-closedness, the harmonic part, then
+d_C-closedness for exactly the structures the order names (none at order 1,
+C at order 2, I, J and K at order 4).  It raises the first violated
+hypothesis and otherwise returns the residuals it measured, which the result
+reports.  DEFAULT_TOL holds each order's default tolerance.
 """
 
 from __future__ import annotations
@@ -43,6 +47,8 @@ from .quaternionic import STRUCTURE_NAMES
 
 ORDER2_SIGN = -1.0
 ORDER4_SIGN = +1.0
+# default residual tolerance of each order's preconditions and round trip
+DEFAULT_TOL = {1: 1e-9, 2: 1e-9, 4: 1e-8}
 
 
 class TransgressionError(Exception):
@@ -95,75 +101,62 @@ def _rel(value: float, scale: float) -> float:
     return value / scale if scale > 0 else value
 
 
-def _closedness(target: FormField) -> tuple[float, float, dict[str, float]]:
-    """Relative d-closedness, harmonic content, and d_C-closedness of target."""
+def _hypotheses(target: FormField, structures, tol: float) -> dict[str, float]:
+    """Relative precondition residuals of target; raises the first one above tol."""
     scale = target.norm()
     # d multiplies coefficients by O(2 pi |k|); normalize the residual by the
     # same scale so "closed" means small relative to a generic derivative
     dscale = max(scale * 2 * np.pi, 1e-300)
-    closed = exterior_d(target).norm() / dscale if scale else 0.0
-    harm = _rel(harmonic_project(target).norm(), scale)
-    dc = {
-        name: twisted_d(target, name).norm() / dscale if scale else 0.0
-        for name in STRUCTURE_NAMES
-    }
-    return closed, harm, dc
+
+    def closedness(d, *args) -> float:
+        return d(target, *args).norm() / dscale if scale else 0.0
+
+    pre = {"d_closed": closedness(exterior_d)}
+    if pre["d_closed"] > tol:
+        raise NotClosed(f"target is not closed (residual {pre['d_closed']:.3e})")
+    pre["harmonic_part"] = _rel(harmonic_project(target).norm(), scale)
+    if pre["harmonic_part"] > tol:
+        raise NotExact(f"target has a harmonic part (residual {pre['harmonic_part']:.3e})")
+    for name in structures:
+        pre[f"d{name}_closed"] = residual = closedness(twisted_d, name)
+        if residual > tol:
+            raise NotDCClosed(name, residual)
+    return pre
 
 
-def transgress1(target: FormField, tol: float = 1e-9) -> TransgressionResult:
+def _result(potential: FormField, image: FormField, target: FormField, order: int,
+            sign: float, pre: dict) -> TransgressionResult:
+    """The result, with the relative residual of the potential's image against target."""
+    residual = _rel((image - target).norm(), target.norm())
+    return TransgressionResult(potential, residual, order, sign, pre)
+
+
+def transgress1(target: FormField, tol: float = DEFAULT_TOL[1]) -> TransgressionResult:
     """Solve target = d(phi) with phi = d* G target."""
-    closed, harm, _ = _closedness(target)
-    pre = {"d_closed": closed, "harmonic_part": harm}
-    if closed > tol:
-        raise NotClosed(f"target is not closed (residual {closed:.3e})")
-    if harm > tol:
-        raise NotExact(f"target has a harmonic part (residual {harm:.3e})")
+    pre = _hypotheses(target, (), tol)
     phi = d_star(green(target))
-    rec = exterior_d(phi)
-    residual = _rel((rec - target).norm(), target.norm())
-    return TransgressionResult(phi, residual, 1, +1.0, pre)
+    return _result(phi, exterior_d(phi), target, 1, +1.0, pre)
 
 
-def transgress2(target: FormField, c: str = "I", tol: float = 1e-9) -> TransgressionResult:
+def transgress2(target: FormField, c: str = "I",
+                tol: float = DEFAULT_TOL[2]) -> TransgressionResult:
     """Solve target = d d_C(chi) with chi = s2 d* d_C* G^2 target."""
-    closed, harm, dc = _closedness(target)
-    pre = {"d_closed": closed, "harmonic_part": harm, f"d{c}_closed": dc[c]}
-    if closed > tol:
-        raise NotClosed(f"target is not closed (residual {closed:.3e})")
-    if harm > tol:
-        raise NotExact(f"target has a harmonic part (residual {harm:.3e})")
-    if dc[c] > tol:
-        raise NotDCClosed(c, dc[c])
-    g2 = green(green(target))
-    chi = ORDER2_SIGN * d_star(twisted_d_star(g2, c))
-    rec = exterior_d(twisted_d(chi, c))
-    residual = _rel((rec - target).norm(), target.norm())
-    return TransgressionResult(chi, residual, 2, ORDER2_SIGN, pre)
+    pre = _hypotheses(target, (c,), tol)
+    chi = ORDER2_SIGN * d_star(twisted_d_star(green(green(target)), c))
+    return _result(chi, exterior_d(twisted_d(chi, c)), target, 2, ORDER2_SIGN, pre)
 
 
-def transgress4(target: FormField, tol: float = 1e-8) -> TransgressionResult:
+def transgress4(target: FormField, tol: float = DEFAULT_TOL[4]) -> TransgressionResult:
     """Solve target = d d_I d_J d_K(tau) with tau = G^2 (vol coefficient of target)."""
-    closed, harm, dc = _closedness(target)
-    pre = {"d_closed": closed, "harmonic_part": harm}
-    pre.update({f"d{name}_closed": dc[name] for name in STRUCTURE_NAMES})
-    if closed > tol:
-        raise NotClosed(f"target is not closed (residual {closed:.3e})")
-    if harm > tol:
-        raise NotExact(f"target has a harmonic part (residual {harm:.3e})")
-    for name in STRUCTURE_NAMES:
-        if dc[name] > tol:
-            raise NotDCClosed(name, dc[name])
+    pre = _hypotheses(target, STRUCTURE_NAMES, tol)
     # admissible targets are pure top degree (the closedness conditions force
     # per-mode vol multiples); detect structural low-degree content sharply
-    floor = 1e-13 * float(np.abs(target.coeffs).max(initial=0.0))
-    degs = target.degrees(tol=floor)
+    degs = target.degrees(tol=1e-13 * float(np.abs(target.coeffs).max(initial=0.0)))
     if degs and min(degs) < 4:
         raise DegreeTooLow(f"target has components of degree {degs}; need degree >= 4")
     tau = FormField(target.kmax)
     tau.coeffs[:, 0] = green(green(target)).coeffs[:, VOL_MASK]
-    rec = quartic_differential(tau)
-    residual = _rel((rec - target).norm(), target.norm())
-    return TransgressionResult(tau, residual, 4, ORDER4_SIGN, pre)
+    return _result(tau, quartic_differential(tau), target, 4, ORDER4_SIGN, pre)
 
 
 def quartic_differential(f: FormField) -> FormField:

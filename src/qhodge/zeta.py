@@ -290,19 +290,11 @@ def beta0(theta) -> float:
     weight, the three structures contribute equally, and the graded trace
     collapses to -6 times the scalar heat trace.  Must equal 3 log T_h.
     """
-    th = _reduce_theta(theta)
     weight = 3.0 * sum(
         (-1) ** q * (-((q - 1) ** 2)) * rank for q, rank in enumerate(FORM_RANKS)
     )  # = -6
-
-    kernel = kernel_dim_scalar(th)  # decided once, not per quadrature node
-
-    def G(t):
-        return weight * (_kept_kernel_trace(th, t) - kernel)
-
-    singular = {-2: weight / (16 * np.pi**2), 0: -weight * kernel}
-    value, _ = regularized_integral(G, singular)
-    return value
+    # the scalar Mellin integrand with the weight in place of a fiber rank
+    return _mellin_log_det(theta, weight, 1.0, 1.0).zeta_prime_zero
 
 
 def torsion_report(theta) -> dict:

@@ -4,11 +4,15 @@ import dataclasses
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from qhodge import cli, spin, suites
+import qhodge
+from qhodge import cli, spin, suites, transgression, zeta
 from qhodge.cli import main
 from qhodge.fields import random_field, single_mode
 from qhodge.exterior import VOL
@@ -216,6 +220,53 @@ class TestNonFiniteResidual:
         assert math.isnan(rep["suites"]["zeta"]["max_residual"])
         assert math.isnan(rep["max_residual"])
         assert rep["first_failure"] == "zeta:b"
+
+
+def _raise(exc):
+    def raiser(*args, **kwargs):
+        raise exc
+    return raiser
+
+
+class TestNumericalFailure:
+    """Every numerical exception a subcommand can raise exits 4 with nothing written."""
+
+    @pytest.mark.parametrize("argv, module, name, exc", [
+        (["verify"], cli, "run_suites", zeta.QuadratureFailure("quad")),
+        (["verify"], cli, "run_suites", zeta.MethodDisagreement("gap")),
+        (["verify"], cli, "run_suites", transgression.InconsistentConstant("spread")),
+        (["torsion"], zeta, "torsion_report", zeta.QuadratureFailure("quad")),
+        (["torsion"], zeta, "torsion_report", zeta.MethodDisagreement("gap")),
+        (["lapl-constant"], transgression, "measure_lapl_constant",
+         transgression.InconsistentConstant("spread")),
+    ], ids=["verify-quadrature", "verify-disagreement", "verify-constant",
+            "torsion-quadrature", "torsion-disagreement", "lapl-constant-constant"])
+    def test_exit_4(self, tmp_path, monkeypatch, capsys, argv, module, name, exc):
+        monkeypatch.setattr(module, name, _raise(exc))
+        out = tmp_path / "out.json"
+        assert run([*argv, "--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == f"numerical failure: {exc}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+
+class TestModuleEntryPoint:
+    """python -m qhodge.cli exits with the code main returns."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["lapl-constant", "--modes", "3"], 0),
+        (["transgress", "--order", "3", "--input", "x", "--out", "y"], 2),
+    ], ids=["lapl-constant", "bad-order"])
+    def test_exit_code(self, tmp_path, argv, code):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(qhodge.__file__)))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "qhodge.cli", *argv], cwd=tmp_path,
+                              env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == code, proc.stderr
+        if code == 0:
+            assert json.loads(proc.stdout)["constant"] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestTransgress:

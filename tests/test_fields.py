@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from qhodge import cli
 from qhodge.exterior import N_BLADES, VOL
 from qhodge.fields import (
     FIELD_BYTE_BUDGET,
@@ -13,7 +14,6 @@ from qhodge.fields import (
     grid,
     random_field,
     single_mode,
-    zero_field,
 )
 
 ONE = np.eye(N_BLADES)[0]
@@ -21,22 +21,28 @@ ONE = np.eye(N_BLADES)[0]
 
 class TestGrid:
     def test_mode_count(self):
-        modes, ksq, zero, neg = grid(2)
-        assert modes.shape == (5**4, 4)
-        assert ksq[zero] == 0.0
+        # k = 0 is the middle row, which FormField code reads as the harmonic mode
+        for kmax in range(9):
+            modes, ksq = grid(kmax)
+            n = (2 * kmax + 1) ** 4
+            assert modes.shape == (n, 4)
+            assert np.flatnonzero(ksq == 0).tolist() == [n // 2]
+            assert not modes[n // 2].any()
 
     def test_negation_permutation(self):
-        modes, _, _, neg = grid(3)
-        assert np.array_equal(modes[neg], -modes)
+        # the row of -k is n - 1 - row(k): reversing the rows negates every mode
+        for kmax in range(9):
+            modes, _ = grid(kmax)
+            assert np.array_equal(modes[::-1], -modes)
 
     def test_mode_index_roundtrip(self):
-        f = zero_field(2)
+        f = FormField(2)
         for k in [(0, 0, 0, 0), (2, -2, 1, 0), (-1, -1, -1, -1)]:
             idx = f.mode_index(k)
             assert tuple(f.modes[idx]) == k
 
     def test_out_of_truncation(self):
-        f = zero_field(1)
+        f = FormField(1)
         with pytest.raises(KeyError):
             f.mode_index((2, 0, 0, 0))
 
@@ -57,7 +63,7 @@ class TestAlgebra:
 
     def test_truncation_mismatch(self):
         with pytest.raises(ValueError):
-            zero_field(1) + zero_field(2)
+            FormField(1) + FormField(2)
 
     def test_inner_is_mode_orthonormal(self):
         f = single_mode(2, (1, 0, 0, 0), ONE)
@@ -144,6 +150,22 @@ class TestSerialization:
         f = single_mode(1, (0, 0, 0, 0), VOL)
         (entry,) = f.to_dict()["entries"]
         assert entry["blade_mask"] == 15
+
+    def test_save_rejects_non_finite_before_opening(self, tmp_path):
+        # a NaN token is not JSON, and load would reject the file
+        f = single_mode(1, (1, 0, 0, 0), ONE)
+        f.coeffs[3, 2] = np.nan
+        path = tmp_path / "field.json"
+        with pytest.raises(ValueError):
+            f.save(path)
+        assert not path.exists()
+
+    def test_save_writes_the_cli_bytes(self, tmp_path):
+        f = random_field(1, np.random.default_rng(9), degree=2)
+        saved, emitted = tmp_path / "saved.json", tmp_path / "emitted.json"
+        f.save(saved)
+        cli._emit(f.to_dict(), str(emitted))
+        assert saved.read_bytes() == emitted.read_bytes()
 
 
 class TestMemoryBudget:

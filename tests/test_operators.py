@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from qhodge.exterior import N_BLADES, VOL
-from qhodge.fields import random_field, single_mode, zero_field
+from qhodge.fields import FormField, random_field, single_mode
 from qhodge.operators import (
     apply_fiber,
     cancellation_defect,
@@ -236,7 +236,7 @@ class TestKodaira:
             assert max(res.values()) <= 1e-10
 
     def test_identity_names(self):
-        f = zero_field(1)
+        f = FormField(1)
         res = kodaira_suite(f)
         assert "dK_star_eq_comm_LambdaI_dJ" in res
         assert "dJ_star_eq_comm_dK_LambdaI" in res

@@ -12,11 +12,14 @@ transgress4 returns the closed-form potential G^2 (vol coefficient);
 kept as the regression oracle for it.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
+from qhodge import transgression
 from qhodge.exterior import VOL
-from qhodge.fields import random_field, single_mode, zero_field
+from qhodge.fields import FormField, random_field, single_mode
 from qhodge.operators import (
     d_star,
     exterior_d,
@@ -28,6 +31,7 @@ from qhodge.operators import (
     twisted_d_star,
 )
 from qhodge.transgression import (
+    DEFAULT_TOL,
     DegreeTooLow,
     InconsistentConstant,
     NotClosed,
@@ -56,7 +60,7 @@ def literal_order4_potential(target):
 
 class TestOrder1:
     def test_zero_target(self):
-        res = transgress1(zero_field(1))
+        res = transgress1(FormField(1))
         assert res.residual == 0.0
         assert res.potential.norm() == 0.0
 
@@ -81,7 +85,7 @@ class TestOrder1:
 
 class TestOrder2:
     def test_zero_target(self):
-        assert transgress2(zero_field(1), "I").residual == 0.0
+        assert transgress2(FormField(1), "I").residual == 0.0
 
     def test_roundtrip_each_structure(self):
         rng = np.random.default_rng(SEED + 2)
@@ -107,7 +111,7 @@ class TestOrder2:
 
 class TestOrder4:
     def test_zero_target(self):
-        assert transgress4(zero_field(1)).residual == 0.0
+        assert transgress4(FormField(1)).residual == 0.0
 
     def test_roundtrip_plain_sigma(self):
         rng = np.random.default_rng(SEED + 4)
@@ -143,7 +147,7 @@ class TestOrder4:
         rng = np.random.default_rng(SEED + 7)
         f = random_field(2, rng, degree=0)
         f = f - harmonic_project(f)
-        target = zero_field(2)
+        target = FormField(2)
         target.coeffs[:, 15] = laplacian(laplacian(f)).coeffs[:, 0]
         res = transgress4(target)
         assert res.residual <= 1e-8
@@ -185,6 +189,54 @@ class TestOrder4:
         }
 
 
+class TestHypothesisGate:
+    """Each order computes d_C of its target only for the structures it names."""
+
+    @pytest.fixture
+    def dc_calls(self, monkeypatch):
+        calls = []
+        original = transgression.twisted_d
+
+        def counting(f, c):
+            calls.append((f, c))
+            return original(f, c)
+
+        monkeypatch.setattr(transgression, "twisted_d", counting)
+        return calls
+
+    def test_order1_computes_no_dc(self, dc_calls):
+        rng = np.random.default_rng(SEED + 11)
+        res = transgress1(exterior_d(random_field(1, rng)))
+        assert dc_calls == []
+        assert set(res.precondition_residuals) == {"d_closed", "harmonic_part"}
+
+    def test_order2_computes_only_its_structure(self, dc_calls):
+        rng = np.random.default_rng(SEED + 12)
+        target = exterior_d(twisted_d(random_field(1, rng), "J"))
+        res = transgress2(target, "J")
+        assert [c for f, c in dc_calls if f is target] == ["J"]
+        assert len(dc_calls) == 2  # the gate's, and the round trip's on the potential
+        assert set(res.precondition_residuals) == {"d_closed", "harmonic_part", "dJ_closed"}
+
+    def test_rejected_order4_stops_at_first_failing_structure(self, dc_calls):
+        rng = np.random.default_rng(SEED + 8)
+        target = exterior_d(random_field(1, rng, degree=1))
+        with pytest.raises(NotDCClosed) as err:
+            transgress4(target)
+        assert err.value.structure == "I"
+        assert [c for _, c in dc_calls] == ["I"]
+
+    def test_not_closed_is_checked_first(self, dc_calls):
+        rng = np.random.default_rng(SEED + 13)
+        with pytest.raises(NotClosed):
+            transgress4(random_field(1, rng, degree=1))
+        assert dc_calls == []
+
+    def test_solver_defaults_come_from_the_table(self):
+        for order, solver in ((1, transgress1), (2, transgress2), (4, transgress4)):
+            assert inspect.signature(solver).parameters["tol"].default == DEFAULT_TOL[order]
+
+
 class TestLaplConstant:
     def test_oracle_agrees_per_mode(self):
         for k in [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 1, 1), (2, -1, 3, 1)]:
@@ -216,7 +268,7 @@ class TestLaplConstant:
         assert "16" in report["note"] and "1" in report["note"]
 
     def test_zero_function_both_sides_vanish(self):
-        zero = zero_field(2)
+        zero = FormField(2)
         assert quartic_differential(zero).norm() == 0.0
         assert laplacian(laplacian(zero)).norm() == 0.0
 
