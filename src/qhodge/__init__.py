@@ -12,7 +12,6 @@ from .quaternionic import (
     I,
     J,
     K,
-    Quaternion,
     ad_matrix,
     group_matrix,
     invariance_defect,
@@ -52,7 +51,7 @@ __version__ = "0.1.0"
 __all__ = [
     "STAR", "VOL", "interior", "one_form", "wedge",
     "FormField", "random_field", "single_mode",
-    "I", "J", "K", "Quaternion", "ad_matrix", "group_matrix",
+    "I", "J", "K", "ad_matrix", "group_matrix",
     "invariance_defect", "kahler_form", "lefschetz_dual_matrix",
     "lefschetz_matrix", "type_projector_matrix",
     "d_star", "exterior_d", "green", "harmonic_project",

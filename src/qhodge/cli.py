@@ -5,8 +5,8 @@
     qhodge torsion [--theta a,b,c,d] [--out PATH]
     qhodge lapl-constant [--modes N]
 
-Exit codes: 0 success, 1 failed verification, 2 usage error,
-3 violated precondition, 4 numerical failure.
+Exit codes: 0 success, 1 failed verification, 2 usage error (an unwritable
+--out included), 3 violated precondition, 4 numerical failure.
 
 A JSON config file (--config) may provide any of the RunConfig fields;
 explicit flags win over the file, and any other key is a usage error.
@@ -40,16 +40,23 @@ class NonFiniteOutput(Exception):
     """A report holds a NaN or infinite value, which strict JSON cannot carry."""
 
 
+class UnwritableOutput(Exception):
+    """--out names a path that cannot be opened for writing (a usage error)."""
+
+
 def _emit(doc: dict, out: str | None) -> None:
     try:
         text = dump_json(doc)
     except ValueError as exc:
         raise NonFiniteOutput(f"nothing written: {exc}") from exc
-    if out:
+    if not out:
+        print(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+    except OSError as exc:
+        raise UnwritableOutput(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 def _parse_theta(text: str):
@@ -149,6 +156,9 @@ def cmd_transgress(args) -> int:
     if args.order == 2 and args.structure is None:
         print("error: --order 2 requires --structure {I|J|K}", file=sys.stderr)
         return EXIT_USAGE
+    if args.order != 2 and args.structure is not None:
+        print(f"error: --structure applies only to --order 2, not {args.order}", file=sys.stderr)
+        return EXIT_USAGE
     tol = args.tol if args.tol is not None else transgression.DEFAULT_TOL[args.order]
     if not (math.isfinite(tol) and tol > 0):
         print("error: --tol must be positive and finite", file=sys.stderr)
@@ -210,6 +220,9 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
+    except UnwritableOutput as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (NonFiniteOutput, zeta.QuadratureFailure, zeta.MethodDisagreement,
             transgression.InconsistentConstant) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

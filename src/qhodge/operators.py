@@ -6,7 +6,7 @@ With kappa = 2 pi k the mode symbols are
 
     d       ->  i eps(kappa)                (eps = exterior multiplication)
     d_C     ->  i eps(C kappa)              (C in {I, J, K} or any combination)
-    d_x     ->  i eps(L_x kappa)            (L_x = left multiplication by x)
+    d_x     ->  i eps(L_x kappa)            (L_x = left_matrix(x), x a (4,) array)
     d*      -> -i iota(kappa)               (iota = contraction, adjoint of eps)
     Delta   ->  4 pi^2 |k|^2 . Id
     G       ->  (4 pi^2 |k|^2)^{-1} off the k = 0 mode, 0 on it.
@@ -26,7 +26,6 @@ import numpy as np
 from .exterior import INTERIOR_E, WEDGE_E, GRADING
 from .fields import FormField, grid
 from .quaternionic import (
-    Quaternion,
     STRUCTURE_NAMES,
     left_matrix,
     lefschetz_dual_matrix,
@@ -183,11 +182,9 @@ def kodaira_suite(f: FormField) -> dict[str, float]:
 
 
 def conjugation_defect(f: FormField, u, x) -> float:
-    """|| U d_x U^{-1}(f) - d_{Ux}(f) || / scale, U a unit quaternion."""
-    uq = u if isinstance(u, Quaternion) else Quaternion.from_components(u)
-    xq = x if isinstance(x, Quaternion) else Quaternion.from_components(x)
-    rot = rotor_matrix(uq)
+    """|| U d_x U^{-1}(f) - d_{Ux}(f) || / scale for (4,) arrays u (a unit) and x."""
+    rot = rotor_matrix(u)
     inv = rot.T  # the fiber action of a unit quaternion is orthogonal
-    lhs = apply_fiber(quaternionic_d(apply_fiber(f, inv), xq), rot)
-    rhs = quaternionic_d(f, uq * xq)
+    lhs = apply_fiber(quaternionic_d(apply_fiber(f, inv), x), rot)
+    rhs = quaternionic_d(f, left_matrix(u) @ x)
     return rel_defect(lhs, rhs)

@@ -7,6 +7,10 @@ homomorphism, so I^2 = J^2 = K^2 = IJK = -1 holds exactly, and since the
 matrices are orthogonal the induced cotangent action coincides with the
 tangent one.
 
+A quaternion is a plain (4,) float array (x^0, x^1, x^2, x^3).  It acts only
+through `left_matrix(x)`, so the product xy is `left_matrix(x) @ y`,
+Re(conj(x) y) is `x @ y` and |x| is `np.linalg.norm(x)`.
+
 Kahler two-forms use the convention
 
     omega_C(u, v) = g(u, C v),
@@ -26,8 +30,6 @@ and no matrix exponential is computed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .exterior import DEGREE, DIM, GRADING, INTERIOR_E, N_BLADES, wedge_matrix
@@ -43,41 +45,9 @@ STRUCTURES = {"I": I, "J": J, "K": K}
 STRUCTURE_NAMES = ("I", "J", "K")
 
 
-@dataclass(frozen=True)
-class Quaternion:
-    """x = x0 + x1 i + x2 j + x3 k."""
-
-    x0: float = 0.0
-    x1: float = 0.0
-    x2: float = 0.0
-    x3: float = 0.0
-
-    @classmethod
-    def from_components(cls, v) -> "Quaternion":
-        v = np.asarray(v, dtype=float).reshape(4)
-        return cls(*v)
-
-    @property
-    def components(self) -> np.ndarray:
-        return np.array([self.x0, self.x1, self.x2, self.x3])
-
-    def conjugate(self) -> "Quaternion":
-        return Quaternion(self.x0, -self.x1, -self.x2, -self.x3)
-
-    def __mul__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion.from_components(left_matrix(self) @ other.components)
-
-    def __abs__(self) -> float:
-        return float(np.linalg.norm(self.components))
-
-    def normalized(self) -> "Quaternion":
-        return Quaternion.from_components(self.components / abs(self))
-
-
 def left_matrix(x) -> np.ndarray:
-    """4x4 matrix of left multiplication by the quaternion x."""
-    v = x.components if isinstance(x, Quaternion) else np.asarray(x, dtype=float)
-    return v[0] * np.eye(DIM) + v[1] * I + v[2] * J + v[3] * K
+    """4x4 matrix of left multiplication by the quaternion x, a (4,) array."""
+    return x[0] * np.eye(DIM) + x[1] * I + x[2] * J + x[3] * K
 
 
 def structure_matrix(c) -> np.ndarray:
@@ -139,11 +109,10 @@ def rotor_matrix(u) -> np.ndarray:
     The multiplicative extension of left multiplication by u, which equals
     the 16x16 exponential of phi * n.(ad_I, ad_J, ad_K).
     """
-    q = u if isinstance(u, Quaternion) else Quaternion.from_components(u)
-    n = abs(q)
+    n = np.linalg.norm(u)
     if abs(n - 1.0) > 1e-9:
         raise ValueError(f"rotor requires a unit quaternion, got |u| = {n}")
-    return group_matrix(left_matrix(q))
+    return group_matrix(left_matrix(u))
 
 
 def lefschetz_matrix(c) -> np.ndarray:
@@ -169,8 +138,6 @@ def type_projector_matrix(c, p: int, q: int) -> np.ndarray:
     if p < 0 or q < 0 or p > 2 or q > 2:
         return np.zeros((N_BLADES, N_BLADES), dtype=complex)
     k = p + q
-    if k > DIM:
-        raise ValueError("degree exceeds fiber dimension")
     ad = ad_matrix(c).astype(complex)
     target = 1j * (p - q)
     proj = np.eye(N_BLADES, dtype=complex)
@@ -183,15 +150,9 @@ def type_projector_matrix(c, p: int, q: int) -> np.ndarray:
     return deg @ proj
 
 
-def invariance_defect(a) -> float:
-    """max over C in {I, J, K} of ||ad_C a||; zero iff a is isotropy-invariant.
-
-    Accepts a (16,) fiber array or a FormField (its (n, 16) `coeffs`).
-    """
-    coeffs = getattr(a, "coeffs", a)
-    return max(
-        float(np.linalg.norm(coeffs @ AD[n].T)) for n in STRUCTURE_NAMES
-    )
+def invariance_defect(a: np.ndarray) -> float:
+    """max over C in {I, J, K} of ||ad_C a|| for a of shape (..., 16); zero iff invariant."""
+    return max(float(np.linalg.norm(a @ AD[n].T)) for n in STRUCTURE_NAMES)
 
 
 def _invariant_projector() -> np.ndarray:
@@ -210,6 +171,5 @@ INVARIANT_PROJECTOR.setflags(write=False)
 
 
 def xhat_matrix(x) -> np.ndarray:
-    """x0 * N + x1 ad_I + x2 ad_J + x3 ad_K on the fiber."""
-    v = x.components if isinstance(x, Quaternion) else np.asarray(x, dtype=float)
-    return v[0] * GRADING + v[1] * AD["I"] + v[2] * AD["J"] + v[3] * AD["K"]
+    """x0 * N + x1 ad_I + x2 ad_J + x3 ad_K on the fiber, x a (4,) array."""
+    return x[0] * GRADING + x[1] * AD["I"] + x[2] * AD["J"] + x[3] * AD["K"]

@@ -32,15 +32,16 @@ with the kernel removed this yields  -log det' H.
 Two independent routes to log det' Delta_0 exist for theta = 0: the Mellin
 split above, and the lattice closed form via the four-square counting
 identity  sum_{n>=1} r_4(n) n^{-s} = 8 (1 - 4^{1-s}) zeta(s) zeta(s-1),
-evaluated with standard special values.  Both must agree; the CLI and the
-acceptance suite check this.
+evaluated with standard special values.  `log_det_prime` always takes the
+Mellin split; for theta = 0 it also evaluates the closed form, reports the
+gap as `method_gap` and raises MethodDisagreement when the two disagree.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -145,8 +146,7 @@ def kernel_dim_scalar(theta) -> int:
 # regularized integrals (Mellin continuation)
 # ---------------------------------------------------------------------------
 
-def regularized_integral(G, singular: dict[int, float] | None = None, split: float = 1.0,
-                         epsabs: float = 1e-13, epsrel: float = 1e-12):
+def regularized_integral(G, singular: dict[int, float] | None = None, split: float = 1.0):
     """zeta_G'(0) for a heat-trace-like G with declared singular coefficients.
 
     singular maps the power i (i <= 0) to the coefficient G_i of t^i in the
@@ -169,8 +169,8 @@ def regularized_integral(G, singular: dict[int, float] | None = None, split: flo
         # bounds are checked explicitly below
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", IntegrationWarning)
-            low_val, low_err = quad(low, 0.0, split, epsabs=epsabs, epsrel=epsrel, limit=400)
-            high_val, high_err = quad(high, split, np.inf, epsabs=epsabs, epsrel=epsrel, limit=400)
+            low_val, low_err = quad(low, 0.0, split, epsabs=1e-13, epsrel=1e-12, limit=400)
+            high_val, high_err = quad(high, split, np.inf, epsabs=1e-13, epsrel=1e-12, limit=400)
     except Exception as exc:  # pragma: no cover - defensive
         raise QuadratureFailure(str(exc)) from exc
     err = low_err + high_err
@@ -189,14 +189,13 @@ def regularized_integral(G, singular: dict[int, float] | None = None, split: flo
 
 @dataclass
 class ZetaResult:
-    zeta_prime_zero: float
     log_det_prime: float
-    method: str
     error_estimate: float
-    details: dict = field(default_factory=dict)
+    method_gap: float | None  # |mellin - closed form|; None when theta is twisted
 
 
-def _mellin_log_det(theta, fiber_rank: int, scale: float, split: float) -> ZetaResult:
+def _mellin_log_det(theta, fiber_rank: float, scale: float, split: float):
+    """(-zeta'(0), quadrature error estimate) by the Mellin split."""
     th = _reduce_theta(theta)
     kernel = kernel_dim_scalar(th)  # decided once, not per quadrature node
 
@@ -205,10 +204,10 @@ def _mellin_log_det(theta, fiber_rank: int, scale: float, split: float) -> ZetaR
 
     singular = {-2: fiber_rank / (16 * np.pi**2 * scale**2), 0: -float(kernel * fiber_rank)}
     zp, err = regularized_integral(G, singular, split=split)
-    return ZetaResult(zp, -zp, "mellin_split", err, {"split": split})
+    return -zp, err
 
 
-def _closed_form_log_det(fiber_rank: int, scale: float) -> ZetaResult:
+def _closed_form_log_det(fiber_rank: int, scale: float) -> float:
     """theta = 0 closed form from sum r_4(n) n^{-s} = 8(1-4^{1-s}) zeta(s) zeta(s-1).
 
     With Z(s) that Dirichlet series, zeta_Delta(s) = (4 pi^2 c)^{-s} Z(s),
@@ -220,39 +219,26 @@ def _closed_form_log_det(fiber_rank: int, scale: float) -> ZetaResult:
         + (1.0 - 4.0) * (ZETA_PRIME_0 * (-1.0 / 12.0) + (-0.5) * ZETA_PRIME_MINUS_1)
     )
     zeta_prime = -math.log(4 * np.pi**2 * scale) * z0 + zp0
-    zeta_prime *= fiber_rank
-    return ZetaResult(zeta_prime, -zeta_prime, "closed_form", 1e-15, {})
+    return -(zeta_prime * fiber_rank)
 
 
-def log_det_prime(theta, *, fiber_rank: int = 1, scale: float = 1.0, method: str = "auto",
+def log_det_prime(theta, *, fiber_rank: int = 1, scale: float = 1.0,
                   split: float = 1.0) -> ZetaResult:
-    """-zeta'_Delta(0) for the theta-twisted (q,0)-form Laplacian.
+    """-zeta'_Delta(0) for the theta-twisted (q,0)-form Laplacian, by the Mellin split.
 
     fiber_rank copies of the scalar Laplacian, every eigenvalue times scale.
-    method is one of "mellin_split", "closed_form" (theta = 0 only), "both"
-    (cross-validate) or "auto" (cross-validate when the closed form applies).
+    When theta is untwisted the result is also checked against the closed
+    form; a gap above METHOD_GAP_TOL (or 10x the quadrature error) raises
+    MethodDisagreement.
     """
-    th = _reduce_theta(theta)
-    untwisted = kernel_dim_scalar(th) == 1
-    if method == "auto":
-        method = "both" if untwisted else "mellin_split"
-    if method in ("closed_form", "both") and not untwisted:
-        raise ValueError("closed form is only available for theta = 0")
-    if method == "mellin_split":
-        return _mellin_log_det(th, fiber_rank, scale, split)
-    if method == "closed_form":
-        return _closed_form_log_det(fiber_rank, scale)
-    if method == "both":
-        a = _mellin_log_det(th, fiber_rank, scale, split)
-        b = _closed_form_log_det(fiber_rank, scale)
-        gap = abs(a.log_det_prime - b.log_det_prime)
-        if gap > max(METHOD_GAP_TOL, 10 * a.error_estimate):
-            raise MethodDisagreement(
-                f"mellin {a.log_det_prime!r} vs closed form {b.log_det_prime!r} (gap {gap:.3e})"
-            )
-        a.details.update({"closed_form": b.log_det_prime, "method_gap": gap})
-        return a
-    raise ValueError(f"unknown method {method!r}")
+    value, err = _mellin_log_det(theta, fiber_rank, scale, split)
+    if kernel_dim_scalar(theta) == 0:
+        return ZetaResult(value, err, None)
+    closed = _closed_form_log_det(fiber_rank, scale)
+    gap = abs(value - closed)
+    if gap > max(METHOD_GAP_TOL, 10 * err):
+        raise MethodDisagreement(f"mellin {value!r} vs closed form {closed!r} (gap {gap:.3e})")
+    return ZetaResult(value, err, gap)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +280,7 @@ def beta0(theta) -> float:
         (-1) ** q * (-((q - 1) ** 2)) * rank for q, rank in enumerate(FORM_RANKS)
     )  # = -6
     # the scalar Mellin integrand with the weight in place of a fiber rank
-    return _mellin_log_det(theta, weight, 1.0, 1.0).zeta_prime_zero
+    return -_mellin_log_det(theta, weight, 1.0, 1.0)[0]
 
 
 def torsion_report(theta) -> dict:
@@ -310,7 +296,7 @@ def torsion_report(theta) -> dict:
         logs.append(res.log_det_prime)
         per_q[str(q)] = {
             "log_det_prime": res.log_det_prime,
-            "method_agreement": res.details.get("method_gap"),
+            "method_agreement": res.method_gap,
         }
     T = torsion_T(logs)
     Th = hyper_torsion(logs)

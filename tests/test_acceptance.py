@@ -24,7 +24,7 @@ from qhodge.operators import (
     twisted_d,
     xhat,
 )
-from qhodge.quaternionic import Quaternion
+from qhodge.quaternionic import left_matrix
 from qhodge.transgression import (
     NotDCClosed,
     measure_lapl_constant,
@@ -45,18 +45,14 @@ def test_criterion_1_operator_algebra_suite():
     tol = 1e-10
     t0 = time.monotonic()
     rng = np.random.default_rng([SEED, 1])
-    pairs = [
-        (Quaternion.from_components(rng.standard_normal(4)),
-         Quaternion.from_components(rng.standard_normal(4)))
-        for _ in range(20)
-    ]
+    pairs = [(rng.standard_normal(4), rng.standard_normal(4)) for _ in range(20)]
     worst = 0.0
     for i in range(100):
         f = random_field(4, rng)
         x, y = pairs[i % 20]
 
         lhs = xhat(quaternionic_d(f, y), x) - quaternionic_d(xhat(f, x), y)
-        worst = max(worst, rel_defect(lhs, quaternionic_d(f, x * y)))
+        worst = max(worst, rel_defect(lhs, quaternionic_d(f, left_matrix(x) @ y)))
 
         a = quaternionic_d(quaternionic_d(f, y), x)
         b = quaternionic_d(quaternionic_d(f, x), y)
@@ -64,7 +60,7 @@ def test_criterion_1_operator_algebra_suite():
 
         a = quaternionic_d(quaternionic_d_star(f, y), x)
         b = quaternionic_d_star(quaternionic_d(f, x), y)
-        rhs = (x.conjugate() * y).x0 * laplacian(f)
+        rhs = (x @ y) * laplacian(f)  # Re(conj(x) y) = x . y
         worst = max(worst, (a + b - rhs).norm() / max(a.norm() + b.norm(), rhs.norm()))
     elapsed = time.monotonic() - t0
     ok = worst <= tol and elapsed <= 60.0
@@ -161,10 +157,10 @@ def test_criterion_5_regularized_integral_identities():
 
 def test_criterion_6_zeta_cross_validation():
     """Mellin split vs lattice closed form <= 1e-8; split independence <= 1e-9."""
-    mellin = zeta.log_det_prime(theta=(0, 0, 0, 0), method="mellin_split")
+    mellin = zeta.log_det_prime(theta=(0, 0, 0, 0))
     gap_oracle = abs(mellin.log_det_prime - oracles.jacobi_logdet_oracle())
-    a = zeta.log_det_prime(theta=(0, 0, 0, 0), method="mellin_split", split=0.5)
-    b = zeta.log_det_prime(theta=(0, 0, 0, 0), method="mellin_split", split=2.0)
+    a = zeta.log_det_prime(theta=(0, 0, 0, 0), split=0.5)
+    b = zeta.log_det_prime(theta=(0, 0, 0, 0), split=2.0)
     split_gap = abs(a.log_det_prime - b.log_det_prime)
     ok = gap_oracle <= 1e-8 and split_gap <= 1e-9
     _report(6, ok, f"log det' {mellin.log_det_prime:.12f}: closed-form gap {gap_oracle:.2e} <= 1e-8, "

@@ -251,6 +251,28 @@ class TestNumericalFailure:
         assert not out.exists()
 
 
+class TestUnwritableOut:
+    """An --out that cannot be opened is a usage error: one line on stderr, exit 2."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "exterior"],
+        ["torsion", "--theta", "0.5,0,0,0"],
+        ["lapl-constant", "--modes", "3"],
+        ["transgress", "--order", "1"],
+    ], ids=["verify", "torsion", "lapl-constant", "transgress"])
+    def test_exit_2(self, tmp_path, capsys, argv):
+        if argv[0] == "transgress":
+            inp = tmp_path / "t.json"
+            exterior_d(random_field(1, np.random.default_rng(5))).save(inp)
+            argv = [*argv, "--input", str(inp)]
+        out = tmp_path / "missing_dir" / "out.json"
+        assert run([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {out}")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+
 class TestModuleEntryPoint:
     """python -m qhodge.cli exits with the code main returns."""
 
@@ -299,6 +321,16 @@ class TestTransgress:
         code = run(["transgress", "--order", "2", "--input", str(inp), "--out", str(tmp_path / "r.json")])
         assert code == 2
         assert "--structure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("order", ["1", "4"])
+    def test_structure_outside_order2_usage_error(self, tmp_path, capsys, order):
+        inp = tmp_path / "t.json"
+        inp.write_text(json.dumps({"truncation": 1, "entries": []}))
+        out = tmp_path / "r.json"
+        argv = ["transgress", "--order", order, "--structure", "I", "--input", str(inp)]
+        assert run([*argv, "--out", str(out)]) == 2
+        assert "--structure" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_harmonic_input_precondition_exit(self, tmp_path, capsys):
         f = single_mode(1, (0, 0, 0, 0), VOL)

@@ -30,7 +30,7 @@ from qhodge.operators import (
     twisted_d_star,
     xhat,
 )
-from qhodge.quaternionic import AD, Quaternion
+from qhodge.quaternionic import AD, left_matrix
 
 SEED = 99
 
@@ -39,8 +39,11 @@ def blade(mask):
     return np.eye(N_BLADES)[mask]
 
 
+ONE = np.array([1.0, 0.0, 0.0, 0.0])  # the unit quaternion
+
+
 def rand_quat(rng):
-    return Quaternion.from_components(rng.standard_normal(4))
+    return rng.standard_normal(4)
 
 
 class TestExteriorD:
@@ -107,7 +110,7 @@ class TestQuaternionicD:
     def test_unit_is_exterior_d(self):
         rng = np.random.default_rng(SEED + 5)
         f = random_field(1, rng)
-        assert rel_defect(quaternionic_d(f, Quaternion(1.0)), exterior_d(f)) == 0.0
+        assert rel_defect(quaternionic_d(f, ONE), exterior_d(f)) == 0.0
 
     def test_relation_i(self):
         rng = np.random.default_rng(SEED + 6)
@@ -115,7 +118,7 @@ class TestQuaternionicD:
             f = random_field(1, rng)
             x, y = rand_quat(rng), rand_quat(rng)
             lhs = xhat(quaternionic_d(f, y), x) - quaternionic_d(xhat(f, x), y)
-            assert rel_defect(lhs, quaternionic_d(f, x * y)) <= 1e-10
+            assert rel_defect(lhs, quaternionic_d(f, left_matrix(x) @ y)) <= 1e-10
 
     def test_relation_ii(self):
         rng = np.random.default_rng(SEED + 7)
@@ -133,14 +136,14 @@ class TestQuaternionicD:
             x, y = rand_quat(rng), rand_quat(rng)
             a = quaternionic_d(quaternionic_d_star(f, y), x)
             b = quaternionic_d_star(quaternionic_d(f, x), y)
-            rhs = (x.conjugate() * y).x0 * laplacian(f)
+            rhs = (x @ y) * laplacian(f)  # Re(conj(x) y) = x . y
             denom = max(a.norm() + b.norm(), rhs.norm())
             assert (a + b - rhs).norm() <= 1e-10 * denom
 
     def test_grading_is_xhat_at_one(self):
         rng = np.random.default_rng(SEED + 9)
         f = random_field(1, rng)
-        assert rel_defect(xhat(f, Quaternion(1.0)), grading(f)) == 0.0
+        assert rel_defect(xhat(f, ONE), grading(f)) == 0.0
 
     def test_n_commutator_with_d(self):
         rng = np.random.default_rng(SEED + 10)
@@ -164,7 +167,7 @@ class TestAdjoints:
             x = rand_quat(rng)
             assert (
                 abs(quaternionic_d(f, x).inner(g) - f.inner(quaternionic_d_star(g, x)))
-                <= 1e-11 * scale * abs(x)
+                <= 1e-11 * scale * np.linalg.norm(x)
             )
 
 
@@ -246,17 +249,18 @@ class TestConjugationLaw:
     def test_trivial_u(self):
         rng = np.random.default_rng(SEED + 18)
         f = random_field(1, rng)
-        assert conjugation_defect(f, Quaternion(1.0), rand_quat(rng)) <= 1e-14
+        assert conjugation_defect(f, ONE, rand_quat(rng)) <= 1e-14
 
     def test_quarter_rotation(self):
         # U = I realizes d -> d_I
         rng = np.random.default_rng(SEED + 19)
         f = random_field(1, rng)
-        assert conjugation_defect(f, Quaternion(0, 1, 0, 0), Quaternion(1.0)) <= 1e-10
+        assert conjugation_defect(f, np.array([0.0, 1.0, 0.0, 0.0]), ONE) <= 1e-10
 
     def test_random(self):
         rng = np.random.default_rng(SEED + 20)
         for _ in range(10):
             f = random_field(1, rng)
-            u = rand_quat(rng).normalized()
+            u = rand_quat(rng)
+            u /= np.linalg.norm(u)
             assert conjugation_defect(f, u, rand_quat(rng)) <= 1e-10

@@ -12,7 +12,9 @@ transgress4 returns the closed-form potential G^2 (vol coefficient);
 kept as the regression oracle for it.
 """
 
+import ast
 import inspect
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -235,6 +237,16 @@ class TestHypothesisGate:
     def test_solver_defaults_come_from_the_table(self):
         for order, solver in ((1, transgress1), (2, transgress2), (4, transgress4)):
             assert inspect.signature(solver).parameters["tol"].default == DEFAULT_TOL[order]
+
+    def test_benchmark_checks_against_the_package_defaults(self):
+        # perfbench/workloads.py checks each transgress output against its own
+        # copy of the tolerances; read that literal without importing the harness
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        copies = [ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets] == ["TRANSGRESS_TOL"]]
+        assert copies == [DEFAULT_TOL]
 
 
 class TestLaplConstant:

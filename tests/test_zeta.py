@@ -97,10 +97,10 @@ class TestRegularizedIntegral:
             return math.exp(-2 * t) / t**2 + 3 * math.exp(-t)
 
         # the subtracted integrand loses ~2 digits to cancellation near 0,
-        # so do not push quad below what float64 supports there
+        # which the 1e-9 bound leaves room for
         sing = {-2: 1.0, -1: -2.0, 0: 2.0 + 3.0}  # e^{-2t}/t^2 = 1/t^2 - 2/t + 2 - ...
-        a, _ = Z.regularized_integral(g, sing, split=0.5, epsabs=1e-11)
-        b, _ = Z.regularized_integral(g, sing, split=2.0, epsabs=1e-11)
+        a, _ = Z.regularized_integral(g, sing, split=0.5)
+        b, _ = Z.regularized_integral(g, sing, split=2.0)
         assert abs(a - b) <= 1e-9
 
 
@@ -147,19 +147,29 @@ class TestHeatTraces:
         base = Z.scalar_heat_trace((0, 0, 0, 0), 0.3)
         assert Z.scalar_heat_trace(theta, 0.3) == pytest.approx(base, rel=1e-14)
         res = Z.log_det_prime(theta=theta)
-        assert res.details["method_gap"] <= 1e-8
-        untwisted = Z.log_det_prime(theta=(0, 0, 0, 0), method="mellin_split")
+        assert res.method_gap <= 1e-8
+        untwisted = Z.log_det_prime(theta=(0, 0, 0, 0))
         assert abs(res.log_det_prime - untwisted.log_det_prime) <= 1e-9
         assert abs(Z.beta0(theta) - Z.beta0((0, 0, 0, 0))) <= 1e-9
 
 
 class TestLogDet:
     def test_methods_agree_untwisted(self):
-        res = Z.log_det_prime(theta=(0, 0, 0, 0), method="both")
-        assert res.details["method_gap"] <= 1e-8
+        res = Z.log_det_prime(theta=(0, 0, 0, 0))
+        assert res.method_gap <= 1e-8
+
+    def test_method_gap_carried_untwisted_only(self):
+        # every untwisted call is cross-checked against the closed form,
+        # whatever its split or scale; a twisted one has nothing to check
+        for kwargs in ({"split": 0.5}, {"split": 2.0}, {"scale": 2.0}):
+            res = Z.log_det_prime(theta=(0, 0, 0, 0), **kwargs)
+            assert res.method_gap is not None and res.method_gap <= 1e-8, kwargs
+        twisted = Z.log_det_prime(theta=(0.5, 0, 0, 0))
+        assert twisted.method_gap is None
+        assert list(vars(twisted)) == ["log_det_prime", "error_estimate", "method_gap"]
 
     def test_against_mpmath_oracle(self):
-        res = Z.log_det_prime(theta=(0, 0, 0, 0), method="mellin_split")
+        res = Z.log_det_prime(theta=(0, 0, 0, 0))
         assert abs(res.log_det_prime - closed_form_logdet_oracle()) <= 1e-9
 
     def test_embedded_constants_against_mpmath(self):
@@ -168,34 +178,30 @@ class TestLogDet:
         assert abs(Z.EULER_GAMMA - float(mpmath.euler)) < 1e-15
 
     def test_split_independence(self):
-        a = Z.log_det_prime(theta=(0, 0, 0, 0), method="mellin_split", split=0.5)
-        b = Z.log_det_prime(theta=(0, 0, 0, 0), method="mellin_split", split=2.0)
+        a = Z.log_det_prime(theta=(0, 0, 0, 0), split=0.5)
+        b = Z.log_det_prime(theta=(0, 0, 0, 0), split=2.0)
         assert abs(a.log_det_prime - b.log_det_prime) <= 1e-9
 
     def test_rank_multiplicativity(self):
-        one = Z.log_det_prime(theta=(0.5, 0, 0, 0), fiber_rank=1, method="mellin_split")
-        three = Z.log_det_prime(theta=(0.5, 0, 0, 0), fiber_rank=3, method="mellin_split")
+        one = Z.log_det_prime(theta=(0.5, 0, 0, 0), fiber_rank=1)
+        three = Z.log_det_prime(theta=(0.5, 0, 0, 0), fiber_rank=3)
         assert abs(three.log_det_prime - 3 * one.log_det_prime) <= 1e-9
 
     def test_scaling_identity(self):
         # log det'(c Delta) = log det'(Delta) + zeta(0) log c with zeta(0) = -1
-        base = Z.log_det_prime(theta=(0, 0, 0, 0), method="mellin_split")
-        scaled = Z.log_det_prime(theta=(0, 0, 0, 0), scale=2.0, method="mellin_split")
+        base = Z.log_det_prime(theta=(0, 0, 0, 0))
+        scaled = Z.log_det_prime(theta=(0, 0, 0, 0), scale=2.0)
         assert abs(scaled.log_det_prime - (base.log_det_prime - math.log(2.0))) <= 1e-8
 
     def test_scaling_identity_twisted(self):
         # no kernel: zeta(0) = 0, so the determinant is scale-covariant... via a0 = 0
-        base = Z.log_det_prime(theta=(0.5, 0, 0, 0), method="mellin_split")
-        scaled = Z.log_det_prime(theta=(0.5, 0, 0, 0), scale=2.0, method="mellin_split")
+        base = Z.log_det_prime(theta=(0.5, 0, 0, 0))
+        scaled = Z.log_det_prime(theta=(0.5, 0, 0, 0), scale=2.0)
         assert abs(scaled.log_det_prime - base.log_det_prime) <= 1e-8
-
-    def test_closed_form_requires_untwisted(self):
-        with pytest.raises(ValueError):
-            Z.log_det_prime(theta=(0.5, 0, 0, 0), method="closed_form")
 
     def test_positive_determinant(self):
         for theta in ((0, 0, 0, 0), (0.5, 0, 0, 0), (0.25, 0.75, 0.5, 0.125)):
-            res = Z.log_det_prime(theta=theta, method="mellin_split")
+            res = Z.log_det_prime(theta=theta)
             assert math.isfinite(res.log_det_prime)
             assert math.exp(res.log_det_prime) > 0
 
