@@ -6,7 +6,8 @@
     qhodge lapl-constant [--modes N]
 
 Exit codes: 0 success, 1 failed verification, 2 usage error (an unwritable
---out included), 3 violated precondition, 4 numerical failure.
+--out included, found before any computation), 3 violated precondition,
+4 numerical failure.
 
 A JSON config file (--config) may provide any of the RunConfig fields;
 explicit flags win over the file, and any other key is a usage error.
@@ -18,6 +19,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -42,6 +44,17 @@ class NonFiniteOutput(Exception):
 
 class UnwritableOutput(Exception):
     """--out names a path that cannot be opened for writing (a usage error)."""
+
+
+def _check_out(out: str | None) -> None:
+    """UnwritableOutput unless --out can be created; run before any work, it creates nothing."""
+    if not out:
+        return
+    parent = os.path.dirname(os.path.abspath(out))
+    if os.path.isdir(out):
+        raise UnwritableOutput(f"cannot write {out}: it is a directory")
+    if not (os.path.isdir(parent) and os.access(parent, os.W_OK | os.X_OK)):
+        raise UnwritableOutput(f"cannot write {out}: {parent} is not a writable directory")
 
 
 def _emit(doc: dict, out: str | None) -> None:
@@ -137,6 +150,7 @@ def cmd_verify(args) -> int:
     except (TypeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    _check_out(cfg.out)
     report = run_suites(cfg)
     try:
         _emit(report, cfg.out)
@@ -163,6 +177,7 @@ def cmd_transgress(args) -> int:
     if not (math.isfinite(tol) and tol > 0):
         print("error: --tol must be positive and finite", file=sys.stderr)
         return EXIT_USAGE
+    _check_out(args.out)
     try:
         target = FormField.load(args.input)
     except (OSError, ValueError) as exc:
@@ -186,6 +201,7 @@ def cmd_transgress(args) -> int:
 
 
 def cmd_torsion(args) -> int:
+    _check_out(args.out)
     _emit(zeta.torsion_report(args.theta), args.out)
     return EXIT_OK
 
@@ -201,6 +217,7 @@ def _probe_modes(count: int):
 
 
 def cmd_lapl_constant(args) -> int:
+    _check_out(args.out)
     _, report = transgression.measure_lapl_constant(_probe_modes(args.modes))
     _emit(report, args.out)
     return EXIT_OK

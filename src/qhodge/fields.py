@@ -9,6 +9,8 @@ The full (2*kmax+1)^4 mode grid is materialized densely in a fixed
 lexicographic order, so every operator in the algebra is a plain (n, 16)
 array transform and mode sets never need realignment.  The field is real
 iff omega_{-k} = conj(omega_k) for all k.
+
+A field takes ownership of the (n, 16) array it is built from (no copy).
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ def _entry_column(entries, key: str, kinds: str, what: str) -> np.ndarray:
 
 
 class FormField:
-    """Truncated Fourier series of a complex-valued differential form on T^4."""
+    """Truncated Fourier series of a complex-valued differential form on T^4; owns `coeffs`."""
 
     __slots__ = ("kmax", "coeffs")
 
@@ -91,7 +93,7 @@ class FormField:
             coeffs = np.asarray(coeffs, dtype=complex)
             if coeffs.shape != (n, N_BLADES):
                 raise ValueError(f"expected coeffs of shape {(n, N_BLADES)}, got {coeffs.shape}")
-            self.coeffs = coeffs.copy()
+            self.coeffs = coeffs
 
     # -- bookkeeping ----------------------------------------------------
     @property
@@ -111,9 +113,6 @@ class FormField:
     def set_coeff(self, k, a) -> None:
         self.coeffs[self.mode_index(k)] = a
 
-    def copy(self) -> "FormField":
-        return FormField(self.kmax, self.coeffs)
-
     # -- algebra ---------------------------------------------------------
     def _check(self, other: "FormField") -> None:
         if self.kmax != other.kmax:
@@ -127,16 +126,10 @@ class FormField:
         self._check(other)
         return FormField(self.kmax, self.coeffs - other.coeffs)
 
-    def __neg__(self):
-        return FormField(self.kmax, -self.coeffs)
-
     def __mul__(self, scalar):
         return FormField(self.kmax, self.coeffs * scalar)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        return FormField(self.kmax, self.coeffs / scalar)
 
     # -- geometry ---------------------------------------------------------
     def inner(self, other: "FormField") -> complex:

@@ -26,13 +26,17 @@ the induced action on blades (on degree-p blades, the p x p minors of M).
 They are related by group_matrix(exp A) = exp(ad_matrix(A)), so a unit
 quaternion u = exp(phi n.(i, j, k)) acts as `group_matrix(left_matrix(u))`
 and no matrix exponential is computed.
+
+INVARIANT_PROJECTOR, onto the invariant fiber forms (scalars, vol and the
+anti-self-dual 2-forms), is a closed form in DEGREE and STAR; the tests check
+it against the null space of (ad_I, ad_J, ad_K).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .exterior import DEGREE, DIM, GRADING, INTERIOR_E, N_BLADES, wedge_matrix
+from .exterior import DEGREE, DIM, GRADING, INTERIOR_E, N_BLADES, STAR, wedge_matrix
 
 # left multiplication by i, j, k on quaternion coordinates (x0, x1, x2, x3)
 I = np.array([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]], dtype=float)
@@ -155,18 +159,10 @@ def invariance_defect(a: np.ndarray) -> float:
     return max(float(np.linalg.norm(a @ AD[n].T)) for n in STRUCTURE_NAMES)
 
 
-def _invariant_projector() -> np.ndarray:
-    # SVD null space, rank cut at 1e-12 of the largest singular value: the
-    # same cut as the null-space oracle in tests/test_quaternionic.py
-    stacked = np.vstack([AD[n] for n in STRUCTURE_NAMES])
-    _, s, vt = np.linalg.svd(stacked)
-    basis = vt[np.count_nonzero(s > 1e-12 * s[0]):]
-    return basis.T @ basis
-
-
-# orthogonal projector onto the joint kernel of ad_I, ad_J, ad_K
-# (scalars + anti-self-dual 2-forms + vol: a 5-dimensional subspace)
-INVARIANT_PROJECTOR = _invariant_projector()
+# orthogonal projector onto the joint kernel of ad_I, ad_J, ad_K: scalars, vol
+# and the anti-self-dual 2-forms (the Kahler forms are self-dual), 5-dimensional
+_P2 = np.diag((DEGREE == 2).astype(float))
+INVARIANT_PROJECTOR = np.diag((DEGREE % 4 == 0).astype(float)) + (_P2 - _P2 @ STAR @ _P2) / 2
 INVARIANT_PROJECTOR.setflags(write=False)
 
 

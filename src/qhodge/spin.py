@@ -9,7 +9,11 @@ the ordered orthonormal basis
 in which Hermitian adjoints are plain conjugate transposes.  The Clifford
 action is c(w) = sqrt2 eps(w) for w in W and c(wbar) = -sqrt2 iota(wbar)
 for wbar in Wbar, iota contracting against the Hermitian pairing
-<wbar^i, w^j> = 2 delta_ij of the unnormalized coframe.
+<wbar^i, w^j> = 2 delta_ij of the unnormalized coframe.  eps and iota are
+literal matrices on the orthonormal basis, and a covector splits into its W
+and Wbar parts by the closed-form inverse of the coframe; tests/test_spin.py
+checks these against the unnormalized matrices conjugated by the basis norms
+and against a linear solve on the coframe.
 
 Unlike the form-side operator algebra (see quaternionic.kahler_form), the
 quantization map here uses omega^C = g(C., .): that is the sign for which
@@ -21,9 +25,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exterior import N_BLADES, one_form, wedge, wedge_matrix
+from .exterior import N_BLADES, VOL, one_form, wedge, wedge_matrix
 from .fields import grid
-from .quaternionic import AD, I, STRUCTURE_NAMES, kahler_form, left_matrix
+from .quaternionic import AD, STRUCTURE_NAMES, kahler_form, left_matrix
 
 SQRT2 = np.sqrt(2.0)
 
@@ -40,48 +44,18 @@ W_COFRAME = np.array(
 W_COFRAME.setflags(write=False)
 
 
-def _creation_matrices():
-    """eps(w^1), eps(w^2) on the unnormalized basis (1, w1, w2, w1^w2)."""
-    e1 = np.zeros((4, 4), complex)
-    e1[1, 0] = 1.0
-    e1[3, 2] = 1.0
-    e2 = np.zeros((4, 4), complex)
-    e2[2, 0] = 1.0
-    e2[3, 1] = -1.0  # w2 ^ w1 = -(w1 ^ w2)
-    return e1, e2
-
-
-def _annihilation_matrices():
-    """iota(wbar^1), iota(wbar^2): pairing <wbar^i, w^j> = 2 delta_ij."""
-    i1 = np.zeros((4, 4), complex)
-    i1[0, 1] = 2.0
-    i1[2, 3] = 2.0
-    i2 = np.zeros((4, 4), complex)
-    i2[0, 2] = 2.0
-    i2[1, 3] = -2.0
-    return i1, i2
-
-
-# change of basis: unnormalized (1, w1, w2, w1w2) -> orthonormal columns
-_BASIS_NORMS = np.array([1.0, SQRT2, SQRT2, 2.0])
-_TO_ORTHO = np.diag(_BASIS_NORMS)
-_FROM_ORTHO = np.diag(1.0 / _BASIS_NORMS)
-
-
-def _orthonormalize(mat: np.ndarray) -> np.ndarray:
-    # coordinates transform with TO = diag(norms); operators conjugate accordingly
-    return _TO_ORTHO @ mat @ _FROM_ORTHO
-
-
-_EPS = [_orthonormalize(m) for m in _creation_matrices()]
-_IOTA = [_orthonormalize(m) for m in _annihilation_matrices()]
+# eps(w^i): |w^i| = sqrt2 and |w^1 ^ w^2| = 2 make each entry sqrt2 (w^2 ^ w^1 = -w^1 ^ w^2)
+_EPS = SQRT2 * np.array([[[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0]],
+                         [[0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0], [0, -1, 0, 0]]], dtype=complex)
+# iota(wbar^i): the pairing <wbar^i, w^j> = 2 delta_ij makes each entry 2/sqrt2 = sqrt2
+_IOTA = SQRT2 * np.array([[[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]],
+                          [[0, 0, 1, 0], [0, 0, 0, -1], [0, 0, 0, 0], [0, 0, 0, 0]]], dtype=complex)
 
 
 def _split_holomorphic(v: np.ndarray):
-    """Components of a complexified covector along (w^1, w^2, wbar^1, wbar^2)."""
-    v = np.asarray(v, dtype=complex).reshape(4)
-    basis = np.vstack([W_COFRAME, W_COFRAME.conj()]).T  # columns are the coframe
-    return np.linalg.solve(basis, v)
+    """Components along (w^1, w^2, wbar^1, wbar^2): a_i, b_i = (v_{2i-1} +- i v_{2i})/2."""
+    v = np.asarray(v, dtype=complex).reshape(2, 2)
+    return np.concatenate([v[:, 0] + 1j * v[:, 1], v[:, 0] - 1j * v[:, 1]]) / 2
 
 
 def clifford_action(v) -> np.ndarray:
@@ -116,10 +90,7 @@ def spin_kahler_form(c) -> np.ndarray:
 
 def chirality() -> np.ndarray:
     """Gamma = i^2 c^1 c^2 c^3 c^4 for n = 4; squares to one, grades S."""
-    g = np.eye(4, dtype=complex)
-    for c in GENERATORS:
-        g = g @ c
-    return -g
+    return -quantize(VOL)
 
 
 def supertrace(op: np.ndarray) -> complex:
@@ -159,6 +130,12 @@ def s_basis_forms() -> np.ndarray:
     return np.stack([np.eye(N_BLADES)[0], w1 / SQRT2, w2 / SQRT2, wedge(w1, w2) / 2.0])
 
 
+def _fit(op: np.ndarray, target: np.ndarray):
+    """Least-squares lam in op = lam * target, and the max entry of the misfit."""
+    lam = np.vdot(target, op) / np.vdot(target, target)
+    return complex(lam), float(np.abs(op - lam * target).max())
+
+
 def omega_operator_check() -> dict:
     """Prop-forms verification: e is (a multiple of) wedging with Omega.
 
@@ -170,27 +147,15 @@ def omega_operator_check() -> dict:
     omega = (spin_kahler_form("J") - 1j * spin_kahler_form("K")) * 0.25
     wedge_omega = wedge_matrix(omega)
 
-    # restrict wedge(Omega) to the embedded S subspace
-    e_on_forms = phi.T @ e @ phi.conj()
-    target = wedge_omega @ (phi.T @ phi.conj())
-    # fit e = lam * eps(Omega) on the subspace
-    num = np.vdot(target, e_on_forms)
-    den = np.vdot(target, target)
-    lam = num / den
-    e_defect = float(np.abs(e_on_forms - lam * target).max())
-
-    f_on_forms = phi.T @ f @ phi.conj()
-    f_target = wedge_omega.conj().T @ (phi.T @ phi.conj())
-    numf = np.vdot(f_target, f_on_forms)
-    denf = np.vdot(f_target, f_target)
-    lamf = numf / denf
-    f_defect = float(np.abs(f_on_forms - lamf * f_target).max())
+    # restrict wedge(Omega) and its adjoint to the embedded S subspace
+    restrict = phi.T @ phi.conj()
+    lam, e_defect = _fit(phi.T @ e @ phi.conj(), wedge_omega @ restrict)
+    lamf, f_defect = _fit(phi.T @ f @ phi.conj(), wedge_omega.conj().T @ restrict)
 
     # pairing value: f applied to the embedded image of Omega, against <Omega, Omega>
     omega_in_s = phi.conj() @ omega  # S coordinates of Omega
     f_omega = f @ omega_in_s
-    vac = np.zeros(4, complex)
-    vac[0] = 1.0
+    vac = np.eye(4, dtype=complex)[0]
     pairing = complex(np.vdot(vac, f_omega))
     gram = complex(np.vdot(omega, omega))
 
@@ -198,9 +163,9 @@ def omega_operator_check() -> dict:
 
     return {
         "omega_is_20_type": float(type_defect),
-        "e_normalization": complex(lam),
+        "e_normalization": lam,
         "e_defect": e_defect,
-        "f_normalization": complex(lamf),
+        "f_normalization": lamf,
         "f_defect": f_defect,
         "f_on_omega_vs_gram": pairing / gram,
         "f_kills_vacuum": float(np.abs(f @ vac).max()),
@@ -213,13 +178,9 @@ def _dirac_basis() -> np.ndarray:
     del' is the holomorphic part of the twisted flat connection symbol; D is
     real-linear in kappa, so its value on the four unit covectors fixes it.
     """
-    proj_hol = 0.5 * (np.eye(4) - 1j * I)  # projector onto W components
-    blocks = []
-    for e in np.eye(4):
-        a1, a2, _, _ = _split_holomorphic(proj_hol @ e)  # Wbar parts vanish
-        dpr = 1j * SQRT2 * (a1 * _EPS[0] + a2 * _EPS[1])
-        blocks.append(dpr + dpr.conj().T)
-    return np.array(blocks)
+    a = np.array([_split_holomorphic(e)[:2] for e in np.eye(4)])  # W parts of each e^a
+    dpr = 1j * SQRT2 * np.einsum("ai,ijk->ajk", a, _EPS)
+    return dpr + np.conj(np.swapaxes(dpr, 1, 2))
 
 
 def dirac_block_check(theta=(0, 0, 0, 0), kmax: int = 3) -> dict:
@@ -297,8 +258,7 @@ def conjugation_defect_sample(rng: np.random.Generator) -> float:
 
 
 def vacuum_annihilation_defect() -> float:
-    vac = np.zeros(4, complex)
-    vac[0] = 1.0
+    vac = np.eye(4, dtype=complex)[0]
     return float(np.max([np.abs(clifford_action(row) @ vac) for row in W_COFRAME.conj()]))
 
 

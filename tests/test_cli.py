@@ -272,6 +272,43 @@ class TestUnwritableOut:
         assert captured.err.count("\n") == 1
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv, module, name", [
+        (["verify"], cli, "run_suites"),
+        (["torsion"], zeta, "torsion_report"),
+        (["lapl-constant"], transgression, "measure_lapl_constant"),
+        (["transgress", "--order", "1"], transgression, "transgress1"),
+        (["transgress", "--order", "2", "--structure", "I"], transgression, "transgress2"),
+        (["transgress", "--order", "4"], transgression, "transgress4"),
+    ], ids=["verify", "torsion", "lapl-constant", "transgress-1", "transgress-2", "transgress-4"])
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    def test_checked_before_any_work(self, tmp_path, monkeypatch, capsys, argv, module, name,
+                                     target):
+        monkeypatch.setattr(module, name, _raise(AssertionError(f"{name} ran before --out")))
+        if argv[0] == "transgress":
+            inp = tmp_path / "t.json"
+            exterior_d(random_field(1, np.random.default_rng(5))).save(inp)
+            argv = [*argv, "--input", str(inp)]
+        out = tmp_path / "missing_dir" / "out.json" if target == "missing-dir" else tmp_path
+        before = sorted(tmp_path.rglob("*"))
+        assert run([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert captured.err.count("\n") == 1
+        assert sorted(tmp_path.rglob("*")) == before  # nothing created
+
+    def test_config_out_checked_before_suites(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_suites", _raise(AssertionError("run_suites ran before out")))
+        out = tmp_path / "missing_dir" / "out.json"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"out": str(out)}))
+        assert run(["verify", "--config", str(config)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+
+    def test_relative_out_in_working_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(["lapl-constant", "--modes", "1", "--out", "c.json"]) == 0
+        assert json.loads((tmp_path / "c.json").read_text())["constant"] == pytest.approx(1.0)
+
 
 class TestModuleEntryPoint:
     """python -m qhodge.cli exits with the code main returns."""

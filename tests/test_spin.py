@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import expm
 
 from qhodge import spin
-from qhodge.exterior import N_BLADES
+from qhodge.exterior import N_BLADES, one_form, wedge_matrix
 from qhodge.quaternionic import I, J, K
 
 
@@ -59,6 +59,44 @@ class TestCliffordAction:
         for g in spin.GENERATORS:
             assert not g[odd == odd[:, None]].any()  # only parity-changing entries
             assert np.abs(g + g.conj().T).max() <= 1e-14
+
+
+class TestClosedFormOracles:
+    """The literal fiber constants against the constructions they replace."""
+
+    def test_literal_matrices_are_the_orthonormalized_ones(self):
+        # eps(w^i), iota(wbar^i) on the unnormalized basis (1, w^1, w^2, w^1 ^ w^2)
+        eps, iota = np.zeros((2, 4, 4)), np.zeros((2, 4, 4))
+        eps[0, 1, 0] = eps[0, 3, 2] = eps[1, 2, 0] = 1.0
+        eps[1, 3, 1] = -1.0  # w^2 ^ w^1 = -(w^1 ^ w^2)
+        iota[0, 0, 1] = iota[0, 2, 3] = iota[1, 0, 2] = 2.0  # <wbar^i, w^j> = 2 delta_ij
+        iota[1, 1, 3] = -2.0
+        # coordinates transform with diag(norms), so operators conjugate by it
+        norms = np.array([1.0, np.sqrt(2.0), np.sqrt(2.0), 2.0])
+        to, back = np.diag(norms), np.diag(1.0 / norms)
+        assert np.abs(to @ eps @ back - spin._EPS).max() <= 1e-15
+        assert np.abs(to @ iota @ back - spin._IOTA).max() <= 1e-15
+
+    def test_literal_matrices_are_wedge_and_contraction_on_forms(self):
+        # on the embedded S basis, eps(w) is wedging with w and iota(wbar) its adjoint
+        phi = spin.s_basis_forms()
+        for w, eps, iota in zip(spin.W_COFRAME, spin._EPS, spin._IOTA):
+            wedge_w = wedge_matrix(one_form(w))
+            assert np.abs(phi.conj() @ wedge_w @ phi.T - eps).max() <= 1e-15
+            assert np.abs(phi.conj() @ wedge_w.conj().T @ phi.T - iota).max() <= 1e-15
+
+    def test_split_matches_coframe_solve(self):
+        basis = np.vstack([spin.W_COFRAME, spin.W_COFRAME.conj()]).T  # columns are the coframe
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            assert np.abs(np.linalg.solve(basis, v) - spin._split_holomorphic(v)).max() <= 1e-15
+
+    def test_chirality_is_the_ordered_product(self):
+        g = np.eye(4, dtype=complex)
+        for c in spin.GENERATORS:
+            g = g @ c
+        assert np.array_equal(spin.chirality(), -g)
 
 
 class TestQuantization:
@@ -224,6 +262,15 @@ class TestDiracBlocks:
         monkeypatch.setattr(spin, "_EPS", [bad, spin._EPS[1]])
         for theta in ((0, 0, 0, 0), (0.13, 0.71, 0.29, 0.9)):
             assert spin.dirac_block_check(theta, kmax=2)[residual] > floor
+
+    def test_exact_symbol_reads_zero_and_a_scaled_generator_fails(self, monkeypatch):
+        # both sides of the symbol comparison are exact, so the clean value is 0.0
+        assert spin.dirac_block_check((0, 0, 0, 0), kmax=2)["clifford_symbol_defect"] == 0.0
+        gens = spin.GENERATORS.copy()
+        gens[0, 1, 0] *= 1.5
+        monkeypatch.setattr(spin, "GENERATORS", gens)
+        for theta in ((0, 0, 0, 0), (0.13, 0.71, 0.29, 0.9)):
+            assert spin.dirac_block_check(theta, kmax=2)["clifford_symbol_defect"] > 1.0
 
     def test_single_mode_eigenvalue(self):
         # D^2 on the mode k with character theta acts as 4 pi^2 |k+theta|^2

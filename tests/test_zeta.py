@@ -6,7 +6,7 @@ Oracles, computed independently of the code under test:
     identity;
   - the four-square closed form for the untwisted determinant, with
     zeta'(0), zeta'(-1) taken from mpmath rather than from the constants
-    embedded in the package.
+    embedded in the package (`oracles.jacobi_logdet_oracle`).
 """
 
 import math
@@ -15,7 +15,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from oracles import brute_heat_sum
+from oracles import brute_heat_sum, jacobi_logdet_oracle
 from qhodge import zeta as Z
 
 mpmath.mp.dps = 30
@@ -35,24 +35,6 @@ def poisson_rhs_oracle(t, radius=25):
     # four dimensions factorize for theta = 0
     total2 = total * total
     return float(total2 / (4 * mpmath.pi * t) ** 2)
-
-
-def closed_form_logdet_oracle():
-    """-zeta'(0) for the untwisted scalar spectrum via the four-square identity.
-
-    zeta_Delta(s) = (4 pi^2)^{-s} * 8 (1 - 4^{1-s}) zeta(s) zeta(s-1)
-    """
-    s = mpmath.mpf(0)
-    zp0 = mpmath.zeta(0, derivative=1)
-    zpm1 = mpmath.zeta(-1, derivative=1)
-    z0 = mpmath.zeta(0)
-    zm1 = mpmath.zeta(-1)
-    Z0 = 8 * (1 - 4) * z0 * zm1
-    Zp0 = 8 * (
-        4 * mpmath.log(4) * z0 * zm1 + (1 - 4) * (zp0 * zm1 + z0 * zpm1)
-    )
-    zeta_prime = -mpmath.log(4 * mpmath.pi**2) * Z0 + Zp0
-    return float(-zeta_prime)
 
 
 def per_degree_logs(theta):
@@ -170,7 +152,7 @@ class TestLogDet:
 
     def test_against_mpmath_oracle(self):
         res = Z.log_det_prime(theta=(0, 0, 0, 0))
-        assert abs(res.log_det_prime - closed_form_logdet_oracle()) <= 1e-9
+        assert abs(res.log_det_prime - jacobi_logdet_oracle()) <= 1e-9
 
     def test_embedded_constants_against_mpmath(self):
         assert abs(Z.ZETA_PRIME_0 - float(mpmath.zeta(0, derivative=1))) < 1e-15
