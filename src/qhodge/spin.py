@@ -9,11 +9,14 @@ the ordered orthonormal basis
 in which Hermitian adjoints are plain conjugate transposes.  The Clifford
 action is c(w) = sqrt2 eps(w) for w in W and c(wbar) = -sqrt2 iota(wbar)
 for wbar in Wbar, iota contracting against the Hermitian pairing
-<wbar^i, w^j> = 2 delta_ij of the unnormalized coframe.  eps and iota are
-literal matrices on the orthonormal basis, and a covector splits into its W
-and Wbar parts by the closed-form inverse of the coframe; tests/test_spin.py
-checks these against the unnormalized matrices conjugated by the basis norms
-and against a linear solve on the coframe.
+<wbar^i, w^j> = 2 delta_ij of the unnormalized coframe.  On the orthonormal
+basis eps(w^i) and iota(wbar^i) have entries +-sqrt2, so c(w^i) and
+c(wbar^i) are literal matrices with entries +-2.  A covector splits into its
+W and Wbar parts by the closed-form inverse of the coframe, whose halves
+cancel those 2s: every entry of c(v) is exactly +-v_a or +-i v_a, and each
+generator squares to -1 exactly.  tests/test_spin.py checks the literal
+matrices against the unnormalized eps and iota conjugated by the basis
+norms, and the split against a linear solve on the coframe.
 
 Unlike the form-side operator algebra (see quaternionic.kahler_form), the
 quantization map here uses omega^C = g(C., .): that is the sign for which
@@ -44,12 +47,14 @@ W_COFRAME = np.array(
 W_COFRAME.setflags(write=False)
 
 
-# eps(w^i): |w^i| = sqrt2 and |w^1 ^ w^2| = 2 make each entry sqrt2 (w^2 ^ w^1 = -w^1 ^ w^2)
-_EPS = SQRT2 * np.array([[[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0]],
-                         [[0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0], [0, -1, 0, 0]]], dtype=complex)
-# iota(wbar^i): the pairing <wbar^i, w^j> = 2 delta_ij makes each entry 2/sqrt2 = sqrt2
-_IOTA = SQRT2 * np.array([[[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]],
-                          [[0, 0, 1, 0], [0, 0, 0, -1], [0, 0, 0, 0], [0, 0, 0, 0]]], dtype=complex)
+# c(w^i) = sqrt2 eps(w^i): |w^i| = sqrt2 and |w^1 ^ w^2| = 2 make each entry of
+# eps(w^i) sqrt2, so each entry of c(w^i) is 2 (w^2 ^ w^1 = -w^1 ^ w^2)
+_C_W = 2 * np.array([[[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0]],
+                     [[0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0], [0, -1, 0, 0]]], dtype=complex)
+# c(wbar^i) = -sqrt2 iota(wbar^i): the pairing <wbar^i, w^j> = 2 delta_ij makes each
+# entry of iota(wbar^i) 2/sqrt2 = sqrt2, so each entry of c(wbar^i) is -2
+_C_WBAR = -2 * np.array([[[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]],
+                         [[0, 0, 1, 0], [0, 0, 0, -1], [0, 0, 0, 0], [0, 0, 0, 0]]], dtype=complex)
 
 
 def _split_holomorphic(v: np.ndarray):
@@ -61,7 +66,7 @@ def _split_holomorphic(v: np.ndarray):
 def clifford_action(v) -> np.ndarray:
     """c(v) for a complexified covector v (4 components in the e-basis)."""
     a1, a2, b1, b2 = _split_holomorphic(v)
-    return SQRT2 * (a1 * _EPS[0] + a2 * _EPS[1]) - SQRT2 * (b1 * _IOTA[0] + b2 * _IOTA[1])
+    return a1 * _C_W[0] + a2 * _C_W[1] + b1 * _C_WBAR[0] + b2 * _C_WBAR[1]
 
 
 GENERATORS = np.array([clifford_action(e) for e in np.eye(4)])
@@ -179,7 +184,7 @@ def _dirac_basis() -> np.ndarray:
     real-linear in kappa, so its value on the four unit covectors fixes it.
     """
     a = np.array([_split_holomorphic(e)[:2] for e in np.eye(4)])  # W parts of each e^a
-    dpr = 1j * SQRT2 * np.einsum("ai,ijk->ajk", a, _EPS)
+    dpr = 1j * np.einsum("ai,ijk->ajk", a, _C_W)  # i sqrt2 eps(a) = i c(a)
     return dpr + np.conj(np.swapaxes(dpr, 1, 2))
 
 

@@ -9,10 +9,11 @@ Its heat trace factors over the four axes into 1D Jacobi theta sums,
     sum_k e^{-4 pi^2 t |k+theta|^2} = prod_i sum_{k_i} e^{-4 pi^2 t (k_i+theta_i)^2},
 
 and so does its Poisson dual (4 pi t)^{-2} sum_m e^{-|m|^2/4t} cos(2 pi m.theta).
-`heat_trace_direct` and `heat_trace_dual` evaluate these products, each
-axis truncated to |k_i| <= ceil(R + 1) for the regime's radius R: a box
-that contains the ball |k + theta| <= R beyond which the terms are below
-~1e-20.
+Private kernels evaluate these products on an array of times at once, each
+axis truncated to |k_i| <= ceil(R + 1) for the regime's radius R at the
+smallest (direct) or largest (dual) time of the batch: a box that contains
+the ball |k + theta| <= R beyond which the terms are below ~1e-20.
+`heat_trace_direct` and `heat_trace_dual` are the same kernels at one time.
 
 Regularized integrals follow the Mellin-continuation convention
 
@@ -29,6 +30,27 @@ and integrating the singular part in closed form gives
 which is what `regularized_integral` evaluates.  Applied to a heat trace
 with the kernel removed this yields  -log det' H.
 
+Both integrals are taken by one fixed rule (numpy only), so the nodes
+depend on the split alone and two identical calls agree bit for bit:
+
+  - [0, A]: Gauss-Legendre, 20 nodes per panel, on the panels
+    [0, T/2], [T/2, T], [T, 2T], ... doubling up to A, the last one ending
+    at A (T = 0.05, where the heat trace switches regime).  The coarse
+    level takes each panel whole, the fine level its two halves; Gauss
+    nodes do not nest, so a panel costs 60 nodes.
+  - [A, inf): exp-sinh (Takahasi & Mori 1974), t = A + exp(pi/2 sinh u),
+    trapezoidal in u over [-4, 4]: 1025 nodes at step 1/128, of which
+    every other one is the coarse level at step 1/64.
+
+The value is the fine level and the error estimate |fine - coarse|,
+summed over the two sides.  Both exp-sinh levels end on the nodes u = +-4,
+which the coarse level weighs twice as much as the fine one, so a G that
+has not decayed by the end of the range shows in the estimate.  At A = 1
+the rule takes 7 panels and 7*60 + 1025 = 1445 nodes.  For a heat trace
+the remainder G - sum G_i t^i is formed without cancellation, as
+(4 pi t)^{-2} (P - 1) with P the product of the dual axis sums; a generic
+G with negative powers loses digits to the subtraction near t = 0.
+
 Two independent routes to log det' Delta_0 exist for theta = 0: the Mellin
 split above, and the lattice closed form via the four-square counting
 identity  sum_{n>=1} r_4(n) n^{-s} = 8 (1 - 4^{1-s}) zeta(s) zeta(s-1),
@@ -40,11 +62,9 @@ gap as `method_gap` and raises MethodDisagreement when the two disagree.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 # High-precision constants (OEIS A001620, A075700, A084448 conventions):
 #   gamma: Euler-Mascheroni constant
@@ -83,6 +103,38 @@ def _axis(radius: float) -> np.ndarray:
     return np.arange(-bound, bound + 1, dtype=float)
 
 
+def _direct_sum(th: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """prod_i sum_{k_i} e^{-4 pi^2 t (k_i + theta_i)^2} at each time in t.
+
+    Each axis runs over |k_i| <= ceil(R + 1) for the radius R at which
+    e^{-4 pi^2 t R^2} ~ 1e-20 at the smallest t of the batch.
+    """
+    x = _axis(math.sqrt(46.1 / (4 * np.pi**2 * t.min(initial=np.inf))) + 2.0) + th[:, None]
+    return np.exp(-4 * np.pi**2 * t * (x * x)[:, :, None]).sum(axis=1).prod(axis=0)
+
+
+def _dual_excess(th: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """P - 1 at each time in t, P = prod_i (1 + s_i) the product of the dual axis sums.
+
+    s_i = 2 sum_{m >= 1} e^{-m^2/(4t)} cos(2 pi m theta_i), each axis run
+    over 1 <= m <= ceil(R + 1) for the radius R at which e^{-R^2/(4t)} ~ 1e-20
+    at the largest t of the batch.  The product is accumulated as
+    Q -> Q + s_i + Q s_i, so P - 1 keeps its relative accuracy as t -> 0.
+    """
+    m = _axis(math.sqrt(4 * t.max(initial=0.0) * 46.1) + 2.0)
+    m = m[m > 0]
+    decay = np.exp(-(m * m)[:, None] / (4 * t))
+    s = 2 * (np.cos(2 * np.pi * th[:, None] * m)[:, :, None] * decay).sum(axis=1)
+    excess = np.zeros(t.shape)
+    for s_i in s:
+        excess = excess + s_i + excess * s_i
+    return excess
+
+
+def _dual_sum(th: np.ndarray, t: np.ndarray) -> np.ndarray:
+    return (1 + _dual_excess(th, t)) / (4 * np.pi * t) ** 2
+
+
 def heat_trace_direct(theta, t: float) -> float:
     """sum_k exp(-4 pi^2 t |k+theta|^2) as a product of 1D theta sums (kernel kept).
 
@@ -94,9 +146,7 @@ def heat_trace_direct(theta, t: float) -> float:
     e^{-a R^2} ~ 1e-20.  That box contains the ball |k + theta| <= R, so
     the truncation error is at most the ball's.
     """
-    th = _reduce_theta(theta)
-    x = _axis(math.sqrt(46.1 / (4 * np.pi**2 * t)) + 2.0) + th[:, None]
-    return float(np.prod(np.exp(-4 * np.pi**2 * t * x * x).sum(axis=1)))
+    return float(_direct_sum(_reduce_theta(theta), np.array([t], dtype=float))[0])
 
 
 def heat_trace_dual(theta, t: float) -> float:
@@ -109,21 +159,36 @@ def heat_trace_dual(theta, t: float) -> float:
     symmetric axis sum.  Each axis runs over |m_i| <= ceil(R + 1) for the
     radius R at which e^{-R^2/(4t)} ~ 1e-20.
     """
-    th = _reduce_theta(theta)
-    m = _axis(math.sqrt(4 * t * 46.1) + 2.0)
-    terms = np.exp(-m * m / (4 * t)) * np.cos(2 * np.pi * m * th[:, None])
-    return float(np.prod(terms.sum(axis=1)) / (4 * np.pi * t) ** 2)
+    return float(_dual_sum(_reduce_theta(theta), np.array([t], dtype=float))[0])
 
 
 _T_SWITCH = 0.05
 
 
-def _kept_kernel_trace(th: np.ndarray, t: float) -> float:
-    """Heat trace at time t for a reduced theta, kernel kept.
+def _by_regime(t: np.ndarray, dual, direct) -> np.ndarray:
+    """dual(t) at the times below _T_SWITCH and direct(t) at the others, one call each."""
+    low = t < _T_SWITCH
+    out = np.empty(t.shape)
+    out[low] = dual(t[low])
+    out[~low] = direct(t[~low])
+    return out
+
+
+def _kept_kernel_trace(th: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Heat trace at each time in t for a reduced theta, kernel kept.
 
     Uses the Poisson-resummed form below t = 0.05 and the direct sum above.
     """
-    return heat_trace_dual(th, t) if t < _T_SWITCH else heat_trace_direct(th, t)
+    return _by_regime(t, lambda s: _dual_sum(th, s), lambda s: _direct_sum(th, s))
+
+
+def _heat_remainder(th: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Heat trace minus its leading term (4 pi t)^{-2} at each time in t, kernel kept.
+
+    Below t = 0.05 this is (4 pi t)^{-2} (P - 1), formed without cancellation.
+    """
+    return _by_regime(t, lambda s: _dual_excess(th, s) / (4 * np.pi * s) ** 2,
+                      lambda s: _direct_sum(th, s) - (4 * np.pi * s) ** -2.0)
 
 
 def scalar_heat_trace(theta, t: float) -> float:
@@ -133,7 +198,7 @@ def scalar_heat_trace(theta, t: float) -> float:
     sum above it.
     """
     th = _reduce_theta(theta)
-    return _kept_kernel_trace(th, t) - kernel_dim_scalar(th)
+    return float(_kept_kernel_trace(th, np.array([t], dtype=float))[0]) - kernel_dim_scalar(th)
 
 
 def kernel_dim_scalar(theta) -> int:
@@ -146,41 +211,86 @@ def kernel_dim_scalar(theta) -> int:
 # regularized integrals (Mellin continuation)
 # ---------------------------------------------------------------------------
 
+# Gauss-Legendre nodes and weights on [-1, 1] for the panels of [0, split]
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(20)
+
+# exp-sinh offsets x(u) = exp(pi/2 sinh u) and weights h x'(u) on u = -4..4, step
+# h = 1/128; the even-indexed nodes are the coarse level, step 1/64
+_ES_STEP = 1.0 / 128
+_ES_U = np.arange(-512, 513) * _ES_STEP
+_ES_X = np.exp(np.pi / 2 * np.sinh(_ES_U))
+_ES_W = _ES_STEP * np.pi / 2 * np.cosh(_ES_U) * _ES_X
+
+
+def _panel_edges(split: float) -> np.ndarray:
+    """0, then T/2, T, 2T, ... while below split, then split (T = _T_SWITCH)."""
+    edges = [0.0]
+    b = _T_SWITCH / 2
+    while b < split:
+        edges.append(b)
+        b *= 2
+    return np.array(edges + [split])
+
+
+def _gauss_panels(edges: np.ndarray):
+    """Nodes and weights of the 20-point Gauss-Legendre rule on each panel between edges."""
+    a, b = edges[:-1, None], edges[1:, None]
+    return ((a + b + (b - a) * _GL_X) / 2).ravel(), ((b - a) / 2 * _GL_W).ravel()
+
+
+def _regularized(low, high, singular: dict[int, float], split: float):
+    """The fixed rule behind regularized_integral, on array integrands.
+
+    low(t) = G(t) - sum G_i t^i and high(t) = G(t), each called once on its
+    whole node array.  Returns (value, error_estimate).
+    """
+    if not 0.0 < split < math.inf:
+        raise ValueError(f"split must be positive and finite, got {split!r}")
+    edges = _panel_edges(split)
+    halves = np.sort(np.concatenate([edges, (edges[:-1] + edges[1:]) / 2]))
+    t_coarse, w_coarse = _gauss_panels(edges)
+    t_fine, w_fine = _gauss_panels(halves)
+    t_low = np.concatenate([t_coarse, t_fine])
+    f_low = low(t_low) / t_low
+    low_coarse = w_coarse @ f_low[:t_coarse.size]
+    low_fine = w_fine @ f_low[t_coarse.size:]
+
+    t_high = split + _ES_X
+    f_high = _ES_W * high(t_high) / t_high
+    high_fine = f_high.sum()
+    high_coarse = 2 * f_high[::2].sum()
+
+    total = float(low_fine + high_fine)
+    err = float(abs(low_fine - low_coarse) + abs(high_fine - high_coarse))
+    if not (math.isfinite(total) and err <= 1e-6):
+        raise QuadratureFailure(f"quadrature did not converge (value {total}, error {err:.3e})")
+    g0 = singular.get(0, 0.0)
+    value = total + EULER_GAMMA * g0 + g0 * math.log(split)
+    value += sum(coeff * split**i / i for i, coeff in singular.items() if i < 0)
+    return value, err
+
+
 def regularized_integral(G, singular: dict[int, float] | None = None, split: float = 1.0):
     """zeta_G'(0) for a heat-trace-like G with declared singular coefficients.
 
-    singular maps the power i (i <= 0) to the coefficient G_i of t^i in the
-    small-t expansion; omitted powers are zero.  Returns (value, error_estimate).
+    G maps a float t > 0 to a float.  singular maps the power i (i <= 0) to
+    the coefficient G_i of t^i in the small-t expansion; omitted powers are
+    zero.  Returns (value, error_estimate) by the fixed rule of the module
+    docstring: the fine-level value and the two-level difference as the
+    estimate.  Raises QuadratureFailure when the value is not finite or the
+    estimate exceeds 1e-6.
     """
     singular = {int(i): float(v) for i, v in (singular or {}).items() if v != 0.0}
     if any(i > 0 for i in singular):
         raise ValueError("singular coefficients must have powers <= 0")
-    g0 = singular.get(0, 0.0)
+
+    def values(t):
+        return np.array([G(float(s)) for s in t], dtype=float)
 
     def low(t):
-        s = sum(coeff * t**i for i, coeff in singular.items())
-        return (G(t) - s) / t
+        return values(t) - sum(coeff * t**i for i, coeff in singular.items())
 
-    def high(t):
-        return G(t) / t
-
-    try:
-        # quadpack's roundoff warnings are advisory; the returned error
-        # bounds are checked explicitly below
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IntegrationWarning)
-            low_val, low_err = quad(low, 0.0, split, epsabs=1e-13, epsrel=1e-12, limit=400)
-            high_val, high_err = quad(high, split, np.inf, epsabs=1e-13, epsrel=1e-12, limit=400)
-    except Exception as exc:  # pragma: no cover - defensive
-        raise QuadratureFailure(str(exc)) from exc
-    err = low_err + high_err
-    if not np.isfinite(low_val + high_val) or err > 1e-6:
-        raise QuadratureFailure(
-            f"quadrature did not converge (value {low_val + high_val}, error {err:.3e})"
-        )
-    value = low_val + high_val + EULER_GAMMA * g0 + g0 * math.log(split)
-    value += sum(coeff * split**i / i for i, coeff in singular.items() if i < 0)
-    return value, err
+    return _regularized(low, values, singular, split)
 
 
 # ---------------------------------------------------------------------------
@@ -198,12 +308,16 @@ def _mellin_log_det(theta, fiber_rank: float, scale: float, split: float):
     """(-zeta'(0), quadrature error estimate) by the Mellin split."""
     th = _reduce_theta(theta)
     kernel = kernel_dim_scalar(th)  # decided once, not per quadrature node
-
-    def G(t):
-        return fiber_rank * (_kept_kernel_trace(th, t * scale) - kernel)
-
+    if kernel:
+        # a theta within the kernel criterion is untwisted: its near-zero mode
+        # is the kernel, not an eigenvalue whose decay the tail would resolve
+        th = np.zeros(4)
     singular = {-2: fiber_rank / (16 * np.pi**2 * scale**2), 0: -float(kernel * fiber_rank)}
-    zp, err = regularized_integral(G, singular, split=split)
+    # G - G_{-2} t^-2 - G_0 is fiber_rank times the kept trace minus (4 pi t scale)^-2
+    zp, err = _regularized(
+        lambda t: fiber_rank * _heat_remainder(th, t * scale),
+        lambda t: fiber_rank * (_kept_kernel_trace(th, t * scale) - kernel),
+        singular, split)
     return -zp, err
 
 

@@ -1,10 +1,13 @@
-"""The package's dependency boundary: the stdlib, numpy and scipy.integrate only.
+"""The package's dependency boundary: the stdlib and numpy only.
 
-The test extra (pytest, mpmath, hypothesis) must never become a runtime
-import, and scipy enters through one import in `zeta` only.
+The test extra (pytest, mpmath, hypothesis, scipy) must never become a
+runtime import: scipy serves only as a test oracle (`scipy.linalg` in
+tests/test_quaternionic.py and tests/test_spin.py).
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -26,15 +29,14 @@ def absolute_imports():
     return found
 
 
-def test_only_zeta_imports_scipy_integrate():
-    scipy = [(f, m) for f, m in absolute_imports() if m == "scipy" or m.startswith("scipy.")]
-    assert scipy == [("zeta.py", "scipy.integrate")]
+def test_no_module_imports_scipy():
+    assert [(f, m) for f, m in absolute_imports() if m.split(".")[0] == "scipy"] == []
 
 
-def test_runtime_imports_are_stdlib_numpy_and_scipy_integrate():
+def test_runtime_imports_are_stdlib_and_numpy():
     def allowed(module):
         top = module.split(".")[0]
-        return top in sys.stdlib_module_names or top == "numpy" or module == "scipy.integrate"
+        return top in sys.stdlib_module_names or top == "numpy"
 
     assert [(f, m) for f, m in absolute_imports() if not allowed(m)] == []
 
@@ -44,4 +46,14 @@ def test_boundary_sees_every_import_kind():
     found = absolute_imports()
     assert ("cli.py", "argparse") in found
     assert ("suites.py", "numpy.linalg") in found
-    assert ("zeta.py", "scipy.integrate") in found
+    assert ("zeta.py", "numpy") in found
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy may import optional packages of its own; a fresh interpreter
+    # shows what `import qhodge.cli` pulls in end to end
+    code = ("import sys, qhodge.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)}, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -41,6 +41,12 @@ class TestCliffordAction:
             c = spin.GENERATORS[a]
             assert np.abs(c @ c + np.eye(4)).max() <= 1e-14
 
+    def test_generators_are_exact(self):
+        # every entry of c(e^a) is 0, +-1 or +-i, so the squares are exact
+        assert set(np.unique(spin.GENERATORS)) <= {0, 1, -1, 1j, -1j}
+        for c in spin.GENERATORS:
+            assert np.array_equal(c @ c, -np.eye(4))
+
     def test_relation_defect_keeps_nan(self, monkeypatch):
         gens = spin.GENERATORS.copy()
         gens[2, 0, 1] = np.nan
@@ -74,16 +80,19 @@ class TestClosedFormOracles:
         # coordinates transform with diag(norms), so operators conjugate by it
         norms = np.array([1.0, np.sqrt(2.0), np.sqrt(2.0), 2.0])
         to, back = np.diag(norms), np.diag(1.0 / norms)
-        assert np.abs(to @ eps @ back - spin._EPS).max() <= 1e-15
-        assert np.abs(to @ iota @ back - spin._IOTA).max() <= 1e-15
+        # c(w^i) = sqrt2 eps(w^i) and c(wbar^i) = -sqrt2 iota(wbar^i)
+        assert np.abs(np.sqrt(2.0) * to @ eps @ back - spin._C_W).max() <= 1e-15
+        assert np.abs(-np.sqrt(2.0) * to @ iota @ back - spin._C_WBAR).max() <= 1e-15
 
     def test_literal_matrices_are_wedge_and_contraction_on_forms(self):
         # on the embedded S basis, eps(w) is wedging with w and iota(wbar) its adjoint
         phi = spin.s_basis_forms()
-        for w, eps, iota in zip(spin.W_COFRAME, spin._EPS, spin._IOTA):
+        for w, c_w, c_wbar in zip(spin.W_COFRAME, spin._C_W, spin._C_WBAR):
             wedge_w = wedge_matrix(one_form(w))
-            assert np.abs(phi.conj() @ wedge_w @ phi.T - eps).max() <= 1e-15
-            assert np.abs(phi.conj() @ wedge_w.conj().T @ phi.T - iota).max() <= 1e-15
+            eps = phi.conj() @ wedge_w @ phi.T
+            iota = phi.conj() @ wedge_w.conj().T @ phi.T
+            assert np.abs(np.sqrt(2.0) * eps - c_w).max() <= 1e-15
+            assert np.abs(-np.sqrt(2.0) * iota - c_wbar).max() <= 1e-15
 
     def test_split_matches_coframe_solve(self):
         basis = np.vstack([spin.W_COFRAME, spin.W_COFRAME.conj()]).T  # columns are the coframe
@@ -257,9 +266,9 @@ class TestDiracBlocks:
         # a wrong odd entry makes D_k mix parities; a rescaled entry keeps
         # D_k odd but no longer an isometry (up to |kappa|) between halves;
         # an even -> even entry breaks the grading, which the graded trace sees
-        bad = spin._EPS[0].copy()
+        bad = spin._C_W[0].copy()
         bad[row, col] = value * (bad[row, col] if bad[row, col] else 1.0)
-        monkeypatch.setattr(spin, "_EPS", [bad, spin._EPS[1]])
+        monkeypatch.setattr(spin, "_C_W", [bad, spin._C_W[1]])
         for theta in ((0, 0, 0, 0), (0.13, 0.71, 0.29, 0.9)):
             assert spin.dirac_block_check(theta, kmax=2)[residual] > floor
 

@@ -9,6 +9,7 @@ Oracles, computed independently of the code under test:
     embedded in the package (`oracles.jacobi_logdet_oracle`).
 """
 
+import itertools
 import math
 
 import mpmath
@@ -85,6 +86,46 @@ class TestRegularizedIntegral:
         b, _ = Z.regularized_integral(g, sing, split=2.0)
         assert abs(a - b) <= 1e-9
 
+    def test_tail_that_does_not_decay_fails(self):
+        # int_1^inf dt/t diverges; the truncated exp-sinh sum is finite, and
+        # only the end nodes, weighed differently by the two levels, show it
+        with pytest.raises(Z.QuadratureFailure):
+            Z.regularized_integral(lambda t: 1.0, {0: 1.0})
+
+    @pytest.mark.parametrize("node", [0, 300, 1200])
+    def test_nan_at_one_node_fails(self, node):
+        # at split 1 the first 140 nodes are the coarse level on [0, split],
+        # the next 280 its fine level, the rest on [split, inf)
+        calls = itertools.count()
+
+        def G(t):
+            return math.nan if next(calls) == node else math.exp(-t)
+
+        with pytest.raises(Z.QuadratureFailure):
+            Z.regularized_integral(G, {0: 1.0})
+
+    @pytest.mark.parametrize("split", [0.0, -1.0, math.inf, math.nan])
+    def test_split_validated(self, split):
+        with pytest.raises(ValueError):
+            Z.regularized_integral(lambda t: math.exp(-t), {0: 1.0}, split=split)
+
+    def test_deterministic_nodes_and_bits(self):
+        # a fixed rule: the same calls see the same nodes and give the same bits
+        def run():
+            nodes = []
+
+            def G(t):
+                nodes.append(t)
+                return math.exp(-2 * t)
+
+            return Z.regularized_integral(G, {0: 1.0}), nodes
+
+        (first, nodes1), (second, nodes2) = run(), run()
+        assert first == second and nodes1 == nodes2
+        assert len(nodes1) == 7 * 60 + 1025  # the count the zeta module documents at split 1
+        theta = (0.13, 0.71, 0.29, 0.9)
+        assert Z.log_det_prime(theta) == Z.log_det_prime(theta)
+
 
 class TestHeatTraces:
     def test_poisson_summation_identity(self):
@@ -119,6 +160,32 @@ class TestHeatTraces:
         regimes = [Z.heat_trace_direct] + ([Z.heat_trace_dual] if t < 10 else [])
         for trace in regimes:
             assert abs(trace(theta, t) - kept) <= 1e-12 * kept
+
+    def test_batched_kernel_matches_scalar_entry_points(self):
+        # one batch on both sides of the regime switch, its boxes sized for
+        # its smallest and largest times, against one call per time
+        ts = np.concatenate([np.geomspace(0.004, 0.0499, 9), [Z._T_SWITCH],
+                             np.geomspace(0.0501, 40.0, 9)])
+        for theta in ((0, 0, 0, 0), (0.5, 0, 0, 0), (0.13, 0.71, 0.29, 0.9)):
+            batch = Z._kept_kernel_trace(Z._reduce_theta(theta), ts)
+            for t, b in zip(ts, batch):
+                one = Z.heat_trace_dual(theta, t) if t < Z._T_SWITCH else Z.heat_trace_direct(theta, t)
+                assert abs(b - one) <= 1e-15 * abs(one), (theta, t)
+
+    def test_remainder_keeps_relative_accuracy_at_small_t(self):
+        # K(t) - (4 pi t)^-2 is ~1e-20 at t = 0.004 and would be lost to
+        # cancellation if formed as a difference; against mpmath at 30 digits
+        theta = (0.13, 0.71, 0.29, 0.9)
+        ts = np.array([0.004, 0.01, 0.03])
+        got = Z._heat_remainder(Z._reduce_theta(theta), ts)
+        for t, g in zip(ts, got):
+            with mpmath.workdps(80):  # P - 1 ~ 1e-26 at t = 0.004
+                t = mpmath.mpf(t)
+                axes = [1 + 2 * mpmath.nsum(lambda m: mpmath.exp(-m * m / (4 * t))
+                                            * mpmath.cos(2 * mpmath.pi * m * th), [1, mpmath.inf])
+                        for th in theta]
+                exact = float((axes[0] * axes[1] * axes[2] * axes[3] - 1) / (4 * mpmath.pi * t) ** 2)
+            assert abs(g - exact) <= 1e-13 * abs(exact), float(t)
 
     def test_near_zero_theta_counts_as_untwisted(self):
         # |theta_i| <= 1e-8 after reduction is the kernel criterion, decided
@@ -163,6 +230,24 @@ class TestLogDet:
         a = Z.log_det_prime(theta=(0, 0, 0, 0), split=0.5)
         b = Z.log_det_prime(theta=(0, 0, 0, 0), split=2.0)
         assert abs(a.log_det_prime - b.log_det_prime) <= 1e-9
+
+    def test_split_independence_twisted(self):
+        rng = np.random.default_rng(10)
+        for theta in rng.random((6, 4)):
+            a = Z.log_det_prime(theta=theta, split=0.5)
+            b = Z.log_det_prime(theta=theta, split=2.0)
+            assert abs(a.log_det_prime - b.log_det_prime) <= 1e-11, theta
+
+    def test_near_untwisted_splits_off_the_small_eigenvalue(self):
+        # at theta = (1e-7, 0, 0, 0) the k = 0 eigenvalue 4 pi^2 |theta|^2 is
+        # tiny and every other one moves by O(|theta|^2): the determinant is
+        # that eigenvalue times the untwisted det'.  The exp-sinh tail must
+        # resolve e^{-4 pi^2 |theta|^2 t} out to t ~ 1e13 for this to hold
+        theta = np.array([1e-7, 0.0, 0.0, 0.0])
+        twisted = Z.log_det_prime(theta=theta).log_det_prime
+        untwisted = Z.log_det_prime(theta=(0, 0, 0, 0)).log_det_prime
+        small = math.log(4 * math.pi**2 * float(theta @ theta))
+        assert abs(twisted - small - untwisted) <= 1e-11
 
     def test_rank_multiplicativity(self):
         one = Z.log_det_prime(theta=(0.5, 0, 0, 0), fiber_rank=1)
