@@ -20,6 +20,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -89,6 +90,12 @@ def _probe_count(text: str) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # "--theta -1e-9,0,0,0": a "-" then a digit starts a value, not an option (no
+        # qhodge option looks like that); argparse's own rule takes plain numbers only
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
@@ -147,7 +154,7 @@ def _load_config(path: str | None, args) -> RunConfig:
 def cmd_verify(args) -> int:
     try:
         cfg = _load_config(args.config, args)
-    except (TypeError, ValueError, OSError) as exc:
+    except (TypeError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     _check_out(cfg.out)

@@ -31,6 +31,7 @@ import numpy as np
 from .exterior import N_BLADES, VOL, one_form, wedge, wedge_matrix
 from .fields import grid
 from .quaternionic import AD, STRUCTURE_NAMES, kahler_form, left_matrix
+from .zeta import reduce_theta
 
 SQRT2 = np.sqrt(2.0)
 
@@ -191,7 +192,8 @@ def _dirac_basis() -> np.ndarray:
 def dirac_block_check(theta=(0, 0, 0, 0), kmax: int = 3) -> dict:
     """Mode-level Dirac verification on (.,0)-forms.
 
-    For each lattice mode k the symbol D_k at kappa = 2 pi (k + theta) must
+    For each mode k of the kmax box the symbol D_k at kappa = 2 pi (k + theta),
+    theta reduced by zeta.reduce_theta so the box is centered on the ball, must
     (a) coincide with i c(kappa), (b) square to |kappa|^2 Id, (c) be odd,
     with its even->odd block B_k satisfying B_k^H B_k = |kappa|^2 Id, so
     that it swaps the even and odd halves isomorphically off the kernel,
@@ -201,8 +203,7 @@ def dirac_block_check(theta=(0, 0, 0, 0), kmax: int = 3) -> dict:
     t = 1/(4 pi^2), where each mode weighs exp(-|k + theta|^2), and divided
     by the ungraded trace, so a defect in any low mode shows at O(1).
     """
-    th = np.asarray(theta, dtype=float).reshape(4) % 1.0
-    kappa = 2 * np.pi * (grid(kmax)[0] + th)
+    kappa = 2 * np.pi * (grid(kmax)[0] + reduce_theta(theta))
     lam = np.einsum("na,na->n", kappa, kappa)
     basis = _dirac_basis()
     D = np.einsum("na,aij->nij", kappa, basis)

@@ -44,6 +44,7 @@ from .quaternionic import (
     J,
     K,
     STRUCTURE_NAMES,
+    _type_eigenvalues,
     invariance_defect,
     kahler_form,
     lefschetz_dual_matrix,
@@ -62,6 +63,10 @@ from .transgression import (
 )
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass
 class RunConfig:
     kmax: int = 4
@@ -77,7 +82,7 @@ class RunConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if isinstance(self.tolerance, bool) or not isinstance(self.tolerance, numbers.Real):
+        if not _is_number(self.tolerance):
             raise ValueError(f"tolerance must be a number, got {self.tolerance!r}")
         if self.kmax < 1:
             raise ValueError("kmax must be >= 1")
@@ -88,8 +93,8 @@ class RunConfig:
             raise ValueError("field_count must be >= 1")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise ValueError("tolerance must be positive and finite")
-        if len(self.theta) != 4 or not all(math.isfinite(float(v)) for v in self.theta):
-            raise ValueError("theta needs four finite components")
+        if len(self.theta) != 4 or not all(_is_number(v) and math.isfinite(v) for v in self.theta):
+            raise ValueError(f"theta needs four finite numbers, got {self.theta!r}")
         if isinstance(self.suites, str) or not all(isinstance(v, str) for v in self.suites):
             raise ValueError(f"suites must be a list of names, got {self.suites!r}")
         self.suites = tuple(self.suites)
@@ -100,7 +105,7 @@ class RunConfig:
             raise ValueError(f"suites must not repeat, got {list(self.suites)!r}")
         if self.out is not None and not isinstance(self.out, str):
             raise ValueError(f"out must be a path, got {self.out!r}")
-        self.theta = tuple(float(v) % 1.0 for v in self.theta)
+        self.theta = tuple(float(v) for v in zeta.reduce_theta(self.theta))
 
 
 def _rng(cfg: RunConfig, tag: int) -> np.random.Generator:
@@ -179,11 +184,10 @@ def suite_quaternionic(cfg: RunConfig) -> dict[str, float]:
 
     defects = []
     for k in range(5):
-        pairs = [(p, k - p) for p in range(max(0, k - 2), min(k, 2) + 1)]
-        total = sum(type_projector_matrix("I", p, q) for p, q in pairs)
+        total = sum(type_projector_matrix("I", p, q) for p, q in _type_eigenvalues(k))
         deg = np.diag((DEGREE == k).astype(float))
         defects.append(np.abs(total - deg).max())
-        for p, q in pairs:
+        for p, q in _type_eigenvalues(k):
             proj = type_projector_matrix("I", p, q)
             defects.append(np.abs(proj @ proj - proj).max())
     out["type_projector_completeness"] = float(np.max(defects))
@@ -422,7 +426,7 @@ def run_suites(cfg: RunConfig) -> dict:
             "kmax": cfg.kmax,
             "tolerance": cfg.tolerance,
             "seed": cfg.seed,
-            "theta": list(cfg.theta),
+            "theta": [v % 1.0 for v in cfg.theta],
             "suites": list(selected),
             "field_count": cfg.field_count,
         },

@@ -1,8 +1,9 @@
 """Zeta-regularized determinants and torsion invariants on the flat 4-torus.
 
-The scalar Laplacian twisted by a flat character theta in [0,1)^4 has
-spectrum 4 pi^2 |k + theta|^2 over k in Z^4.  Laplacians on (q,0)-forms
-(q = 0, 1, 2) are fiber_rank copies of the scalar one with ranks (1, 2, 1).
+The scalar Laplacian twisted by a flat character theta in R^4 has spectrum
+4 pi^2 |k + theta|^2 over k in Z^4, so theta enters only through the lattice
+Z^4 + theta, by its centered representative `reduce_theta`.  Laplacians on
+(q,0)-forms (q = 0, 1, 2) are fiber_rank copies of the scalar one, ranks (1, 2, 1).
 
 Its heat trace factors over the four axes into 1D Jacobi theta sums,
 
@@ -89,8 +90,17 @@ class MethodDisagreement(Exception):
     pass
 
 
-def _reduce_theta(theta) -> np.ndarray:
-    return np.asarray(theta, dtype=float).reshape(4) % 1.0
+def reduce_theta(theta) -> np.ndarray:
+    """theta - round(theta), each component in (-1/2, 1/2]; exact zeros within 1e-8 of Z^4.
+
+    The difference is exact, and a half-integer reduces to +1/2, so theta + n
+    reduces to the same array for every integer vector n.  Within 1e-8 (max
+    norm) theta is untwisted: its near-zero mode is the kernel.
+    """
+    th = np.asarray(theta, dtype=float).reshape(4)
+    th = th - np.round(th)
+    th[th == -0.5] = 0.5
+    return np.zeros(4) if np.abs(th).max() <= 1e-8 else th
 
 
 # ---------------------------------------------------------------------------
@@ -136,30 +146,17 @@ def _dual_sum(th: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def heat_trace_direct(theta, t: float) -> float:
-    """sum_k exp(-4 pi^2 t |k+theta|^2) as a product of 1D theta sums (kernel kept).
-
-    The Gaussian factors over the axes, so with a = 4 pi^2 t
-
-        sum_k e^{-a |k+theta|^2} = prod_i sum_{k_i} e^{-a (k_i + theta_i)^2},
-
-    each axis summed over |k_i| <= ceil(R + 1) for the radius R at which
-    e^{-a R^2} ~ 1e-20.  That box contains the ball |k + theta| <= R, so
-    the truncation error is at most the ball's.
-    """
-    return float(_direct_sum(_reduce_theta(theta), np.array([t], dtype=float))[0])
+    """sum_k exp(-4 pi^2 t |k+theta|^2), kernel kept, as the product of 1D theta sums."""
+    return float(_direct_sum(reduce_theta(theta), np.array([t], dtype=float))[0])
 
 
 def heat_trace_dual(theta, t: float) -> float:
-    """Same sum through its modular (Poisson-resummed) representation:
+    """Same sum through its Poisson dual (4 pi t)^{-2} sum_m e^{-|m|^2/(4t)} cos(2 pi m.theta).
 
-    sum_k e^{-4 pi^2 t|k+theta|^2} = (4 pi t)^{-2} sum_m e^{-|m|^2/(4t)} cos(2 pi m.theta)
-                                   = (4 pi t)^{-2} prod_i sum_{m_i} e^{-m_i^2/(4t)} cos(2 pi m_i theta_i),
-
-    the cosine of a sum factoring because the odd sine terms cancel in each
-    symmetric axis sum.  Each axis runs over |m_i| <= ceil(R + 1) for the
-    radius R at which e^{-R^2/(4t)} ~ 1e-20.
+    The cosine factors over the axes: the odd sine terms cancel in each
+    symmetric axis sum.
     """
-    return float(_dual_sum(_reduce_theta(theta), np.array([t], dtype=float))[0])
+    return float(_dual_sum(reduce_theta(theta), np.array([t], dtype=float))[0])
 
 
 _T_SWITCH = 0.05
@@ -175,10 +172,7 @@ def _by_regime(t: np.ndarray, dual, direct) -> np.ndarray:
 
 
 def _kept_kernel_trace(th: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Heat trace at each time in t for a reduced theta, kernel kept.
-
-    Uses the Poisson-resummed form below t = 0.05 and the direct sum above.
-    """
+    """Heat trace at each time in t for a reduced theta, kernel kept (dual sum below t = 0.05)."""
     return _by_regime(t, lambda s: _dual_sum(th, s), lambda s: _direct_sum(th, s))
 
 
@@ -192,19 +186,14 @@ def _heat_remainder(th: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def scalar_heat_trace(theta, t: float) -> float:
-    """Theta-twisted scalar heat trace Tr' exp(-t Delta), kernel excluded.
-
-    Exact to ~1e-15 at any t > 0: the dual sum below t = 0.05, the direct
-    sum above it.
-    """
-    th = _reduce_theta(theta)
-    return float(_kept_kernel_trace(th, np.array([t], dtype=float))[0]) - kernel_dim_scalar(th)
+    """Theta-twisted scalar heat trace Tr' exp(-t Delta), kernel excluded; exact to ~1e-15."""
+    th = reduce_theta(theta)
+    return float(_kept_kernel_trace(th, np.array([t], dtype=float))[0]) - (not th.any())
 
 
 def kernel_dim_scalar(theta) -> int:
-    """1 when theta = 0 mod 1 (every |theta_i| <= 1e-8 after reduction), else 0."""
-    th = _reduce_theta(theta)
-    return 1 if np.allclose(th, 0.0) else 0
+    """1 when theta reduces to zero (it lies within 1e-8 of Z^4), else 0."""
+    return int(not reduce_theta(theta).any())
 
 
 # ---------------------------------------------------------------------------
@@ -304,15 +293,10 @@ class ZetaResult:
     method_gap: float | None  # |mellin - closed form|; None when theta is twisted
 
 
-def _mellin_log_det(theta, fiber_rank: float, scale: float, split: float):
-    """(-zeta'(0), quadrature error estimate) by the Mellin split."""
-    th = _reduce_theta(theta)
-    kernel = kernel_dim_scalar(th)  # decided once, not per quadrature node
-    if kernel:
-        # a theta within the kernel criterion is untwisted: its near-zero mode
-        # is the kernel, not an eigenvalue whose decay the tail would resolve
-        th = np.zeros(4)
-    singular = {-2: fiber_rank / (16 * np.pi**2 * scale**2), 0: -float(kernel * fiber_rank)}
+def _mellin_log_det(th: np.ndarray, fiber_rank: float, scale: float, split: float):
+    """(-zeta'(0), quadrature error estimate) by the Mellin split, for a reduced theta."""
+    kernel = float(not th.any())
+    singular = {-2: fiber_rank / (16 * np.pi**2 * scale**2), 0: -kernel * fiber_rank}
     # G - G_{-2} t^-2 - G_0 is fiber_rank times the kept trace minus (4 pi t scale)^-2
     zp, err = _regularized(
         lambda t: fiber_rank * _heat_remainder(th, t * scale),
@@ -341,12 +325,13 @@ def log_det_prime(theta, *, fiber_rank: int = 1, scale: float = 1.0,
     """-zeta'_Delta(0) for the theta-twisted (q,0)-form Laplacian, by the Mellin split.
 
     fiber_rank copies of the scalar Laplacian, every eigenvalue times scale.
-    When theta is untwisted the result is also checked against the closed
-    form; a gap above METHOD_GAP_TOL (or 10x the quadrature error) raises
-    MethodDisagreement.
+    When theta reduces to zero (it lies within 1e-8 of Z^4) the result is
+    also checked against the closed form; a gap above METHOD_GAP_TOL (or 10x
+    the quadrature error) raises MethodDisagreement.
     """
-    value, err = _mellin_log_det(theta, fiber_rank, scale, split)
-    if kernel_dim_scalar(theta) == 0:
+    th = reduce_theta(theta)
+    value, err = _mellin_log_det(th, fiber_rank, scale, split)
+    if th.any():
         return ZetaResult(value, err, None)
     closed = _closed_form_log_det(fiber_rank, scale)
     gap = abs(value - closed)
@@ -394,7 +379,7 @@ def beta0(theta) -> float:
         (-1) ** q * (-((q - 1) ** 2)) * rank for q, rank in enumerate(FORM_RANKS)
     )  # = -6
     # the scalar Mellin integrand with the weight in place of a fiber rank
-    return -_mellin_log_det(theta, weight, 1.0, 1.0)[0]
+    return -_mellin_log_det(reduce_theta(theta), weight, 1.0, 1.0)[0]
 
 
 def torsion_report(theta) -> dict:
@@ -402,7 +387,7 @@ def torsion_report(theta) -> dict:
 
     The one place that computes the per-degree logs log det' Delta_q.
     """
-    th = _reduce_theta(theta)
+    th = reduce_theta(theta)
     per_q = {}
     logs = []
     for q, rank in enumerate(FORM_RANKS):
@@ -418,7 +403,7 @@ def torsion_report(theta) -> dict:
     det0_sq = math.exp(2 * logs[0])
     return {
         "schema_version": 1,
-        "theta": [float(v) for v in th],
+        "theta": [float(v) for v in th % 1.0],  # echoed in [0, 1)
         "per_q": per_q,
         "T": T,
         "T_h": Th,

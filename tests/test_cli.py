@@ -41,6 +41,13 @@ class TestVerify:
                 assert isinstance(check["residual"], float)
                 assert check["residual"] <= 1e-10
 
+    def test_near_lattice_theta_runs_untwisted(self, tmp_path):
+        out = tmp_path / "zeta.json"
+        assert run(["verify", "--suite", "zeta", "--theta", "-1e-9,0,0,0", "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["all_pass"] is True
+        assert rep["config"]["theta"] == [0.0, 0.0, 0.0, 0.0]
+
     def test_unknown_suite_usage_error(self, capsys):
         code = run(["verify", "--suite", "nonsense"])
         assert code == 2
@@ -123,10 +130,20 @@ class TestVerify:
         {"field_count": 0},
         {"theta": None},
         {"theta": [0.0, 0.0, 0.0]},
+        {"theta": [0, 0, 0, "4"]},
+        {"theta": [True, 0, 0, 0]},
         {"suites": [1]},
         {"out": 123},
     ], ids=lambda c: json.dumps(c))
     def test_bad_config_value_usage_error(self, tmp_path, capsys, config):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"suites": ["exterior"], **config}))
+        assert run(["verify", "--config", str(cfg_path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config", [{"tolerance": 10**400}, {"theta": [10**400, 0, 0, 0]}],
+                             ids=["tolerance", "theta"])
+    def test_config_integer_beyond_float_range_usage_error(self, tmp_path, capsys, config):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"suites": ["exterior"], **config}))
         assert run(["verify", "--config", str(cfg_path)]) == 2
@@ -462,6 +479,17 @@ class TestTorsion:
         assert rep["identity_residuals"]["rel(T_h - det0^2)"] <= 1e-8
         assert rep["identity_residuals"]["abs(beta0 - 3 log T_h)"] <= 1e-6
         assert set(rep["per_q"]) == {"0", "1", "2"}
+
+    @pytest.mark.parametrize("theta", ["-1e-9,0,0,0", "0.999999999,0,0,0"])
+    def test_near_lattice_theta_is_the_untwisted_report(self, tmp_path, theta):
+        # within 1e-8 of Z^4 theta is untwisted and echoed as zeros; a value that
+        # starts with "-" and a digit is the flag's argument, not an option
+        reports = []
+        for i, arg in enumerate((theta, "0,0,0,0")):
+            out = tmp_path / f"torsion{i}.json"
+            assert run(["torsion", "--theta", arg, "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
 
     def test_theta_parse_error(self, capsys):
         assert run(["torsion", "--theta", "1,2"]) == 2

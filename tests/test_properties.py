@@ -1,14 +1,16 @@
-"""Property-based checks of the input boundary, the fiber algebra and the
-first-order field operators.
+"""Property-based checks of the input boundary, the fiber algebra, the
+first-order field operators and the lattice symmetries of the twist theta.
 
 Examples are derandomized and bounded, so every run draws the same cases.
 """
 
 import json
+from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from qhodge import spin, suites, zeta
 from qhodge.exterior import DEGREE, N_BLADES, interior, one_form, wedge
 from qhodge.fields import FormField, random_field
 from qhodge.operators import (
@@ -159,3 +161,70 @@ def test_first_order_operators_are_l2_adjoint(f, g, c, x):
         (lambda h: quaternionic_d(h, x), lambda h: quaternionic_d_star(h, x), np.linalg.norm(x)),
     ):
         assert abs(op(f).inner(g) - f.inner(adj(g))) <= scale * size
+
+
+# each example runs several torsion reports (~5 ms each), so fewer of them
+LATTICE = settings(derandomize=True, max_examples=40, deadline=None)
+
+
+def _theta(component):
+    return st.lists(component, min_size=4, max_size=4).map(np.array)
+
+
+# dyadic components, so theta + n, -theta and any permutation are exact; integers
+# and half-integers are drawn on their own, being where reduce_theta breaks ties
+generic_theta = _theta(st.one_of(st.integers(-3 * 2**20, 3 * 2**20).map(lambda j: j / 2**20),
+                                 st.integers(-6, 6).map(lambda j: j / 2)))
+
+
+@st.composite
+def near_lattice_theta(draw):
+    """n + j 2^-e with |j| <= 1000: within 1e-6 of Z^4 at e = 30, within 1e-8 at e = 37."""
+    e = draw(st.sampled_from([30, 34, 37]))
+    return draw(_theta(st.builds(lambda n, j: n + j * 2.0**-e,
+                                 st.integers(-2, 2), st.integers(-1000, 1000))))
+
+
+thetas = st.one_of(generic_theta, near_lattice_theta())
+shifts = _theta(st.integers(-3, 3).map(float))
+
+
+def _invariants(theta) -> np.ndarray:
+    """Per-degree log det' and beta0 from the torsion report."""
+    rep = zeta.torsion_report(theta)
+    return np.array([rep["per_q"][q]["log_det_prime"] for q in "012"] + [rep["beta0"]])
+
+
+@LATTICE
+@given(thetas, st.permutations(range(4)), st.integers(0, 3), shifts)
+def test_torsion_invariants_respect_the_lattice_symmetries(theta, perm, axis, shift):
+    # the spectrum |k + theta|^2 over Z^4 is unchanged by each of these maps
+    flip = theta.copy()
+    flip[axis] = -flip[axis]
+    base = _invariants(theta)
+    for image in (-theta, theta[list(perm)], flip, theta + shift):
+        assert np.abs(_invariants(image) - base).max() <= 1e-12, image
+
+
+@LATTICE
+@given(thetas, shifts)
+def test_dirac_check_sees_theta_only_mod_the_lattice(theta, shift):
+    assert spin.dirac_block_check(theta, kmax=2) == spin.dirac_block_check(theta + shift, kmax=2)
+
+
+# components anywhere, or near an integer on their own; the vector stays off Z^4
+far_theta = _theta(st.one_of(
+    st.floats(-4, 4),
+    st.builds(lambda n, e: n + e, st.integers(-3, 3), st.floats(-1e-6, 1e-6)),
+))
+
+
+@LATTICE
+@given(far_theta)
+def test_reports_echo_theta_mod_one(theta):
+    assume(np.abs(theta - np.round(theta)).max() > 1e-8)
+    expected = json.dumps([float(v) for v in theta % 1.0])
+    assert json.dumps(zeta.torsion_report(theta)["theta"]) == expected
+    with mock.patch.dict(suites.SUITES, {"exterior": lambda cfg: {"noop": 0.0}}):
+        report = suites.run_suites(suites.RunConfig(theta=tuple(theta), suites=("exterior",)))
+    assert json.dumps(report["config"]["theta"]) == expected

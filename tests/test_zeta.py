@@ -167,7 +167,7 @@ class TestHeatTraces:
         ts = np.concatenate([np.geomspace(0.004, 0.0499, 9), [Z._T_SWITCH],
                              np.geomspace(0.0501, 40.0, 9)])
         for theta in ((0, 0, 0, 0), (0.5, 0, 0, 0), (0.13, 0.71, 0.29, 0.9)):
-            batch = Z._kept_kernel_trace(Z._reduce_theta(theta), ts)
+            batch = Z._kept_kernel_trace(Z.reduce_theta(theta), ts)
             for t, b in zip(ts, batch):
                 one = Z.heat_trace_dual(theta, t) if t < Z._T_SWITCH else Z.heat_trace_direct(theta, t)
                 assert abs(b - one) <= 1e-15 * abs(one), (theta, t)
@@ -177,7 +177,7 @@ class TestHeatTraces:
         # cancellation if formed as a difference; against mpmath at 30 digits
         theta = (0.13, 0.71, 0.29, 0.9)
         ts = np.array([0.004, 0.01, 0.03])
-        got = Z._heat_remainder(Z._reduce_theta(theta), ts)
+        got = Z._heat_remainder(Z.reduce_theta(theta), ts)
         for t, g in zip(ts, got):
             with mpmath.workdps(80):  # P - 1 ~ 1e-26 at t = 0.004
                 t = mpmath.mpf(t)
@@ -188,21 +188,43 @@ class TestHeatTraces:
             assert abs(g - exact) <= 1e-13 * abs(exact), float(t)
 
     def test_near_zero_theta_counts_as_untwisted(self):
-        # |theta_i| <= 1e-8 after reduction is the kernel criterion, decided
-        # once per integrand in log_det_prime and beta0
-        theta = (1e-9, 0, 0, 0)
-        assert Z.kernel_dim_scalar(theta) == 1
-        assert Z.kernel_dim_scalar((2e-8, 0, 0, 0)) == 0
+        # a theta within 1e-8 of Z^4 reduces to exact zeros, on either side of
+        # the lattice point: the kernel criterion, decided once by reduce_theta
         base = Z.scalar_heat_trace((0, 0, 0, 0), 0.3)
-        assert Z.scalar_heat_trace(theta, 0.3) == pytest.approx(base, rel=1e-14)
-        res = Z.log_det_prime(theta=theta)
-        assert res.method_gap <= 1e-8
         untwisted = Z.log_det_prime(theta=(0, 0, 0, 0))
-        assert abs(res.log_det_prime - untwisted.log_det_prime) <= 1e-9
-        assert abs(Z.beta0(theta) - Z.beta0((0, 0, 0, 0))) <= 1e-9
+        for theta in ((1e-9, 0, 0, 0), (-1e-9, 0, 0, 0), (0.999999999, 0, 0, 0)):
+            assert Z.kernel_dim_scalar(theta) == 1
+            assert Z.scalar_heat_trace(theta, 0.3) == pytest.approx(base, rel=1e-14)
+            res = Z.log_det_prime(theta=theta)
+            assert res.method_gap <= 1e-8
+            assert abs(res.log_det_prime - untwisted.log_det_prime) <= 1e-9
+            assert abs(Z.beta0(theta) - Z.beta0((0, 0, 0, 0))) <= 1e-9
+        assert Z.kernel_dim_scalar((2e-8, 0, 0, 0)) == 0
+        assert Z.kernel_dim_scalar((-2e-8, 0, 0, 0)) == 0
+
+    def test_reduce_theta_is_the_centered_representative(self):
+        theta = np.array([0.25, 0.75, -0.625, 2.5])
+        th = Z.reduce_theta(theta)
+        assert th.tolist() == [0.25, -0.25, 0.375, 0.5]  # a half-integer goes to +1/2
+        assert Z.reduce_theta((-0.5, 1.5, -1e-7, 0)).tolist() == [0.5, 0.5, -1e-7, 0.0]
+        for shift in ((1, 0, 0, 0), (-3, 2, 1, -1)):
+            assert np.array_equal(Z.reduce_theta(theta + np.array(shift)), th)
+        # exact zeros within 1e-8 of Z^4 in the max norm, and not beyond
+        assert Z.reduce_theta((1 - 9e-9, 3 + 9e-9, -2, 5e-9)).tolist() == [0.0] * 4
+        assert Z.reduce_theta((2e-8, 0, 0, 0)).tolist() == [2e-8, 0, 0, 0]
+        with pytest.raises(ValueError):
+            Z.reduce_theta((0, 0, 0))
 
 
 class TestLogDet:
+    @pytest.mark.parametrize("a", [1e-9, 3e-8, 1e-7, 1e-6])
+    def test_near_lattice_theta_sign_does_not_matter(self, a):
+        # theta and -theta twist the same spectrum; both reduce without losing digits
+        plus, minus = (a, 0, 0, 0), (-a, 0, 0, 0)
+        gap = Z.log_det_prime(plus).log_det_prime - Z.log_det_prime(minus).log_det_prime
+        assert abs(gap) <= 1e-12
+        assert abs(Z.beta0(plus) - Z.beta0(minus)) <= 1e-12
+
     def test_methods_agree_untwisted(self):
         res = Z.log_det_prime(theta=(0, 0, 0, 0))
         assert res.method_gap <= 1e-8
