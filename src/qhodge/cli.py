@@ -1,13 +1,14 @@
 """Command-line entry point.
 
-    qhodge verify [--suite NAME]... [--kmax N] [--tol X] [--seed S] [--out PATH]
-    qhodge transgress --order {1|2|4} [--structure {I|J|K}] --input PATH --out PATH
+    qhodge verify [--suite NAME]... [--kmax N] [--tol X] [--seed S] [--theta a,b,c,d]
+                  [--fields N] [--config PATH] [--out PATH]
+    qhodge transgress --order {1|2|4} [--structure {I|J|K}] --input PATH --out PATH [--tol X]
     qhodge torsion [--theta a,b,c,d] [--out PATH]
-    qhodge lapl-constant [--modes N]
+    qhodge lapl-constant [--modes N] [--out PATH]
 
 Exit codes: 0 success, 1 failed verification, 2 usage error (an unwritable
---out included, found before any computation), 3 violated precondition,
-4 numerical failure.
+--out or an unreadable --input or --config file included, found before any
+computation), 3 violated precondition, 4 numerical failure.
 
 A JSON config file (--config) may provide any of the RunConfig fields;
 explicit flags win over the file, and any other key is a usage error.
@@ -43,19 +44,19 @@ class NonFiniteOutput(Exception):
     """A report holds a NaN or infinite value, which strict JSON cannot carry."""
 
 
-class UnwritableOutput(Exception):
-    """--out names a path that cannot be opened for writing (a usage error)."""
+class UsageError(Exception):
+    """A bad flag, --out path, config file or form file: exit 2."""
 
 
 def _check_out(out: str | None) -> None:
-    """UnwritableOutput unless --out can be created; run before any work, it creates nothing."""
+    """UsageError unless --out can be created; run before any work, it creates nothing."""
     if not out:
         return
     parent = os.path.dirname(os.path.abspath(out))
     if os.path.isdir(out):
-        raise UnwritableOutput(f"cannot write {out}: it is a directory")
+        raise UsageError(f"cannot write {out}: it is a directory")
     if not (os.path.isdir(parent) and os.access(parent, os.W_OK | os.X_OK)):
-        raise UnwritableOutput(f"cannot write {out}: {parent} is not a writable directory")
+        raise UsageError(f"cannot write {out}: {parent} is not a writable directory")
 
 
 def _emit(doc: dict, out: str | None) -> None:
@@ -70,7 +71,16 @@ def _emit(doc: dict, out: str | None) -> None:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     except OSError as exc:
-        raise UnwritableOutput(f"cannot write {out}: {exc.strerror or exc}") from exc
+        raise UsageError(f"cannot write {out}: {exc.strerror or exc}") from exc
+
+
+def _read_json(path: str, what: str, parse=lambda doc: doc):
+    """parse(the JSON document in path); UsageError if it cannot be opened, decoded or parsed."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(json.load(fh))
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError covers JSON and UTF-8
+        raise UsageError(f"cannot read {what}: {exc}") from exc
 
 
 def _parse_theta(text: str):
@@ -106,17 +116,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="qhodge", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
+    # each verify setting's dest is its RunConfig field; None means "not given"
     v = sub.add_parser("verify", help="run verification suites")
-    v.add_argument("--suite", action="append", default=None, help="suite name (repeatable); default: all")
+    v.set_defaults(run=cmd_verify)
+    v.add_argument("--suite", dest="suites", metavar="SUITE", action="append", default=None,
+                   help="suite name (repeatable); default: all")
     v.add_argument("--kmax", type=int, default=None)
-    v.add_argument("--tol", type=float, default=None)
+    v.add_argument("--tol", dest="tolerance", metavar="TOL", type=float, default=None)
     v.add_argument("--seed", type=int, default=None)
     v.add_argument("--theta", type=_parse_theta, default=None)
-    v.add_argument("--fields", type=int, default=None, help="random fields per property")
+    v.add_argument("--fields", dest="field_count", metavar="FIELDS", type=int, default=None,
+                   help="random fields per property")
     v.add_argument("--config", default=None, help="JSON file with RunConfig defaults")
     v.add_argument("--out", default=None)
 
     t = sub.add_parser("transgress", help="solve a transgression problem from a form file")
+    t.set_defaults(run=cmd_transgress)
     t.add_argument("--order", type=int, choices=(1, 2, 4), required=True)
     t.add_argument("--structure", choices=("I", "J", "K"), default=None)
     t.add_argument("--input", required=True)
@@ -124,10 +139,12 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--tol", type=float, default=None)
 
     z = sub.add_parser("torsion", help="zeta-regularized torsion invariants")
+    z.set_defaults(run=cmd_torsion)
     z.add_argument("--theta", type=_parse_theta, default=(0.0, 0.0, 0.0, 0.0))
     z.add_argument("--out", default=None)
 
     l = sub.add_parser("lapl-constant", help="measure the quartic-differential constant")
+    l.set_defaults(run=cmd_lapl_constant)
     l.add_argument("--modes", type=_probe_count, default=20,
                    help=f"number of probe modes, 1-{PROBE_MODES}")
     l.add_argument("--out", default=None)
@@ -136,27 +153,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config(path: str | None, args) -> RunConfig:
     """RunConfig from its own defaults, then the --config file, then the flags."""
-    merged = {}
-    if path:
-        with open(path, "r", encoding="utf-8") as fh:
-            merged = json.load(fh)
-        if not isinstance(merged, dict):
-            raise ValueError("a config file must hold a JSON object")
-        unknown = sorted(set(merged) - {f.name for f in dataclasses.fields(RunConfig)})
-        if unknown:
-            raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
-    flags = {"kmax": args.kmax, "tolerance": args.tol, "seed": args.seed, "theta": args.theta,
-             "suites": args.suite, "field_count": args.fields, "out": args.out}
-    merged.update({k: v for k, v in flags.items() if v is not None})
-    return RunConfig(**merged)
+    names = [f.name for f in dataclasses.fields(RunConfig)]
+    merged = _read_json(path, "config file") if path else {}
+    if not isinstance(merged, dict):
+        raise UsageError("a config file must hold a JSON object")
+    unknown = sorted(set(merged) - set(names))
+    if unknown:
+        raise UsageError(f"unknown config key(s): {', '.join(unknown)}")
+    merged.update({n: getattr(args, n) for n in names if getattr(args, n) is not None})
+    try:
+        return RunConfig(**merged)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def cmd_verify(args) -> int:
-    try:
-        cfg = _load_config(args.config, args)
-    except (TypeError, ValueError, OverflowError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    cfg = _load_config(args.config, args)
     _check_out(cfg.out)
     report = run_suites(cfg)
     try:
@@ -167,41 +179,29 @@ def cmd_verify(args) -> int:
         # a non-finite residual is a failed check: exit 1 and name it below
         print(f"report not written: {exc}", file=sys.stderr)
     if not report["all_pass"]:
-        print(f"FAILED: {report['first_failure']} exceeds tolerance {cfg.tolerance}",
-              file=sys.stderr)
+        print(f"FAILED: {report['first_failure']} exceeds tolerance {cfg.tolerance}", file=sys.stderr)
         return EXIT_FAIL
     return EXIT_OK
 
 
 def cmd_transgress(args) -> int:
     if args.order == 2 and args.structure is None:
-        print("error: --order 2 requires --structure {I|J|K}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("--order 2 requires --structure {I|J|K}")
     if args.order != 2 and args.structure is not None:
-        print(f"error: --structure applies only to --order 2, not {args.order}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"--structure applies only to --order 2, not {args.order}")
     tol = args.tol if args.tol is not None else transgression.DEFAULT_TOL[args.order]
     if not (math.isfinite(tol) and tol > 0):
-        print("error: --tol must be positive and finite", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("--tol must be positive and finite")
     _check_out(args.out)
-    try:
-        target = FormField.load(args.input)
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot read form file: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        if args.order == 1:
-            result = transgression.transgress1(target, tol=tol)
-        elif args.order == 2:
-            result = transgression.transgress2(target, args.structure, tol=tol)
-        else:
-            result = transgression.transgress4(target, tol=tol)
-    except transgression.TransgressionError as exc:
-        print(f"precondition violated: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    target = _read_json(args.input, "form file", FormField.from_dict)
+    if args.order == 1:
+        result = transgression.transgress1(target, tol=tol)
+    elif args.order == 2:
+        result = transgression.transgress2(target, args.structure, tol=tol)
+    else:
+        result = transgression.transgress4(target, tol=tol)
     _emit(result.to_dict(), args.out)
-    if result.residual > tol:
+    if not result.residual <= tol:  # a NaN residual fails too
         print(f"numerical failure: residual {result.residual:.3e} > {tol}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
@@ -231,22 +231,18 @@ def cmd_lapl_constant(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one subcommand; the one place that maps an exception to exit 2, 3 or 4."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = build_parser().parse_args(argv)
+        return args.run(args)
+    except SystemExit as exc:  # from argparse: --help exits 0, a bad command line 2
         return exc.code if exc.code is not None else EXIT_USAGE
-    handlers = {
-        "verify": cmd_verify,
-        "transgress": cmd_transgress,
-        "torsion": cmd_torsion,
-        "lapl-constant": cmd_lapl_constant,
-    }
-    try:
-        return handlers[args.command](args)
-    except UnwritableOutput as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except transgression.TransgressionError as exc:
+        print(f"precondition violated: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
     except (NonFiniteOutput, zeta.QuadratureFailure, zeta.MethodDisagreement,
             transgression.InconsistentConstant) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

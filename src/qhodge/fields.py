@@ -15,6 +15,7 @@ A field takes ownership of the (n, 16) array it is built from (no copy).
 
 from __future__ import annotations
 
+import itertools
 import json
 from functools import lru_cache
 
@@ -70,10 +71,13 @@ def dump_json(doc) -> str:
 def _entry_column(entries, key: str, kinds: str, what: str) -> np.ndarray:
     """One field of every form-document entry as an array of a numeric kind."""
     try:
-        column = np.array([e[key] for e in entries])
+        values = [e[key] for e in entries]
+        column = np.array(values)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed entries: {key}: {exc!r}") from exc
-    if column.dtype.kind not in kinds:
+    # numpy reads a true next to numbers as 1; a boolean is no number here
+    scalars = itertools.chain.from_iterable(values) if column.ndim > 1 else values
+    if column.dtype.kind not in kinds or bool in set(map(type, scalars)):
         raise ValueError(f"every {key} must be {what}")
     return column
 

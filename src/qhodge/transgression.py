@@ -52,7 +52,7 @@ DEFAULT_TOL = {1: 1e-9, 2: 1e-9, 4: 1e-8}
 
 
 class TransgressionError(Exception):
-    """Violated precondition or inconsistent measurement."""
+    """Violated precondition."""
 
 
 class NotClosed(TransgressionError):
@@ -74,8 +74,8 @@ class DegreeTooLow(TransgressionError):
     pass
 
 
-class InconsistentConstant(TransgressionError):
-    pass
+class InconsistentConstant(Exception):
+    """The measured quartic-differential constant disagrees between modes: a numerical failure."""
 
 
 @dataclass
@@ -102,7 +102,7 @@ def _rel(value: float, scale: float) -> float:
 
 
 def _hypotheses(target: FormField, structures, tol: float) -> dict[str, float]:
-    """Relative precondition residuals of target; raises the first one above tol."""
+    """Relative precondition residuals of target; raises the first one above tol (or NaN)."""
     scale = target.norm()
     # d multiplies coefficients by O(2 pi |k|); normalize the residual by the
     # same scale so "closed" means small relative to a generic derivative
@@ -112,14 +112,14 @@ def _hypotheses(target: FormField, structures, tol: float) -> dict[str, float]:
         return d(target, *args).norm() / dscale if scale else 0.0
 
     pre = {"d_closed": closedness(exterior_d)}
-    if pre["d_closed"] > tol:
+    if not pre["d_closed"] <= tol:
         raise NotClosed(f"target is not closed (residual {pre['d_closed']:.3e})")
     pre["harmonic_part"] = _rel(harmonic_project(target).norm(), scale)
-    if pre["harmonic_part"] > tol:
+    if not pre["harmonic_part"] <= tol:
         raise NotExact(f"target has a harmonic part (residual {pre['harmonic_part']:.3e})")
     for name in structures:
         pre[f"d{name}_closed"] = residual = closedness(twisted_d, name)
-        if residual > tol:
+        if not residual <= tol:
             raise NotDCClosed(name, residual)
     return pre
 

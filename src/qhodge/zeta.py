@@ -191,11 +191,6 @@ def scalar_heat_trace(theta, t: float) -> float:
     return float(_kept_kernel_trace(th, np.array([t], dtype=float))[0]) - (not th.any())
 
 
-def kernel_dim_scalar(theta) -> int:
-    """1 when theta reduces to zero (it lies within 1e-8 of Z^4), else 0."""
-    return int(not reduce_theta(theta).any())
-
-
 # ---------------------------------------------------------------------------
 # regularized integrals (Mellin continuation)
 # ---------------------------------------------------------------------------

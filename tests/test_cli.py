@@ -1,10 +1,12 @@
 """Command-line surface: exit codes, report schemas, determinism."""
 
 import dataclasses
+import inspect
 import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -160,6 +162,26 @@ class TestVerify:
         args = cli.build_parser().parse_args(["verify"])
         assert cli._load_config(None, args) == RunConfig()
 
+    def test_every_runconfig_field_is_a_verify_flag(self):
+        args = vars(cli.build_parser().parse_args(["verify"]))
+        assert {f.name for f in dataclasses.fields(RunConfig)} <= set(args)
+
+    @pytest.mark.parametrize("text, message", [
+        (b"{", "error: cannot read config file: Expecting property name"),
+        (b"[" * 100000 + b"]" * 100000, "error: cannot read config file: maximum recursion depth"),
+        (b"\xff", "error: cannot read config file: 'utf-8' codec can't decode"),
+        (None, "error: cannot read config file: [Errno 2]"),
+        (b"[]", "error: a config file must hold a JSON object"),
+    ], ids=["truncated", "deeply-nested", "not-utf-8", "missing", "not-an-object"])
+    def test_unreadable_config_usage_error(self, tmp_path, capsys, text, message):
+        cfg_path = tmp_path / "cfg.json"
+        if text is not None:
+            cfg_path.write_bytes(text)
+        assert run(["verify", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message)
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("kmax", ["13", "200"])
     def test_kmax_over_memory_budget_usage_error(self, capsys, kmax):
         assert run(["verify", "--suite", "exterior", "--kmax", kmax]) == 2
@@ -268,6 +290,41 @@ class TestNumericalFailure:
         assert not out.exists()
 
 
+class TestExitMap:
+    """main alone maps what a command raises to its exit code."""
+
+    @pytest.mark.parametrize("exc, code, line", [
+        (transgression.NotClosed("target is not closed (residual 1.000e-03)"), 3,
+         "precondition violated: NotClosed: target is not closed (residual 1.000e-03)"),
+        (transgression.NotExact("target has a harmonic part (residual 1.000e-03)"), 3,
+         "precondition violated: NotExact: target has a harmonic part (residual 1.000e-03)"),
+        (transgression.NotDCClosed("J", 1e-3), 3,
+         "precondition violated: NotDCClosed: target is not d_J-closed (residual 1.000e-03)"),
+        (transgression.DegreeTooLow("target has degree 3"), 3,
+         "precondition violated: DegreeTooLow: target has degree 3"),
+        (transgression.InconsistentConstant("spread"), 4, "numerical failure: spread"),
+    ], ids=["NotClosed", "NotExact", "NotDCClosed", "DegreeTooLow", "InconsistentConstant"])
+    def test_transgress(self, tmp_path, monkeypatch, capsys, exc, code, line):
+        monkeypatch.setattr(transgression, "transgress1", _raise(exc))
+        inp = tmp_path / "t.json"
+        inp.write_text(json.dumps({"truncation": 1, "entries": []}))
+        out = tmp_path / "r.json"
+        assert run(["transgress", "--order", "1", "--input", str(inp), "--out", str(out)]) == code
+        captured = capsys.readouterr()
+        assert captured.err == line + "\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_only_main_returns_usage_precondition_and_numerical_exits(self):
+        # a command raises; its own returns are success, a failed verification
+        # and the one exit 4 decided after the potential is written
+        source = inspect.getsource(cli)
+        main_source = inspect.getsource(cli.main)
+        returns = re.findall(r"return (EXIT_\w+)", source.replace(main_source, ""))
+        assert sorted(set(returns)) == ["EXIT_FAIL", "EXIT_NUMERICAL", "EXIT_OK"]
+        assert returns.count("EXIT_NUMERICAL") == 1
+
+
 class TestUnwritableOut:
     """An --out that cannot be opened is a usage error: one line on stderr, exit 2."""
 
@@ -335,14 +392,27 @@ class TestModuleEntryPoint:
         (["transgress", "--order", "3", "--input", "x", "--out", "y"], 2),
     ], ids=["lapl-constant", "bad-order"])
     def test_exit_code(self, tmp_path, argv, code):
-        src = os.path.dirname(os.path.dirname(os.path.abspath(qhodge.__file__)))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-m", "qhodge.cli", *argv], cwd=tmp_path,
-                              env=dict(os.environ, PYTHONPATH=path), capture_output=True,
-                              text=True, timeout=300)
+        proc = self.run_module(tmp_path, argv)
         assert proc.returncode == code, proc.stderr
         if code == 0:
             assert json.loads(proc.stdout)["constant"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_deeply_nested_input_is_one_line_without_traceback(self, tmp_path):
+        (tmp_path / "deep.json").write_text("[" * 100000 + "]" * 100000)
+        proc = self.run_module(tmp_path, ["transgress", "--order", "1", "--input", "deep.json",
+                                          "--out", "r.json"])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: cannot read form file: maximum recursion depth")
+        assert proc.stderr.count("\n") == 1
+        assert not (tmp_path / "r.json").exists()
+
+    @staticmethod
+    def run_module(cwd, argv):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(qhodge.__file__)))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "qhodge.cli", *argv], cwd=cwd,
+                              env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+                              text=True, timeout=300)
 
 
 class TestTransgress:
@@ -394,6 +464,17 @@ class TestTransgress:
         assert code == 3
         assert "NotExact" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_nan_residual_is_a_precondition_exit(self, tmp_path, capsys):
+        # finite coefficients whose norm overflows: the closedness residual is NaN
+        target = random_field(1, np.random.default_rng(5), degree=1) * 1e160
+        inp = tmp_path / "t.json"
+        target.save(inp)
+        out = tmp_path / "r.json"
+        assert run(["transgress", "--order", "1", "--input", str(inp), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("precondition violated: NotClosed: ")
+        assert not out.exists()
+
     def test_not_dc_closed_exit_names_structure(self, tmp_path, capsys):
         rng = np.random.default_rng(6)
         target = exterior_d(random_field(1, rng, degree=1))
@@ -412,8 +493,11 @@ class TestTransgress:
         ({"k": [0, 0, 0]}, "entries: k"),
         ({"k": [2, 0, 0, 0]}, "truncation"),
         ({"re": "1.0"}, "number"),
+        ({"k": [True, False, 0, 0]}, "every k"),
+        ({"blade_mask": True}, "blade_mask"),
+        ({"re": True}, "number"),
     ], ids=["nan-re", "inf-im", "mask-16", "mask-minus-1", "fractional-k", "short-k",
-            "k-outside", "string-re"])
+            "k-outside", "string-re", "boolean-k", "boolean-mask", "boolean-re"])
     def test_malformed_form_file_usage_error(self, tmp_path, capsys, entry, message):
         good = {"k": [1, 0, 0, 0], "blade_mask": 1, "re": 1.0, "im": 0.0}
         inp = tmp_path / "t.json"
@@ -462,6 +546,18 @@ class TestTransgress:
     def test_bad_order_usage(self, tmp_path, capsys):
         code = run(["transgress", "--order", "3", "--input", "x", "--out", "y"])
         assert code == 2
+
+    @pytest.mark.parametrize("text", [b"[" * 100000 + b"]" * 100000, b"\xff", b"{"],
+                             ids=["deeply-nested", "not-utf-8", "truncated"])
+    def test_unreadable_form_file_usage_error(self, tmp_path, capsys, text):
+        inp = tmp_path / "t.json"
+        inp.write_bytes(text)
+        out = tmp_path / "r.json"
+        assert run(["transgress", "--order", "1", "--input", str(inp), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read form file: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_missing_input_usage(self, tmp_path, capsys):
         code = run(["transgress", "--order", "1", "--input", str(tmp_path / "no.json"),

@@ -84,6 +84,16 @@ class TestOrder1:
         with pytest.raises(NotClosed):
             transgress1(random_field(1, rng, degree=1))
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_nan_residual_is_rejected(self):
+        # the norm overflows to inf, so the closedness residual reads inf/inf = NaN:
+        # a NaN residual fails the gate instead of passing every "> tol" test
+        rng = np.random.default_rng(SEED + 1)
+        target = random_field(1, rng, degree=1) * 1e160
+        assert np.isfinite(target.coeffs).all() and target.norm() == np.inf
+        with pytest.raises(NotClosed, match="nan"):
+            transgress1(target)
+
 
 class TestOrder2:
     def test_zero_target(self):

@@ -193,14 +193,14 @@ class TestHeatTraces:
         base = Z.scalar_heat_trace((0, 0, 0, 0), 0.3)
         untwisted = Z.log_det_prime(theta=(0, 0, 0, 0))
         for theta in ((1e-9, 0, 0, 0), (-1e-9, 0, 0, 0), (0.999999999, 0, 0, 0)):
-            assert Z.kernel_dim_scalar(theta) == 1
+            assert not Z.reduce_theta(theta).any()
             assert Z.scalar_heat_trace(theta, 0.3) == pytest.approx(base, rel=1e-14)
             res = Z.log_det_prime(theta=theta)
             assert res.method_gap <= 1e-8
             assert abs(res.log_det_prime - untwisted.log_det_prime) <= 1e-9
             assert abs(Z.beta0(theta) - Z.beta0((0, 0, 0, 0))) <= 1e-9
-        assert Z.kernel_dim_scalar((2e-8, 0, 0, 0)) == 0
-        assert Z.kernel_dim_scalar((-2e-8, 0, 0, 0)) == 0
+        assert Z.reduce_theta((2e-8, 0, 0, 0)).any()
+        assert Z.reduce_theta((-2e-8, 0, 0, 0)).any()
 
     def test_reduce_theta_is_the_centered_representative(self):
         theta = np.array([0.25, 0.75, -0.625, 2.5])
