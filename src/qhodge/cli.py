@@ -60,16 +60,17 @@ def _check_out(out: str | None) -> None:
 
 
 def _emit(doc: dict, out: str | None) -> None:
+    """Write doc's JSON to out, or to stdout; NonFiniteOutput, before anything is written."""
     try:
-        text = dump_json(doc)
+        chunks = dump_json(doc)
     except ValueError as exc:
         raise NonFiniteOutput(f"nothing written: {exc}") from exc
     if not out:
-        print(text)
+        sys.stdout.writelines(chunks)
         return
     try:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.writelines(chunks)
     except OSError as exc:
         raise UsageError(f"cannot write {out}: {exc.strerror or exc}") from exc
 

@@ -63,23 +63,73 @@ def grid(kmax: int):
     return modes, ksq
 
 
-def dump_json(doc) -> str:
-    """Strict JSON text of a document, indent 1 and sorted keys; ValueError on NaN or inf."""
-    return json.dumps(doc, indent=1, sort_keys=True, default=float, allow_nan=False)
+# a form field's entries are formatted this many at a time, so a dense field's
+# document (~13 MB at truncation 4) is never one string
+_ENTRY_CHUNK = 4096
+# stands in for a form field while the envelope is encoded; no report string holds a NUL
+_FIELD_MARK = "\0qhodge.FormField %d"
 
 
-def _entry_column(entries, key: str, kinds: str, what: str) -> np.ndarray:
-    """One field of every form-document entry as an array of a numeric kind."""
+def dump_json(doc):
+    """A document's file text (strict JSON, indent 1, sorted keys) as an iterator of chunks.
+
+    The text is json.dumps(doc, indent=1, sort_keys=True, allow_nan=False)
+    and a newline, with each FormField anywhere in doc (doc itself included)
+    written as its to_dict().  The envelope goes through that encoder; every
+    field's entries are formatted straight from its coefficient array.
+    Everything is checked here, before the first chunk: ValueError on a NaN
+    or inf.
+    """
+    fields = []
+
+    def default(obj):
+        if isinstance(obj, FormField):
+            fields.append(obj)
+            return _FIELD_MARK % (len(fields) - 1)
+        return float(obj)
+
+    text = json.dumps(doc, indent=1, sort_keys=True, default=default, allow_nan=False)
+    for f in fields:
+        if not np.isfinite(f.coeffs).all():
+            raise ValueError("a form field holds a NaN or infinite coefficient")
+    return _splice(text, fields)
+
+
+def _splice(text: str, fields):
+    """The envelope text with each field's marker replaced by the field's JSON."""
+    pos = 0
+    for i, f in enumerate(fields):
+        mark = json.dumps(_FIELD_MARK % i)
+        at = text.index(mark, pos)
+        line = text[text.rfind("\n", 0, at) + 1:at]
+        yield text[pos:at]
+        yield from f._json_chunks(len(line) - len(line.lstrip(" ")))
+        pos = at + len(mark)
+    yield text[pos:] + "\n"
+
+
+def _entry_column(entries, key: str, width: int, types, what: str) -> np.ndarray:
+    """One field of every form-document entry as an array of ints, or of floats when
+    types admits a float; k (width 4) as (n, 4)."""
     try:
         values = [e[key] for e in entries]
-        column = np.array(values)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        if width and set(map(len, values)) != {width}:
+            raise ValueError(f"expected {width} components")
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed entries: {key}: {exc!r}") from exc
-    # numpy reads a true next to numbers as 1; a boolean is no number here
-    scalars = itertools.chain.from_iterable(values) if column.ndim > 1 else values
-    if column.dtype.kind not in kinds or bool in set(map(type, scalars)):
+
+    def scalars():
+        return itertools.chain.from_iterable(values) if width else values
+
+    # exact types: a boolean is no number here, and a float k is no integer
+    if not set(map(type, scalars())) <= types:
         raise ValueError(f"every {key} must be {what}")
-    return column
+    try:
+        column = np.fromiter(scalars(), float if float in types else np.int64,
+                             len(values) * (width or 1))
+    except OverflowError as exc:
+        raise ValueError(f"malformed entries: {key}: {exc!r}") from exc
+    return column.reshape(-1, width) if width else column
 
 
 class FormField:
@@ -142,7 +192,18 @@ class FormField:
         return complex(np.sum(self.coeffs * np.conj(other.coeffs)))
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
+        """L^2 norm; finite whenever it is representable, even when its square is not."""
+        with np.errstate(over="ignore"):  # handled below
+            value = float(np.linalg.norm(self.coeffs))
+        if value == np.inf or (value == 0.0 and self.coeffs.any()):
+            # the sum of squares overflowed or underflowed: rescale by a power
+            # of two (exact) that brings the largest component near 1
+            c = self.coeffs
+            _, e = np.frexp(max(np.abs(c.real).max(), np.abs(c.imag).max()))
+            scaled = np.hypot(np.linalg.norm(np.ldexp(c.real, -e)),
+                              np.linalg.norm(np.ldexp(c.imag, -e)))
+            value = float(np.ldexp(scaled, e))
+        return value
 
     def degrees(self, tol: float = 0.0):
         present = np.abs(self.coeffs).max(axis=0)
@@ -156,16 +217,35 @@ class FormField:
         return float(np.abs(self.coeffs - np.conj(self.coeffs)[::-1]).max())
 
     # -- serialization -----------------------------------------------------
+    def _entry_lists(self, rows, masks):
+        """The entries at (rows, masks) as lists: k, blade mask, re, im.  All
+        entries of one mode share one k list (a dense field has 16 a mode)."""
+        z = self.coeffs[rows, masks]
+        modes, which = np.unique(rows, return_inverse=True)
+        ks = list(map(self.modes[modes].tolist().__getitem__, which.tolist()))
+        return ks, masks.tolist(), z.real.tolist(), z.imag.tolist()
+
     def to_dict(self) -> dict:
-        entries = []
-        for n in np.nonzero(np.abs(self.coeffs).sum(axis=1))[0]:
-            k = [int(v) for v in self.modes[n]]
-            for m in np.nonzero(self.coeffs[n])[0]:
-                z = self.coeffs[n, m]
-                entries.append(
-                    {"k": k, "blade_mask": int(m), "re": float(z.real), "im": float(z.imag)}
-                )
+        """The form document; entries in row-major (mode, blade) order, exact zeros skipped."""
+        columns = self._entry_lists(*np.nonzero(self.coeffs))
+        entries = [{"k": k, "blade_mask": m, "re": re, "im": im} for k, m, re, im in zip(*columns)]
         return {"truncation": self.kmax, "entries": entries}
+
+    def _json_chunks(self, indent: int):
+        """json.dumps(self.to_dict(), indent=1, sort_keys=True) for a value whose
+        line is indented by `indent`, in chunks; the coefficients must be finite."""
+        nl = ["\n" + " " * (indent + i) for i in range(5)]
+        entry = (f'{nl[2]}{{{nl[3]}"blade_mask": %d,{nl[3]}"im": %r,{nl[3]}"k": ['
+                 f'{nl[4]}%d,{nl[4]}%d,{nl[4]}%d,{nl[4]}%d{nl[3]}],{nl[3]}"re": %r{nl[2]}}}')
+        yield f'{{{nl[1]}"entries": ['
+        rows, masks = np.nonzero(self.coeffs)
+        for start in range(0, len(rows), _ENTRY_CHUNK):
+            chunk = slice(start, start + _ENTRY_CHUNK)
+            ks, ms, res, ims = self._entry_lists(rows[chunk], masks[chunk])
+            yield ("," if start else "") + ",".join(
+                [entry % (m, im, *k, re) for k, m, re, im in zip(ks, ms, res, ims)])
+        # an empty list is "[]"; a filled one closes on its own line
+        yield f'{nl[1] if len(rows) else ""}],{nl[1]}"truncation": {self.kmax}{nl[0]}}}'
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FormField":
@@ -184,13 +264,11 @@ class FormField:
             raise ValueError("entries must be a list")
         if not entries:
             return f
-        k = _entry_column(entries, "k", "iu", "a list of four integers")
-        mask = _entry_column(entries, "blade_mask", "iu", "an integer")
+        k = _entry_column(entries, "k", 4, {int}, "a list of four integers")
+        mask = _entry_column(entries, "blade_mask", 0, {int}, "an integer")
         values = np.empty(len(entries), dtype=complex)
-        values.real = _entry_column(entries, "re", "iuf", "a number")
-        values.imag = _entry_column(entries, "im", "iuf", "a number")
-        if k.shape != (len(entries), 4):
-            raise ValueError("every k must be a list of four integers")
+        values.real = _entry_column(entries, "re", 0, {int, float}, "a number")
+        values.imag = _entry_column(entries, "im", 0, {int, float}, "a number")
         if k.min() < -kmax or k.max() > kmax:
             raise ValueError(f"an entry's k lies outside truncation {kmax}")
         if mask.min() < 0 or mask.max() >= N_BLADES:
@@ -202,9 +280,9 @@ class FormField:
 
     def save(self, path) -> None:
         """Write the form document; ValueError, with no file written, if it is not finite."""
-        text = dump_json(self.to_dict())
+        chunks = dump_json(self)
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.writelines(chunks)
 
     @classmethod
     def load(cls, path) -> "FormField":

@@ -93,7 +93,7 @@ class TransgressionResult:
             "sign": self.sign,
             "residual": self.residual,
             "precondition_residuals": self.precondition_residuals,
-            "potential": self.potential.to_dict(),
+            "potential": self.potential,  # dump_json writes it as its to_dict()
         }
 
 

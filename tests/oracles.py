@@ -5,6 +5,7 @@ arithmetic, brute-force lattice sums, mpmath special values) without
 touching the code paths under test.
 """
 
+import json
 from fractions import Fraction
 
 import mpmath
@@ -73,3 +74,19 @@ def jacobi_logdet_oracle() -> float:
     Zp0 = 8 * (4 * mpmath.log(4) * z0 * zm1 + (1 - 4) * (zp0 * zm1 + z0 * zpm1))
     zeta_prime = -mpmath.log(4 * mpmath.pi**2) * Z0 + Zp0
     return float(-zeta_prime)
+
+
+def form_document_oracle(f) -> dict:
+    """A form field's document by the plain loop over rows, then blades."""
+    entries = []
+    for n in np.nonzero(np.abs(f.coeffs).sum(axis=1))[0]:
+        k = [int(v) for v in f.modes[n]]
+        for m in np.nonzero(f.coeffs[n])[0]:
+            z = f.coeffs[n, m]
+            entries.append({"k": k, "blade_mask": int(m), "re": float(z.real), "im": float(z.imag)})
+    return {"truncation": f.kmax, "entries": entries}
+
+
+def stock_json(doc) -> str:
+    """The text every qhodge JSON file must equal: the json module's own encoding, a newline."""
+    return json.dumps(doc, indent=1, sort_keys=True, allow_nan=False) + "\n"

@@ -315,6 +315,22 @@ class TestExitMap:
         assert captured.out == ""
         assert not out.exists()
 
+    def test_nan_potential_exits_4_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        def nan_potential(target, tol):
+            potential = random_field(1, np.random.default_rng(3))
+            potential.coeffs[7, 3] = complex(0.0, float("nan"))
+            return TransgressionResult(potential, 0.0, 1, 1.0, {"d_closed": 0.0})
+
+        monkeypatch.setattr(transgression, "transgress1", nan_potential)
+        inp = tmp_path / "t.json"
+        inp.write_text(json.dumps({"truncation": 1, "entries": []}))
+        out = tmp_path / "r.json"
+        assert run(["transgress", "--order", "1", "--input", str(inp), "--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("numerical failure: nothing written: ")
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_only_main_returns_usage_precondition_and_numerical_exits(self):
         # a command raises; its own returns are success, a failed verification
         # and the one exit 4 decided after the potential is written
@@ -466,8 +482,9 @@ class TestTransgress:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_nan_residual_is_a_precondition_exit(self, tmp_path, capsys):
-        # finite coefficients whose norm overflows: the closedness residual is NaN
-        target = random_field(1, np.random.default_rng(5), degree=1) * 1e160
+        # finite coefficients whose norm lies beyond the float range: the
+        # closedness residual is NaN
+        target = random_field(1, np.random.default_rng(5), degree=1) * 1e307
         inp = tmp_path / "t.json"
         target.save(inp)
         out = tmp_path / "r.json"
@@ -496,8 +513,13 @@ class TestTransgress:
         ({"k": [True, False, 0, 0]}, "every k"),
         ({"blade_mask": True}, "blade_mask"),
         ({"re": True}, "number"),
+        ({"k": [2**70, 0, 0, 0]}, "entries: k"),
+        ({"k": [1.0, 0, 0, 0]}, "every k"),
+        ({"k": 5}, "entries: k"),
+        ({"im": 10**400}, "entries: im"),
     ], ids=["nan-re", "inf-im", "mask-16", "mask-minus-1", "fractional-k", "short-k",
-            "k-outside", "string-re", "boolean-k", "boolean-mask", "boolean-re"])
+            "k-outside", "string-re", "boolean-k", "boolean-mask", "boolean-re",
+            "k-beyond-int64", "integer-valued-float-k", "scalar-k", "im-beyond-float"])
     def test_malformed_form_file_usage_error(self, tmp_path, capsys, entry, message):
         good = {"k": [1, 0, 0, 0], "blade_mask": 1, "re": 1.0, "im": 0.0}
         inp = tmp_path / "t.json"

@@ -11,10 +11,13 @@ from qhodge.fields import (
     FIELD_BYTE_BUDGET,
     FormField,
     check_truncation,
+    dump_json,
     grid,
     random_field,
     single_mode,
 )
+
+from oracles import form_document_oracle, stock_json
 
 ONE = np.eye(N_BLADES)[0]
 
@@ -70,6 +73,30 @@ class TestAlgebra:
         g = single_mode(2, (0, 1, 0, 0), ONE)
         assert f.inner(f) == pytest.approx(1.0)
         assert f.inner(g) == 0.0
+
+    def test_norm_keeps_the_bits_of_a_normal_range_field(self):
+        f = random_field(2, np.random.default_rng(1))
+        assert f.norm() == float(np.linalg.norm(f.coeffs))
+
+    @pytest.mark.parametrize("scale", [1e160, 1e300, 1e-170, 1e-300])
+    def test_norm_beyond_the_range_of_its_square(self, scale):
+        # the plain sum of squares overflows to inf or underflows to 0
+        f = random_field(1, np.random.default_rng(2))
+        assert f.norm() * scale == pytest.approx((f * scale).norm(), rel=1e-15)
+
+    def test_norm_of_one_subnormal(self):
+        f = single_mode(0, (0, 0, 0, 0), 5e-324j * ONE)
+        assert f.norm() == 5e-324
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_norm_keeps_inf_and_nan(self):
+        f = single_mode(1, (1, 0, 0, 0), ONE)
+        f.coeffs[0, 3] = np.inf
+        assert f.norm() == np.inf
+        f.coeffs[5, 5] = np.nan
+        assert np.isnan(f.norm())
+        # a norm whose true value lies beyond the float range is inf
+        assert (single_mode(0, (0, 0, 0, 0), 1.5e308 * (1 + 1j) * ONE)).norm() == np.inf
 
 
 class TestRealness:
@@ -166,6 +193,55 @@ class TestSerialization:
         f.save(saved)
         cli._emit(f.to_dict(), str(emitted))
         assert saved.read_bytes() == emitted.read_bytes()
+
+    def test_saved_and_printed_bytes_are_the_stock_encoding(self, tmp_path, capsys):
+        f = random_field(1, np.random.default_rng(9), degree=2)
+        text = stock_json(f.to_dict())
+        f.save(tmp_path / "saved.json")
+        cli._emit(f, str(tmp_path / "emitted.json"))
+        cli._emit({"field": f}, None)
+        assert (tmp_path / "saved.json").read_bytes() == text.encode()
+        assert (tmp_path / "emitted.json").read_bytes() == text.encode()
+        assert capsys.readouterr().out == stock_json({"field": f.to_dict()})
+
+    @staticmethod
+    def special_field():
+        """-0.0 beside a nonzero part, subnormals, ±1e300 and integer-valued floats."""
+        f = FormField(1)
+        f.coeffs[3, 2] = complex(-0.0, 1.0)
+        f.coeffs[3, 7] = complex(5e-324, -0.0)
+        f.coeffs[40, 15] = complex(1e300, -1e300)
+        f.coeffs[80, 0] = complex(2.0, -3.0)
+        return f
+
+    @pytest.mark.parametrize("make", [
+        lambda: FormField(0),
+        lambda: FormField(2),
+        lambda: single_mode(0, (0, 0, 0, 0), VOL),
+        lambda: TestSerialization.special_field(),
+        lambda: random_field(2, np.random.default_rng(10)),
+    ], ids=["empty-kmax-0", "empty-kmax-2", "kmax-0", "special-values", "dense-kmax-2"])
+    def test_dump_json_is_the_stock_encoding_of_the_loop_document(self, make):
+        f = make()
+        doc = form_document_oracle(f)
+        assert f.to_dict() == doc
+        assert "".join(dump_json(f)) == stock_json(doc)
+
+    def test_empty_field_writes_an_empty_entry_list(self):
+        assert "".join(dump_json(FormField(0))) == '{\n "entries": [],\n "truncation": 0\n}\n'
+
+    def test_dense_field_is_written_in_chunks(self):
+        # a few thousand entries a chunk: a dense field is never one string
+        f = random_field(2, np.random.default_rng(11))
+        chunks = list(dump_json({"potential": f}))
+        assert len(chunks) > 5
+        assert max(map(len, chunks)) < len("".join(chunks)) / 2
+
+    def test_non_finite_field_anywhere_raises_before_the_first_chunk(self):
+        f = self.special_field()
+        f.coeffs[0, 0] = complex(0.0, np.inf)
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            dump_json({"a": [1.0, {"b": f}]})
 
 
 class TestMemoryBudget:

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from qhodge import spin, suites, zeta
 from qhodge.exterior import DEGREE, N_BLADES, interior, one_form, wedge
-from qhodge.fields import FormField, random_field
+from qhodge.fields import FormField, dump_json, random_field
 from qhodge.operators import (
     d_star,
     exterior_d,
@@ -21,6 +21,8 @@ from qhodge.operators import (
     twisted_d,
     twisted_d_star,
 )
+
+from oracles import form_document_oracle, stock_json
 
 PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
 
@@ -66,14 +68,20 @@ def test_from_dict_returns_a_field_or_raises_value_error(doc):
 finite = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
 
 
+# values whose JSON text is easy to get wrong: signed zeros, the smallest
+# subnormal and normal, the range ends of `finite`, integer-valued floats
+special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                           1e300, -1e300, 1.0, -2.0, 1e16, 123456789.0])
+
+
 @st.composite
-def sparse_field(draw):
+def sparse_field(draw, values=finite):
     kmax = draw(st.integers(0, 2))
     f = FormField(kmax)
     for _ in range(draw(st.integers(0, 6))):
         row = draw(st.integers(0, f.coeffs.shape[0] - 1))
         mask = draw(st.integers(0, N_BLADES - 1))
-        f.coeffs[row, mask] = complex(draw(finite), draw(finite))
+        f.coeffs[row, mask] = complex(draw(values), draw(values))
     return f
 
 
@@ -83,6 +91,19 @@ def test_to_dict_from_dict_round_trip_is_exact(f):
     back = FormField.from_dict(json.loads(json.dumps(f.to_dict())))
     assert back.kmax == f.kmax
     assert np.array_equal(back.coeffs, f.coeffs)
+
+
+@PROPERTY
+@given(sparse_field(st.one_of(special, finite)), st.integers(0, 3))
+def test_dump_json_is_the_stock_encoding(f, depth):
+    assert f.to_dict() == form_document_oracle(f)
+    assert "".join(dump_json(f)) == stock_json(f.to_dict())
+    # the field embedded `depth` levels down an envelope, between other keys
+    doc, old = f, f.to_dict()
+    for level in range(depth):
+        doc = {"a": level, "field": [doc, -0.0], "z": {"t": 1e-300}}
+        old = {"a": level, "field": [old, -0.0], "z": {"t": 1e-300}}
+    assert "".join(dump_json(doc)) == stock_json(old)
 
 
 @st.composite

@@ -49,7 +49,7 @@ from qhodge.transgression import (
     transgress4,
 )
 
-from oracles import quartic_constant_oracle
+from oracles import quartic_constant_oracle, stock_json
 
 SEED = 314
 
@@ -86,13 +86,26 @@ class TestOrder1:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_nan_residual_is_rejected(self):
-        # the norm overflows to inf, so the closedness residual reads inf/inf = NaN:
-        # a NaN residual fails the gate instead of passing every "> tol" test
+        # finite coefficients whose norm lies beyond the float range, so the
+        # closedness residual reads inf/inf = NaN: a NaN residual fails the gate
+        # instead of passing every "> tol" test
         rng = np.random.default_rng(SEED + 1)
-        target = random_field(1, rng, degree=1) * 1e160
+        target = random_field(1, rng, degree=1) * 1e307
         assert np.isfinite(target.coeffs).all() and target.norm() == np.inf
         with pytest.raises(NotClosed, match="nan"):
             transgress1(target)
+
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-170])
+    def test_scaled_target_keeps_its_residuals(self, scale):
+        # the target's squared norm overflows or underflows; its norm does not
+        target = exterior_d(random_field(1, np.random.default_rng(SEED + 11)))
+        plain, scaled = transgress1(target), transgress1(target * scale)
+        assert abs(scaled.residual - plain.residual) <= 1e-15
+        assert scaled.precondition_residuals.keys() == plain.precondition_residuals.keys()
+        for name, value in plain.precondition_residuals.items():
+            assert abs(scaled.precondition_residuals[name] - value) <= 1e-15
+        assert scaled.residual > 0.0
 
 
 class TestOrder2:
@@ -199,6 +212,24 @@ class TestOrder4:
         assert set(doc["precondition_residuals"]) == {
             "d_closed", "harmonic_part", "dI_closed", "dJ_closed", "dK_closed",
         }
+
+
+class TestResultDocument:
+    @pytest.mark.parametrize("order", [1, 2, 4])
+    def test_written_document_is_the_stock_encoding_of_its_dict_form(self, order):
+        from qhodge.fields import dump_json
+
+        rng = np.random.default_rng(SEED + 12)
+        if order == 1:
+            res = transgress1(exterior_d(random_field(2, rng)))
+        elif order == 2:
+            res = transgress2(exterior_d(twisted_d(random_field(2, rng), "J")), "J")
+        else:
+            res = transgress4(quartic_differential(random_field(2, rng, degree=0)))
+        doc = res.to_dict()
+        assert doc["potential"] is res.potential
+        old = dict(doc, potential=res.potential.to_dict())
+        assert "".join(dump_json(doc)) == stock_json(old)
 
 
 class TestHypothesisGate:
