@@ -160,10 +160,6 @@ class FormField:
             raise KeyError(f"mode {tuple(k)} outside truncation kmax={self.kmax}")
         return int(_mode_rows(k, self.kmax))
 
-    def coeff(self, k) -> np.ndarray:
-        """A copy of the (16,) fiber coefficient of mode k."""
-        return self.coeffs[self.mode_index(k)].copy()
-
     def set_coeff(self, k, a) -> None:
         self.coeffs[self.mode_index(k)] = a
 
@@ -208,10 +204,6 @@ class FormField:
     def degrees(self, tol: float = 0.0):
         present = np.abs(self.coeffs).max(axis=0)
         return sorted({int(DEGREE[m]) for m in range(N_BLADES) if present[m] > tol})
-
-    def conjugate(self) -> "FormField":
-        """Complex conjugate of the form (modes swap k -> -k, reversing the rows)."""
-        return FormField(self.kmax, np.conj(self.coeffs)[::-1])
 
     def realness_defect(self) -> float:
         return float(np.abs(self.coeffs - np.conj(self.coeffs)[::-1]).max())

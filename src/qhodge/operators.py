@@ -126,7 +126,7 @@ def harmonic_project(f: FormField) -> FormField:
 
 def rel_defect(a: FormField, b: FormField) -> float:
     """||a - b|| relative to the larger operand (0 when both vanish)."""
-    denom = max(a.norm(), b.norm())
+    denom = float(np.max([a.norm(), b.norm()]))
     if denom == 0.0:
         return 0.0
     return (a - b).norm() / denom
@@ -154,30 +154,32 @@ def kodaira_suite(f: FormField) -> dict[str, float]:
     out: dict[str, float] = {}
     df = exterior_d(f)
     sf = d_star(f)
-    dC, dC_star = {}, {}
+    dC, dC_star, lam_f = {}, {}, {}
     for name in STRUCTURE_NAMES:
         L = lefschetz_matrix(name)
         Lam = lefschetz_dual_matrix(name)
         dc = dC[name] = twisted_d(f, name)
         dcs = dC_star[name] = twisted_d_star(f, name)
+        lf = apply_fiber(f, L)
+        lamf = lam_f[name] = apply_fiber(f, Lam)
 
-        lhs = apply_fiber(df, Lam) - exterior_d(apply_fiber(f, Lam))
-        out[f"dC_star_eq_comm_Lambda_d[{name}]"] = rel_defect(dcs, lhs)
+        comm = apply_fiber(df, Lam) - exterior_d(lamf)
+        out[f"dC_star_eq_comm_Lambda_d[{name}]"] = rel_defect(dcs, comm)
 
-        lhs = apply_fiber(dc, Lam) - twisted_d(apply_fiber(f, Lam), name)
-        out[f"d_star_eq_minus_comm_Lambda_dC[{name}]"] = rel_defect(sf, -1 * lhs)
+        comm = twisted_d(lamf, name) - apply_fiber(dc, Lam)  # -[Lambda_C, d_C]
+        out[f"d_star_eq_minus_comm_Lambda_dC[{name}]"] = rel_defect(sf, comm)
 
-        lhs = apply_fiber(dcs, L) - twisted_d_star(apply_fiber(f, L), name)
-        out[f"d_eq_comm_L_dC_star[{name}]"] = rel_defect(df, lhs)
+        comm = apply_fiber(dcs, L) - twisted_d_star(lf, name)
+        out[f"d_eq_comm_L_dC_star[{name}]"] = rel_defect(df, comm)
 
-        lhs = apply_fiber(sf, L) - d_star(apply_fiber(f, L))
-        out[f"dC_eq_minus_comm_L_d_star[{name}]"] = rel_defect(dc, -1 * lhs)
+        comm = d_star(lf) - apply_fiber(sf, L)  # -[L_C, d*]
+        out[f"dC_eq_minus_comm_L_d_star[{name}]"] = rel_defect(dc, comm)
 
     LamI = lefschetz_dual_matrix("I")
-    lhs = apply_fiber(dC["J"], LamI) - twisted_d(apply_fiber(f, LamI), "J")
-    out["dK_star_eq_comm_LambdaI_dJ"] = rel_defect(dC_star["K"], lhs)
-    lhs = twisted_d(apply_fiber(f, LamI), "K") - apply_fiber(dC["K"], LamI)
-    out["dJ_star_eq_comm_dK_LambdaI"] = rel_defect(dC_star["J"], lhs)
+    comm = apply_fiber(dC["J"], LamI) - twisted_d(lam_f["I"], "J")
+    out["dK_star_eq_comm_LambdaI_dJ"] = rel_defect(dC_star["K"], comm)
+    comm = twisted_d(lam_f["I"], "K") - apply_fiber(dC["K"], LamI)
+    out["dJ_star_eq_comm_dK_LambdaI"] = rel_defect(dC_star["J"], comm)
     return out
 
 

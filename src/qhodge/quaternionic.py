@@ -114,7 +114,7 @@ def rotor_matrix(u) -> np.ndarray:
     the 16x16 exponential of phi * n.(ad_I, ad_J, ad_K).
     """
     n = np.linalg.norm(u)
-    if abs(n - 1.0) > 1e-9:
+    if not abs(n - 1.0) <= 1e-9:
         raise ValueError(f"rotor requires a unit quaternion, got |u| = {n}")
     return group_matrix(left_matrix(u))
 
@@ -156,7 +156,7 @@ def type_projector_matrix(c, p: int, q: int) -> np.ndarray:
 
 def invariance_defect(a: np.ndarray) -> float:
     """max over C in {I, J, K} of ||ad_C a|| for a of shape (..., 16); zero iff invariant."""
-    return max(float(np.linalg.norm(a @ AD[n].T)) for n in STRUCTURE_NAMES)
+    return float(np.max([np.linalg.norm(a @ AD[n].T) for n in STRUCTURE_NAMES]))
 
 
 # orthogonal projector onto the joint kernel of ad_I, ad_J, ad_K: scalars, vol

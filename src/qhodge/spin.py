@@ -217,7 +217,7 @@ def dirac_block_check(theta=(0, 0, 0, 0), kmax: int = 3) -> dict:
     B = D[:, odd][:, :, ~odd]  # even -> odd block
     BhB = np.conj(np.swapaxes(B, 1, 2)) @ B
     iso = np.abs(BhB - lam[:, None, None] * np.eye(2)).max(axis=(1, 2)) / norm**2
-    pairing = float(max(parity.max(), iso.max()))
+    pairing = float(np.max([parity.max(), iso.max()]))
 
     mu, V = np.linalg.eigh(D)  # D_k is Hermitian
     gamma_v = np.conj(np.swapaxes(V, 1, 2)) @ chirality() @ V

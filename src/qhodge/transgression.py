@@ -173,7 +173,7 @@ def measure_lapl_constant(modes, tol: float = 1e-10):
     probe's ratio is read from its own two rows.  The ratio is a
     quaternionic-isotropy scalar, so it must not depend on the mode;
     InconsistentConstant signals a sign error in the operator algebra if
-    the measured spread exceeds tol.
+    the measured spread exceeds tol or is NaN.
 
     Returns (c, report) where report lists the per-mode ratios.
     """
@@ -190,13 +190,13 @@ def measure_lapl_constant(modes, tol: float = 1e-10):
     for k, pair in zip(modes, rows):
         vals = num[pair] / den[pair]
         spread_k = float(np.abs(vals - vals[0]).max())
-        if spread_k > tol:
+        if not spread_k <= tol:
             raise InconsistentConstant(f"mode {k}: conjugate modes disagree by {spread_k:.3e}")
         ratios[k] = complex(vals[0])
     values = np.array(list(ratios.values()))
     c = complex(values.mean())
     spread = float(np.abs(values - c).max())
-    if spread > tol or abs(c.imag) > tol:
+    if not (spread <= tol and abs(c.imag) <= tol):
         raise InconsistentConstant(
             f"constant varies across modes (spread {spread:.3e}, imag {c.imag:.3e})"
         )

@@ -330,7 +330,7 @@ def log_det_prime(theta, *, fiber_rank: int = 1, scale: float = 1.0,
         return ZetaResult(value, err, None)
     closed = _closed_form_log_det(fiber_rank, scale)
     gap = abs(value - closed)
-    if gap > max(METHOD_GAP_TOL, 10 * err):
+    if not gap <= max(METHOD_GAP_TOL, 10 * err):
         raise MethodDisagreement(f"mellin {value!r} vs closed form {closed!r} (gap {gap:.3e})")
     return ZetaResult(value, err, gap)
 

@@ -234,7 +234,9 @@ class TestNonFiniteResidual:
         ("quaternionic", suites, "rotor_matrix", 3, "rotor_preserves_vol"),
         ("transgression", suites, "transgress1", 2, "transgress1_roundtrip"),
         ("clifford", spin, "conjugation_defect_sample", 2, "spin_conjugation_law"),
-    ], ids=["exterior", "quaternionic", "transgression", "clifford"])
+        # green's first call is the sample's hodge_decomposition, its second the real field
+        ("operators", suites, "green", 2, "realness_preserved"),
+    ], ids=["exterior", "quaternionic", "transgression", "clifford", "operators"])
     def test_nan_sample_fails_check(self, suite, module, name, call, check, tmp_path,
                                     monkeypatch, capsys):
         original = getattr(module, name)

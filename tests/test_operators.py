@@ -30,7 +30,8 @@ from qhodge.operators import (
     twisted_d_star,
     xhat,
 )
-from qhodge.quaternionic import AD, left_matrix
+from qhodge import operators
+from qhodge.quaternionic import AD, left_matrix, lefschetz_dual_matrix, lefschetz_matrix
 
 SEED = 99
 
@@ -225,6 +226,17 @@ class TestGreen:
             assert op(f).realness_defect() <= 1e-12 * f.norm()
 
 
+class TestRelDefect:
+    def test_both_vanish(self):
+        assert rel_defect(FormField(1), FormField(1)) == 0.0
+
+    def test_nan_operand_keeps_nan(self):
+        nan_field = FormField(1)
+        nan_field.coeffs[3, 5] = np.nan
+        assert np.isnan(rel_defect(FormField(1), nan_field))
+        assert np.isnan(rel_defect(nan_field, FormField(1)))
+
+
 class TestKodaira:
     def test_constant_field(self):
         f = single_mode(1, (0, 0, 0, 0), blade(0))
@@ -243,6 +255,57 @@ class TestKodaira:
         res = kodaira_suite(f)
         assert "dK_star_eq_comm_LambdaI_dJ" in res
         assert "dJ_star_eq_comm_dK_LambdaI" in res
+
+    @pytest.mark.parametrize("name, marker, count", [
+        ("lefschetz_dual_matrix", "Lambda", 8),
+        ("lefschetz_matrix", "comm_L_", 6),
+    ])
+    def test_each_channel_can_fail(self, name, marker, count, monkeypatch):
+        # a sign error in Lambda_C (or L_C) flips every commutator built from it
+        f = random_field(2, np.random.default_rng(SEED + 20))
+        good = kodaira_suite(f)
+        original = getattr(operators, name)
+        monkeypatch.setattr(operators, name, lambda c: -original(c))
+        bad = kodaira_suite(f)
+        hit = [k for k in bad if marker in k]
+        assert len(hit) == count
+        assert all(bad[k] >= 1.0 for k in hit)
+        assert all(bad[k] == good[k] for k in bad if k not in hit)
+
+    def test_matches_literal_compositions(self):
+        # each identity written out as its two compositions, bit for bit
+        rng = np.random.default_rng(SEED + 21)
+        for _ in range(10):
+            f = random_field(2, rng)
+            want = {}
+            for n in ("I", "J", "K"):
+                L, Lam = lefschetz_matrix(n), lefschetz_dual_matrix(n)
+                want[f"dC_star_eq_comm_Lambda_d[{n}]"] = rel_defect(
+                    twisted_d_star(f, n),
+                    apply_fiber(exterior_d(f), Lam) - exterior_d(apply_fiber(f, Lam)),
+                )
+                want[f"d_star_eq_minus_comm_Lambda_dC[{n}]"] = rel_defect(
+                    d_star(f),
+                    -1 * (apply_fiber(twisted_d(f, n), Lam) - twisted_d(apply_fiber(f, Lam), n)),
+                )
+                want[f"d_eq_comm_L_dC_star[{n}]"] = rel_defect(
+                    exterior_d(f),
+                    apply_fiber(twisted_d_star(f, n), L) - twisted_d_star(apply_fiber(f, L), n),
+                )
+                want[f"dC_eq_minus_comm_L_d_star[{n}]"] = rel_defect(
+                    twisted_d(f, n),
+                    -1 * (apply_fiber(d_star(f), L) - d_star(apply_fiber(f, L))),
+                )
+            LamI = lefschetz_dual_matrix("I")
+            want["dK_star_eq_comm_LambdaI_dJ"] = rel_defect(
+                twisted_d_star(f, "K"),
+                apply_fiber(twisted_d(f, "J"), LamI) - twisted_d(apply_fiber(f, LamI), "J"),
+            )
+            want["dJ_star_eq_comm_dK_LambdaI"] = rel_defect(
+                twisted_d_star(f, "J"),
+                twisted_d(apply_fiber(f, LamI), "K") - apply_fiber(twisted_d(f, "K"), LamI),
+            )
+            assert kodaira_suite(f) == want
 
 
 class TestConjugationLaw:

@@ -179,6 +179,10 @@ class TestRotor:
         with pytest.raises(ValueError):
             rotor_matrix(2.0 * u)
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError):
+            rotor_matrix(np.full(4, np.nan))
+
 
 class TestLefschetz:
     def test_on_scalar(self):
@@ -253,6 +257,10 @@ class TestInvariance:
         d1 = np.eye(N_BLADES)[0b0001]
         # ad_I(dxi^1) = I(dxi^1), a unit covector
         assert invariance_defect(d1) == pytest.approx(1.0, abs=1e-14)
+
+    def test_nan_derivation_keeps_nan(self, monkeypatch):
+        monkeypatch.setitem(AD, "J", np.full((N_BLADES, N_BLADES), np.nan))
+        assert np.isnan(invariance_defect(VOL))
 
     def test_invariant_projector(self):
         # joint kernel of the three derivations: scalars, ASD 2-forms, vol

@@ -312,6 +312,11 @@ class TestLaplConstant:
         c, report = measure_lapl_constant(modes)
         assert report["spread"] <= 1e-10
 
+    def test_nan_symbol_is_inconsistent(self, monkeypatch):
+        monkeypatch.setattr(transgression, "quartic_differential", lambda f: f * np.nan)
+        with pytest.raises(InconsistentConstant):
+            measure_lapl_constant([(1, 0, 0, 0), (0, 1, 0, 0)])
+
     def test_zero_mode_rejected(self):
         with pytest.raises(ValueError):
             measure_lapl_constant([(0, 0, 0, 0)])
