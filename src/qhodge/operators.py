@@ -13,7 +13,12 @@ With kappa = 2 pi k the mode symbols are
 
 Every first-order operator is therefore one symbol, i eps(L kappa) or its
 adjoint -i iota(L kappa) for a 4x4 matrix L (the identity, C or L_x),
-applied by `_first_order`.
+applied by `_first_order`.  With weights w = L kappa per mode, the symbol is
+sum_a w_a eps_a (or iota_a), and each eps_a and iota_a only flips blade
+bit a and attaches a sign.  So no matrix product is taken: in the
+blade-major view of the coefficients, axis a moves one half of the blades
+(one slab over all modes) onto the other half, times a fixed sign array and
+w_a.  The per-axis plans are read off `WEDGE_E` and `INTERIOR_E` at import.
 
 Adjoint signs are not transcribed from anywhere: they are forced by the
 L^2 adjointness property, which the test suite asserts directly.
@@ -23,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exterior import INTERIOR_E, WEDGE_E, GRADING
+from .exterior import GRADING, INTERIOR_E, N_BLADES, WEDGE_E
 from .fields import FormField, grid
 from .quaternionic import (
     STRUCTURE_NAMES,
@@ -43,20 +48,60 @@ def apply_fiber(f: FormField, mat: np.ndarray) -> FormField:
     return FormField(f.kmax, f.coeffs @ mat.T)
 
 
-def _apply_symbol(f: FormField, weights: np.ndarray, mats, scale: complex) -> FormField:
-    """Apply the mode-dependent operator  scale * sum_a weights[n, a] * mats[a]."""
-    out = (f.coeffs @ mats[0].T) * weights[:, 0, None]
-    for a in range(1, 4):
-        out += (f.coeffs @ mats[a].T) * weights[:, a, None]
-    return FormField(f.kmax, out * scale)
+def _axis_plan(tables):
+    """Per-axis slab plan (destination, source, signs) of four signed bit flips.
+
+    tables[a] must map blade m to +-blade m ^ 2^a on one half of the blades
+    (bit a clear for eps, set for iota) and vanish on the other; that is
+    checked here.  In the blade-major view (2, 2, 2, 2, n) bit a is axis
+    3 - a, so each half is one slab and its signs are a (2, 2, 2, 1) array.
+    """
+    blades = np.arange(N_BLADES)
+    plan = []
+    for a, E in enumerate(tables):
+        bits = blades >> a & 1
+        signs = E[blades ^ (1 << a), blades]  # E[m ^ 2^a, m]
+        bit = int(signs[bits == 1].any())  # bit a on the source half
+        flip = np.zeros_like(E)
+        flip[blades ^ (1 << a), blades] = np.where(bits == bit, signs, 0)
+        assert np.array_equal(E, flip) and np.all(np.abs(signs[bits == bit]) == 1), \
+            f"table {a} is not a signed flip of bit {a}"
+        axis = (slice(None),) * (3 - a)
+        plan.append((axis + (1 - bit,), axis + (bit,), signs.reshape(2, 2, 2, 2)[axis + (bit,)][..., None]))
+    return tuple(plan)
+
+
+_EPS_PLAN = _axis_plan(WEDGE_E)
+_IOTA_PLAN = _axis_plan(INTERIOR_E)
+
+
+def _apply_symbol(coeffs: np.ndarray, weights: np.ndarray, plan, scale: complex) -> np.ndarray:
+    """scale * sum_a weights[:, a] * E_a applied per mode, E_a the signed flip in plan[a].
+
+    Every pass runs over a blade-major slab of all n modes: sign the source
+    half, weight it, add it into the destination half.  The sum is taken in
+    axis order 0..3 and every sign is +-1, so the values are those of
+    sum_a (coeffs @ E_a.T) * weights[:, a] times scale, bit for bit.
+    """
+    n = len(coeffs)
+    src = coeffs.T.reshape(2, 2, 2, 2, n)
+    acc = np.zeros(src.shape, dtype=complex)
+    tmp = np.empty(src.shape[1:], dtype=complex)
+    for (dst, half, signs), w in zip(plan, weights.T):
+        np.multiply(src[half], signs, out=tmp)
+        tmp *= w
+        acc[dst] += tmp
+    out = np.empty((n, N_BLADES), dtype=complex)
+    np.multiply(acc.reshape(N_BLADES, n), scale, out=out.T)
+    return out
 
 
 def _first_order(f: FormField, L: np.ndarray, star: bool) -> FormField:
     """i eps(L kappa), or its adjoint -i iota(L kappa) when star is set."""
     weights = grid(f.kmax)[0] @ L.T
     if star:
-        return _apply_symbol(f, weights, INTERIOR_E, -2j * np.pi)
-    return _apply_symbol(f, weights, WEDGE_E, 2j * np.pi)
+        return FormField(f.kmax, _apply_symbol(f.coeffs, weights, _IOTA_PLAN, -2j * np.pi))
+    return FormField(f.kmax, _apply_symbol(f.coeffs, weights, _EPS_PLAN, 2j * np.pi))
 
 
 def exterior_d(f: FormField) -> FormField:

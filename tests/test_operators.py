@@ -9,8 +9,8 @@ derived independently before being asserted here.
 import numpy as np
 import pytest
 
-from qhodge.exterior import N_BLADES, VOL
-from qhodge.fields import FormField, random_field, single_mode
+from qhodge.exterior import INTERIOR_E, N_BLADES, VOL, WEDGE_E
+from qhodge.fields import FormField, dump_json, grid, random_field, single_mode
 from qhodge.operators import (
     apply_fiber,
     cancellation_defect,
@@ -31,7 +31,13 @@ from qhodge.operators import (
     xhat,
 )
 from qhodge import operators
-from qhodge.quaternionic import AD, left_matrix, lefschetz_dual_matrix, lefschetz_matrix
+from qhodge.quaternionic import (
+    AD,
+    left_matrix,
+    lefschetz_dual_matrix,
+    lefschetz_matrix,
+    structure_matrix,
+)
 
 SEED = 99
 
@@ -72,6 +78,70 @@ class TestExteriorD:
         df = exterior_d(f)
         assert df.kmax == f.kmax
         assert df.realness_defect() <= 1e-12 * f.norm()
+
+
+def literal_symbol(coeffs, weights, tables, scale):
+    """sum_a (coeffs @ E_a.T) * weights[:, a], times scale: the symbol as four products."""
+    out = (coeffs @ tables[0].T) * weights[:, 0, None]
+    for a in range(1, 4):
+        out += (coeffs @ tables[a].T) * weights[:, a, None]
+    return out * scale
+
+
+def unit_weights(a):
+    """Weights that select axis a on each of 16 rows."""
+    w = np.zeros((N_BLADES, 4))
+    w[:, a] = 1.0
+    return w
+
+
+SYMBOLS = [(operators._EPS_PLAN, WEDGE_E, 2j * np.pi), (operators._IOTA_PLAN, INTERIOR_E, -2j * np.pi)]
+
+
+class TestSymbolKernel:
+    """The slab kernel against the literal sum of four fiber products."""
+
+    @pytest.mark.parametrize("kmax", [0, 1, 2, 3])
+    def test_equals_literal_formula(self, kmax):
+        rng = np.random.default_rng(SEED + 30 + kmax)
+        matrices = [np.eye(4), *(structure_matrix(c) for c in "IJK"),
+                    left_matrix(rand_quat(rng)), rng.standard_normal((4, 4))]
+        # a cosine mode a (e^{2 pi i k.xi} + e^{-2 pi i k.xi}) with real a has real coefficients
+        k = (min(kmax, 1), 0, -min(kmax, 1), min(kmax, 1))
+        a = rng.standard_normal(N_BLADES)
+        cosine = single_mode(kmax, k, a) + single_mode(kmax, tuple(-np.array(k)), a)
+        assert not np.iscomplex(cosine.coeffs).any()
+        for f in (random_field(kmax, rng), random_field(kmax, rng), cosine):
+            for L in matrices:
+                weights = grid(kmax)[0] @ L.T
+                for plan, tables, scale in SYMBOLS:
+                    got = operators._apply_symbol(f.coeffs, weights, plan, scale)
+                    want = literal_symbol(f.coeffs, weights, tables, scale)
+                    assert np.array_equal(got, want)
+                    if f is cosine:
+                        assert "".join(dump_json(FormField(kmax, got))) == \
+                            "".join(dump_json(FormField(kmax, want)))
+
+    def test_plans_rebuild_the_tables(self):
+        units = np.eye(N_BLADES, dtype=complex)  # row m: the unit blade m
+        for plan, tables, _ in SYMBOLS:
+            for a in range(4):
+                rebuilt = operators._apply_symbol(units, unit_weights(a), plan, 1.0).T
+                assert np.array_equal(rebuilt, tables[a])
+
+    def test_plan_from_a_corrupted_table_differs(self):
+        bad = WEDGE_E.copy()
+        bad[2, 0b0100, 0] *= -1  # dxi^3 = -(dxi^3 ^ 1)
+        rebuilt = operators._apply_symbol(np.eye(N_BLADES, dtype=complex), unit_weights(2),
+                                          operators._axis_plan(bad), 1.0).T
+        assert np.array_equal(rebuilt, bad[2])
+        assert not np.array_equal(rebuilt, WEDGE_E[2])
+
+    def test_table_that_is_no_bit_flip_is_refused(self):
+        bad = WEDGE_E.copy()
+        bad[1, 0b0011, 0] = 1.0  # blade 0 sent to a blade two bits away
+        with pytest.raises(AssertionError, match="table 1 is not a signed flip of bit 1"):
+            operators._axis_plan(bad)
 
 
 class TestTwistedD:
