@@ -188,17 +188,21 @@ class FormField:
         return complex(np.sum(self.coeffs * np.conj(other.coeffs)))
 
     def norm(self) -> float:
-        """L^2 norm; finite whenever it is representable, even when its square is not."""
+        """L^2 norm; finite whenever it is representable, even when its square is not.
+
+        The sum of squares runs over the real and imaginary parts in memory
+        order, in numpy's own loop rather than a BLAS dot, so its value does
+        not depend on the BLAS thread count.
+        """
+        parts = self.coeffs.reshape(-1).view(float)
         with np.errstate(over="ignore"):  # handled below
-            value = float(np.linalg.norm(self.coeffs))
-        if value == np.inf or (value == 0.0 and self.coeffs.any()):
+            value = float(np.sqrt(np.einsum("i,i->", parts, parts)))
+        if value == np.inf or (value == 0.0 and parts.any()):
             # the sum of squares overflowed or underflowed: rescale by a power
             # of two (exact) that brings the largest component near 1
-            c = self.coeffs
-            _, e = np.frexp(max(np.abs(c.real).max(), np.abs(c.imag).max()))
-            scaled = np.hypot(np.linalg.norm(np.ldexp(c.real, -e)),
-                              np.linalg.norm(np.ldexp(c.imag, -e)))
-            value = float(np.ldexp(scaled, e))
+            _, e = np.frexp(np.abs(parts).max())
+            scaled = np.ldexp(parts, -e)
+            value = float(np.ldexp(np.sqrt(np.einsum("i,i->", scaled, scaled)), e))
         return value
 
     def degrees(self, tol: float = 0.0):

@@ -424,12 +424,22 @@ class TestModuleEntryPoint:
         assert proc.stderr.count("\n") == 1
         assert not (tmp_path / "r.json").exists()
 
+    def test_report_does_not_depend_on_blas_threads(self, tmp_path):
+        # a threaded BLAS dot sums in an order set by its thread count
+        argv = ["verify", "--kmax", "3", "--fields", "2", "--suite", "operators",
+                "--suite", "kodaira", "--seed", "7", "--out"]
+        for threads in ("1", "2"):
+            proc = self.run_module(tmp_path, [*argv, f"report-{threads}.json"],
+                                   OPENBLAS_NUM_THREADS=threads)
+            assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "report-1.json").read_bytes() == (tmp_path / "report-2.json").read_bytes()
+
     @staticmethod
-    def run_module(cwd, argv):
+    def run_module(cwd, argv, **env):
         src = os.path.dirname(os.path.dirname(os.path.abspath(qhodge.__file__)))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         return subprocess.run([sys.executable, "-m", "qhodge.cli", *argv], cwd=cwd,
-                              env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+                              env=dict(os.environ, PYTHONPATH=path, **env), capture_output=True,
                               text=True, timeout=300)
 
 
