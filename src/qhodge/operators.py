@@ -67,7 +67,8 @@ def _axis_plan(tables):
         assert np.array_equal(E, flip) and np.all(np.abs(signs[bits == bit]) == 1), \
             f"table {a} is not a signed flip of bit {a}"
         axis = (slice(None),) * (3 - a)
-        plan.append((axis + (1 - bit,), axis + (bit,), signs.reshape(2, 2, 2, 2)[axis + (bit,)][..., None]))
+        source = axis + (bit,)
+        plan.append((axis + (1 - bit,), source, signs.reshape(2, 2, 2, 2)[source][..., None]))
     return tuple(plan)
 
 
@@ -80,8 +81,9 @@ def _apply_symbol(coeffs: np.ndarray, weights: np.ndarray, plan, scale: complex)
 
     Every pass runs over a blade-major slab of all n modes: sign the source
     half, weight it, add it into the destination half.  The sum is taken in
-    axis order 0..3 and every sign is +-1, so the values are those of
-    sum_a (coeffs @ E_a.T) * weights[:, a] times scale, bit for bit.
+    axis order 0..3 and every sign is +-1, so every value equals that of
+    sum_a (coeffs @ E_a.T) * weights[:, a] times scale; only the sign of an
+    entry that is exactly zero can differ.
     """
     n = len(coeffs)
     src = coeffs.T.reshape(2, 2, 2, 2, n)
@@ -99,9 +101,8 @@ def _apply_symbol(coeffs: np.ndarray, weights: np.ndarray, plan, scale: complex)
 def _first_order(f: FormField, L: np.ndarray, star: bool) -> FormField:
     """i eps(L kappa), or its adjoint -i iota(L kappa) when star is set."""
     weights = grid(f.kmax)[0] @ L.T
-    if star:
-        return FormField(f.kmax, _apply_symbol(f.coeffs, weights, _IOTA_PLAN, -2j * np.pi))
-    return FormField(f.kmax, _apply_symbol(f.coeffs, weights, _EPS_PLAN, 2j * np.pi))
+    plan, scale = (_IOTA_PLAN, -2j * np.pi) if star else (_EPS_PLAN, 2j * np.pi)
+    return FormField(f.kmax, _apply_symbol(f.coeffs, weights, plan, scale))
 
 
 def exterior_d(f: FormField) -> FormField:
