@@ -190,7 +190,7 @@ class FormField:
     def norm(self) -> float:
         """L^2 norm; finite whenever it is representable, even when its square is not.
 
-        The sum of squares runs over the real and imaginary parts in memory
+        The sum of squares runs over the real and imaginary parts in row-major
         order, in numpy's own loop rather than a BLAS dot, so its value does
         not depend on the BLAS thread count.
         """

@@ -86,11 +86,11 @@ def _apply_symbol(coeffs: np.ndarray, weights: np.ndarray, plan, scale: complex)
     entry that is exactly zero can differ.
     """
     n = len(coeffs)
-    src = coeffs.T.reshape(2, 2, 2, 2, n)
-    acc = np.zeros(src.shape, dtype=complex)
-    tmp = np.empty(src.shape[1:], dtype=complex)
-    for (dst, half, signs), w in zip(plan, weights.T):
-        np.multiply(src[half], signs, out=tmp)
+    view = coeffs.T.reshape(2, 2, 2, 2, n)
+    acc = np.zeros(view.shape, dtype=complex)
+    tmp = np.empty(view.shape[1:], dtype=complex)
+    for (dst, source, signs), w in zip(plan, weights.T):
+        np.multiply(view[source], signs, out=tmp)
         tmp *= w
         acc[dst] += tmp
     out = np.empty((n, N_BLADES), dtype=complex)
