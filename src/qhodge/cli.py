@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from . import transgression, zeta
+from . import quaternionic, transgression, zeta
 from .fields import FormField, dump_json, grid
 from .suites import RunConfig, run_suites
 
@@ -133,8 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("transgress", help="solve a transgression problem from a form file")
     t.set_defaults(run=cmd_transgress)
-    t.add_argument("--order", type=int, choices=(1, 2, 4), required=True)
-    t.add_argument("--structure", choices=("I", "J", "K"), default=None)
+    t.add_argument("--order", type=int, choices=tuple(transgression.DEFAULT_TOL), required=True)
+    t.add_argument("--structure", choices=quaternionic.STRUCTURE_NAMES, default=None)
     t.add_argument("--input", required=True)
     t.add_argument("--out", required=True)
     t.add_argument("--tol", type=float, default=None)

@@ -154,6 +154,10 @@ def type_projector_matrix(c, p: int, q: int) -> np.ndarray:
     return deg @ proj
 
 
+# ranks of the (q,0)-forms of I, q = 0, 1, 2: the traces of their type projectors
+FORM_RANKS = tuple(int(round(np.trace(type_projector_matrix("I", q, 0)).real)) for q in range(3))
+
+
 def invariance_defect(a: np.ndarray) -> float:
     """max over C in {I, J, K} of ||ad_C a|| for a of shape (..., 16); zero iff invariant."""
     return float(np.max([np.linalg.norm(a @ AD[n].T) for n in STRUCTURE_NAMES]))

@@ -2,21 +2,22 @@
 
 The module is S = Lambda^*(W) for W the +i eigenspace of I on complexified
 covectors, spanned by w^1 = e^1 - i e^2 and w^2 = e^3 - i e^4.  S carries
-the ordered orthonormal basis
+the ordered orthonormal basis (`s_basis_forms` divides each blade by its norm)
 
     ( |1>,  w^1/sqrt2,  w^2/sqrt2,  (w^1 ^ w^2)/2 ),
 
-in which Hermitian adjoints are plain conjugate transposes.  The Clifford
-action is c(w) = sqrt2 eps(w) for w in W and c(wbar) = -sqrt2 iota(wbar)
-for wbar in Wbar, iota contracting against the Hermitian pairing
-<wbar^i, w^j> = 2 delta_ij of the unnormalized coframe.  On the orthonormal
-basis eps(w^i) and iota(wbar^i) have entries +-sqrt2, so c(w^i) and
-c(wbar^i) are literal matrices with entries +-2.  A covector splits into its
-W and Wbar parts by the closed-form inverse of the coframe, whose halves
-cancel those 2s: every entry of c(v) is exactly +-v_a or +-i v_a, and each
-generator squares to -1 exactly.  tests/test_spin.py checks the literal
-matrices against the unnormalized eps and iota conjugated by the basis
-norms, and the split against a linear solve on the coframe.
+of grades S_DEGREES (grade q FORM_RANKS[q] times), in which Hermitian
+adjoints are plain conjugate transposes.  The Clifford action is
+c(w) = sqrt2 eps(w) for w in W and c(wbar) = -sqrt2 iota(wbar) for wbar in
+Wbar, iota contracting against the Hermitian pairing <wbar^i, w^j> =
+2 delta_ij of the unnormalized coframe.  On the orthonormal basis eps(w^i)
+and iota(wbar^i) have entries +-sqrt2, so c(w^i) and c(wbar^i) are literal
+matrices with entries +-2.  A covector splits into its W and Wbar parts by
+the closed-form inverse of the coframe, whose halves cancel those 2s: every
+entry of c(v) is exactly +-v_a or +-i v_a, and each generator squares to -1
+exactly.  tests/test_spin.py checks the literal matrices against the
+unnormalized eps and iota conjugated by the basis norms, and the split
+against a linear solve on the coframe.
 
 Unlike the form-side operator algebra (see quaternionic.kahler_form), the
 quantization map here uses omega^C = g(C., .): that is the sign for which
@@ -30,13 +31,12 @@ import numpy as np
 
 from .exterior import N_BLADES, VOL, one_form, wedge, wedge_matrix
 from .fields import grid
-from .quaternionic import AD, STRUCTURE_NAMES, kahler_form, left_matrix
+from .quaternionic import AD, FORM_RANKS, STRUCTURE_NAMES, kahler_form, left_matrix
 from .zeta import reduce_theta
 
-SQRT2 = np.sqrt(2.0)
-
-# S basis parities under the form degree q = (0, 1, 1, 2)
-_S_DEGREES = np.array([0, 1, 1, 2])
+# form degree q of each S basis element: FORM_RANKS[q] elements of degree q
+S_DEGREES = np.repeat(np.arange(3), FORM_RANKS)
+S_DEGREES.setflags(write=False)
 
 # holomorphic coframe: +i eigenvectors of I acting on covectors
 W_COFRAME = np.array(
@@ -131,9 +131,10 @@ def sl2_table() -> dict:
 # ---------------------------------------------------------------------------
 
 def s_basis_forms() -> np.ndarray:
-    """(4, 16) array: the orthonormal S basis as fiber elements."""
+    """(4, 16) array: the orthonormal S basis as fiber elements, each blade over its norm."""
     w1, w2 = (one_form(w) for w in W_COFRAME)
-    return np.stack([np.eye(N_BLADES)[0], w1 / SQRT2, w2 / SQRT2, wedge(w1, w2) / 2.0])
+    blades = np.stack([np.eye(N_BLADES)[0], w1, w2, wedge(w1, w2)])
+    return blades / np.linalg.norm(blades, axis=1, keepdims=True)
 
 
 def _fit(op: np.ndarray, target: np.ndarray):
@@ -211,7 +212,7 @@ def dirac_block_check(theta=(0, 0, 0, 0), kmax: int = 3) -> dict:
     c_defect = np.abs(np.einsum("na,aij->nij", kappa, basis - 1j * GENERATORS)).max()
     sq_defect = np.abs(D @ D - lam[:, None, None] * np.eye(4)).max()
 
-    odd = _S_DEGREES % 2 == 1
+    odd = S_DEGREES % 2 == 1
     norm = np.sqrt(np.where(lam > 0, lam, 1.0))  # |kappa|, 1 on the kernel mode
     parity = np.abs(D[:, odd == odd[:, None]]).max(axis=1) / norm
     B = D[:, odd][:, :, ~odd]  # even -> odd block

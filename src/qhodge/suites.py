@@ -388,10 +388,9 @@ def suite_clifford(cfg: RunConfig) -> dict[str, float]:
         )),
         "sl2_closure": float(np.max([v["residual"] for v in table.values()])),
         "sl2_ef_h": abs(table["[e,f]"]["h"] - 1.0),
-        "grading_eigenvalues": float(np.max([
-            abs(z - 1j * (2 * q - 2)) for z, q in zip(spin.grading_eigenvalues(), (0, 1, 1, 2))
-        ])),
-        "h_spectrum": float(np.abs(np.sort(np.diag(h).real) - (-1.0, 0.0, 0.0, 1.0)).max()),
+        "grading_eigenvalues": float(np.abs(
+            np.array(spin.grading_eigenvalues()) - 1j * (2 * spin.S_DEGREES - 2)).max()),
+        "h_spectrum": float(np.abs(np.sort(np.diag(h).real) - (spin.S_DEGREES - 1)).max()),
         "omega_is_20_type": omega["omega_is_20_type"],
         "prop_forms_e": omega["e_defect"],
         "prop_forms_f": omega["f_defect"],

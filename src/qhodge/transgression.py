@@ -10,13 +10,13 @@ hypotheses, the potentials are built from Green-operator formulas:
 
 Reordering the product of the per-structure factors d_C d_C* G into the
 iterated-differential normal form silently absorbs anticommutation signs;
-the global signs s2 = -1 and s4 = +1 were calibrated once on construct-
-then-solve round trips and are frozen here (regression-tested).
+the sign s2 = -1 was calibrated once on construct-then-solve round trips
+and is frozen here as ORDER2_SIGN (regression-tested); s4 is not frozen.
 
 Since d d_I d_J d_K = vol ^ Delta^2 on 0-forms (c = 1, measured by
 measure_lapl_constant), transgress4 uses the closed form tau = G^2 of the
-target's vol coefficient; the tests keep the literal order-4 formula as its
-oracle, and the residual still goes through the literal quartic_differential.
+target's vol coefficient, which fixes s4 = +1; the tests keep the literal
+order-4 formula as oracle, and the residual goes via quartic_differential.
 
 Preconditions are validated numerically rather than assumed, by one gate,
 _hypotheses, in a fixed order: d-closedness, the harmonic part, then
@@ -46,7 +46,6 @@ from .operators import (
 from .quaternionic import STRUCTURE_NAMES
 
 ORDER2_SIGN = -1.0
-ORDER4_SIGN = +1.0
 # default residual tolerance of each order's preconditions and round trip
 DEFAULT_TOL = {1: 1e-9, 2: 1e-9, 4: 1e-8}
 
@@ -65,9 +64,12 @@ class NotExact(TransgressionError):
 
 class NotDCClosed(TransgressionError):
     def __init__(self, structure: str, residual: float):
-        self.structure = structure
-        self.residual = residual
+        self.structure, self.residual = structure, residual
         super().__init__(f"target is not d_{structure}-closed (residual {residual:.3e})")
+
+    def __reduce__(self):
+        # args holds only the message; rebuild from the two constructor arguments
+        return type(self), (self.structure, self.residual), vars(self)
 
 
 class DegreeTooLow(TransgressionError):
@@ -156,7 +158,7 @@ def transgress4(target: FormField, tol: float = DEFAULT_TOL[4]) -> Transgression
         raise DegreeTooLow(f"target has components of degree {degs}; need degree >= 4")
     tau = FormField(target.kmax)
     tau.coeffs[:, 0] = green(green(target)).coeffs[:, VOL_MASK]
-    return _result(tau, quartic_differential(tau), target, 4, ORDER4_SIGN, pre)
+    return _result(tau, quartic_differential(tau), target, 4, +1.0, pre)
 
 
 def quartic_differential(f: FormField) -> FormField:

@@ -2,8 +2,8 @@
 
 The scalar Laplacian twisted by a flat character theta in R^4 has spectrum
 4 pi^2 |k + theta|^2 over k in Z^4, so theta enters only through the lattice
-Z^4 + theta, by its centered representative `reduce_theta`.  Laplacians on
-(q,0)-forms (q = 0, 1, 2) are fiber_rank copies of the scalar one, ranks (1, 2, 1).
+Z^4 + theta, by its centered representative `reduce_theta`.  On (q,0)-forms
+the Laplacian is FORM_RANKS[q] copies of it (quaternionic derives the ranks).
 
 Its heat trace factors over the four axes into 1D Jacobi theta sums,
 
@@ -67,6 +67,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .quaternionic import FORM_RANKS
+
 # High-precision constants (OEIS A001620, A075700, A084448 conventions):
 #   gamma: Euler-Mascheroni constant
 #   zeta'(0) = -log(2 pi)/2
@@ -74,8 +76,6 @@ import numpy as np
 EULER_GAMMA = 0.5772156649015328606065120900824024
 ZETA_PRIME_0 = -0.9189385332046727417803297364056176
 ZETA_PRIME_MINUS_1 = -0.1654211437004509292139196602427293
-
-FORM_RANKS = (1, 2, 1)  # ranks of (q,0)-form bundles on T^4, q = 0, 1, 2
 
 # largest |mellin - closed form| accepted for log det' (unless the quadrature
 # error estimate is larger)
@@ -370,9 +370,7 @@ def beta0(theta) -> float:
     weight, the three structures contribute equally, and the graded trace
     collapses to -6 times the scalar heat trace.  Must equal 3 log T_h.
     """
-    weight = 3.0 * sum(
-        (-1) ** q * (-((q - 1) ** 2)) * rank for q, rank in enumerate(FORM_RANKS)
-    )  # = -6
+    weight = 3.0 * sum((-1) ** q * -((q - 1) ** 2) * r for q, r in enumerate(FORM_RANKS))  # -6
     # the scalar Mellin integrand with the weight in place of a fiber rank
     return -_mellin_log_det(reduce_theta(theta), weight, 1.0, 1.0)[0]
 

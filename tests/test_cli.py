@@ -1,11 +1,14 @@
 """Command-line surface: exit codes, report schemas, determinism."""
 
 import dataclasses
+import importlib
 import inspect
 import itertools
 import json
 import math
 import os
+import pickle
+import pkgutil
 import re
 import subprocess
 import sys
@@ -227,7 +230,11 @@ def nan_on_call(fn, call: int):
 
 
 class TestNonFiniteResidual:
-    """A NaN in any one sample fails its check, whatever sample it lands in."""
+    """A NaN in any one sample fails its check, whatever sample it lands in.
+
+    Each suite runs at kmax 2 with two fields per property: every patched
+    call below still lands inside the sample loops at that size.
+    """
 
     @pytest.mark.parametrize("suite, module, name, call, check", [
         ("exterior", suites, "wedge", 5, "wedge_graded_commutativity"),
@@ -241,7 +248,7 @@ class TestNonFiniteResidual:
                                     monkeypatch, capsys):
         original = getattr(module, name)
         monkeypatch.setattr(module, name, nan_on_call(original, call))
-        rep = run_suites(RunConfig(suites=(suite,)))
+        rep = run_suites(RunConfig(kmax=2, field_count=2, suites=(suite,)))
         assert math.isnan(rep["suites"][suite]["checks"][check]["residual"])
         assert rep["suites"][suite]["checks"][check]["pass"] is False
         assert math.isnan(rep["suites"][suite]["max_residual"])
@@ -251,7 +258,8 @@ class TestNonFiniteResidual:
         # the report cannot be strict JSON; verify still exits 1 naming the check
         monkeypatch.setattr(module, name, nan_on_call(original, call))
         out = tmp_path / "report.json"
-        assert run(["verify", "--suite", suite, "--out", str(out)]) == 1
+        argv = ["verify", "--suite", suite, "--kmax", "2", "--fields", "2", "--out", str(out)]
+        assert run(argv) == 1
         assert f"FAILED: {suite}:{check}" in capsys.readouterr().err
         assert not out.exists()
 
@@ -341,6 +349,36 @@ class TestExitMap:
         returns = re.findall(r"return (EXIT_\w+)", source.replace(main_source, ""))
         assert sorted(set(returns)) == ["EXIT_FAIL", "EXIT_NUMERICAL", "EXIT_OK"]
         assert returns.count("EXIT_NUMERICAL") == 1
+
+
+def package_exceptions():
+    """Every exception class defined in a qhodge module."""
+    found = []
+    for info in pkgutil.iter_modules(qhodge.__path__):
+        module = importlib.import_module(f"qhodge.{info.name}")
+        found += [obj for obj in vars(module).values() if isinstance(obj, type)
+                  and issubclass(obj, BaseException) and obj.__module__ == module.__name__]
+    return found
+
+
+class TestExceptionPickling:
+    """Each exception survives pickle, as it must to cross a process boundary."""
+
+    # constructor arguments of the classes with their own __init__
+    ARGS = {transgression.NotDCClosed: ("I", 1e-3)}
+
+    def test_discovery_sees_every_module(self):
+        names = {cls.__name__ for cls in package_exceptions()}
+        assert {"UsageError", "NonFiniteOutput", "QuadratureFailure", "MethodDisagreement",
+                "TransgressionError", "NotDCClosed", "InconsistentConstant"} <= names
+
+    @pytest.mark.parametrize("cls", package_exceptions(), ids=lambda cls: cls.__name__)
+    def test_round_trip(self, cls):
+        exc = cls(*self.ARGS[cls]) if "__init__" in vars(cls) else cls("a message")
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is cls
+        assert str(back) == str(exc)
+        assert vars(back) == vars(exc)
 
 
 class TestUnwritableOut:

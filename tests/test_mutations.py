@@ -1,0 +1,62 @@
+"""A fixed sample of source mutants that `qhodge verify` must catch.
+
+Each mutant is one textual edit of a copy of the package.  The fiber tables
+are derived at import, so each copy runs `python -m qhodge.cli verify` in a
+fresh interpreter: the unmutated copy must exit 0 and every mutant must fail
+a check (exit 1) or a numerical gate (exit 4), never with a traceback.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import qhodge
+
+SRC = Path(qhodge.__file__).resolve().parent
+ARGV = ["verify", "--kmax", "1", "--fields", "1", "--seed", "7",
+        "--theta", "0.13,0.71,0.29,0.9"]
+
+# id: (module file, text that occurs exactly once, its replacement)
+MUTANTS = {
+    "order2-sign": ("transgression.py", "ORDER2_SIGN = -1.0", "ORDER2_SIGN = +1.0"),
+    "I-first-minus-one": ("quaternionic.py", "I = np.array([[0, -1, 0, 0],",
+                          "I = np.array([[0, 1, 0, 0],"),
+    "c-w-first-nonzero": ("spin.py", "_C_W = 2 * np.array([[[0, 0, 0, 0], [1, 0, 0, 0],",
+                          "_C_W = 2 * np.array([[[0, 0, 0, 0], [-1, 0, 0, 0],"),
+    "w1-coframe": ("spin.py", "[1.0, -1j, 0.0, 0.0],  # w^1", "[1.0, 1j, 0.0, 0.0],  # w^1"),
+    "euler-gamma": ("zeta.py", "EULER_GAMMA = 0.5772156649015328606065120900824024",
+                    "EULER_GAMMA = 0.5772156649015328606065120900824024 + 1e-9"),
+    "star-sign-mask-3": ("exterior.py", "s[mc, m] = _merge_sign(m, mc)",
+                         "s[mc, m] = _merge_sign(m, mc) * (-1 if m == 3 else 1)"),
+}
+
+
+def run_copy(tmp_path, mutant=None):
+    """Run ARGV on a copy of the package under tmp_path, with the mutant's edit applied."""
+    shutil.copytree(SRC, tmp_path / "qhodge", ignore=shutil.ignore_patterns("__pycache__"))
+    if mutant is not None:
+        name, old, new = mutant
+        path = tmp_path / "qhodge" / name
+        text = path.read_text(encoding="utf-8")
+        assert text.count(old) == 1
+        path.write_text(text.replace(old, new), encoding="utf-8")
+    path = os.pathsep.join(filter(None, [str(tmp_path), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "qhodge.cli", *ARGV], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+                          timeout=300)
+
+
+def test_unmutated_copy_passes(tmp_path):
+    proc = run_copy(tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("mutant", MUTANTS.values(), ids=MUTANTS.keys())
+def test_mutant_is_caught(tmp_path, mutant):
+    proc = run_copy(tmp_path, mutant)
+    assert proc.returncode in (1, 4), proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -8,6 +8,7 @@ from scipy.linalg import expm, null_space
 from qhodge.exterior import DEGREE, N_BLADES, VOL, one_form, wedge
 from qhodge.quaternionic import (
     AD,
+    FORM_RANKS,
     GROUP,
     I,
     J,
@@ -238,6 +239,14 @@ class TestTypeProjectors:
             for p, q in pairs:
                 proj = type_projector_matrix("I", p, q)
                 assert np.abs(proj @ proj - proj).max() <= 1e-12
+
+    def test_form_ranks_are_the_projector_traces(self):
+        # dim Lambda^{q,0} = C(2, q) on a fiber of complex dimension 2, for every structure
+        assert FORM_RANKS == (1, 2, 1)
+        assert all(type(r) is int for r in FORM_RANKS)
+        for name in ("I", "J", "K"):
+            traces = [np.trace(type_projector_matrix(name, q, 0)) for q in range(3)]
+            assert np.abs(np.array(traces) - FORM_RANKS).max() <= 1e-12
 
     def test_commutes_with_degree(self):
         rng = np.random.default_rng(RNG_SEED + 9)

@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import expm
 
 from qhodge import spin
-from qhodge.exterior import N_BLADES, one_form, wedge_matrix
+from qhodge.exterior import DEGREE, N_BLADES, one_form, wedge, wedge_matrix
 from qhodge.quaternionic import I, J, K
 
 
@@ -30,7 +30,7 @@ class TestCliffordAction:
         vac[0] = 1.0
         out = spin.clifford_action(spin.W_COFRAME[0]) @ vac
         expected = np.zeros(4, complex)
-        expected[1] = spin.SQRT2 * np.sqrt(2.0)  # |w^1| = sqrt2 in the fiber
+        expected[1] = np.sqrt(2.0) * np.sqrt(2.0)  # |w^1| = sqrt2 in the fiber
         assert np.abs(out - expected).max() <= 1e-14
 
     def test_vacuum_annihilated_by_antiholomorphic(self):
@@ -61,7 +61,7 @@ class TestCliffordAction:
         assert math.isnan(spin.vacuum_annihilation_defect())
 
     def test_generators_odd_and_antihermitian(self):
-        odd = spin._S_DEGREES % 2 == 1
+        odd = spin.S_DEGREES % 2 == 1
         for g in spin.GENERATORS:
             assert not g[odd == odd[:, None]].any()  # only parity-changing entries
             assert np.abs(g + g.conj().T).max() <= 1e-14
@@ -83,6 +83,15 @@ class TestClosedFormOracles:
         # c(w^i) = sqrt2 eps(w^i) and c(wbar^i) = -sqrt2 iota(wbar^i)
         assert np.abs(np.sqrt(2.0) * to @ eps @ back - spin._C_W).max() <= 1e-15
         assert np.abs(-np.sqrt(2.0) * to @ iota @ back - spin._C_WBAR).max() <= 1e-15
+
+    def test_s_basis_is_the_coframe_over_its_literal_norms(self):
+        w1, w2 = (one_form(w) for w in spin.W_COFRAME)
+        expected = [np.eye(N_BLADES)[0], w1 / np.sqrt(2.0), w2 / np.sqrt(2.0), wedge(w1, w2) / 2.0]
+        assert np.array_equal(spin.s_basis_forms(), np.array(expected))
+        # each basis element is homogeneous of its S_DEGREES degree
+        assert spin.S_DEGREES.tolist() == [0, 1, 1, 2]
+        for phi, q in zip(spin.s_basis_forms(), spin.S_DEGREES):
+            assert set(DEGREE[phi != 0]) == {q}
 
     def test_literal_matrices_are_wedge_and_contraction_on_forms(self):
         # on the embedded S basis, eps(w) is wedging with w and iota(wbar) its adjoint

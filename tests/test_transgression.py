@@ -40,7 +40,6 @@ from qhodge.transgression import (
     NotDCClosed,
     NotExact,
     ORDER2_SIGN,
-    ORDER4_SIGN,
     TransgressionResult,
     measure_lapl_constant,
     quartic_differential,
@@ -55,9 +54,9 @@ SEED = 314
 
 
 def literal_order4_potential(target):
-    """s4 d* d_I* d_J* d_K* G^4 target, applied factor by factor."""
+    """s4 d* d_I* d_J* d_K* G^4 target with s4 = +1, applied factor by factor."""
     g4 = green(green(green(green(target))))
-    return ORDER4_SIGN * d_star(twisted_d_star(twisted_d_star(twisted_d_star(g4, "K"), "J"), "I"))
+    return d_star(twisted_d_star(twisted_d_star(twisted_d_star(g4, "K"), "J"), "I"))
 
 
 class TestOrder1:
@@ -145,7 +144,7 @@ class TestOrder4:
             target = quartic_differential(sigma)
             res = transgress4(target)
             assert res.residual <= 1e-8
-            assert res.sign == ORDER4_SIGN == +1.0
+            assert res.sign == +1.0
             # gauge freedom: tau equals sigma only up to its harmonic part
             assert rel_defect(res.potential, sigma - harmonic_project(sigma)) <= 1e-9
             assert rel_defect(res.potential, literal_order4_potential(target)) <= 1e-14
