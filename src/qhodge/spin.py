@@ -138,8 +138,12 @@ def s_basis_forms() -> np.ndarray:
 
 
 def _fit(op: np.ndarray, target: np.ndarray):
-    """Least-squares lam in op = lam * target, and the max entry of the misfit."""
-    lam = np.vdot(target, op) / np.vdot(target, target)
+    """Least-squares lam in op = lam * target, and the max entry of the misfit.
+
+    A zero target fits nothing: lam and the misfit are NaN, without a warning.
+    """
+    gram = np.vdot(target, target)
+    lam = np.vdot(target, op) / gram if gram else complex("nan")
     return complex(lam), float(np.abs(op - lam * target).max())
 
 

@@ -8,6 +8,9 @@ fixed config reproduces a byte-identical report.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -413,12 +416,55 @@ SUITES = {
 }
 
 
+@functools.cache
+def _openblas_thread_setters() -> tuple:
+    """`openblas_set_num_threads_local` of each OpenBLAS this process has loaded.
+
+    The setter takes a thread count and returns the previous one; despite its
+    name, scipy-openblas 0.3.31 applies the count to the whole process.  Empty
+    when none is found: MKL, an OpenBLAS without the symbol, or no /proc.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line and ".so" in line})
+    except OSError:
+        return ()
+    setters = []
+    for lib in libs:
+        try:
+            setter = ctypes.CDLL(lib).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        setter.restype = ctypes.c_int
+        setter.argtypes = [ctypes.c_int]
+        setters.append(setter)
+    return tuple(setters)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread and restore the previous count after it.
+
+    The suites' BLAS calls are too small for a second thread to shorten them,
+    and its worker spins after each one, so two threads double the CPU time.
+    """
+    setters = _openblas_thread_setters()
+    previous = [setter(1) for setter in setters]
+    try:
+        yield
+    finally:
+        for setter, count in zip(setters, previous):
+            setter(count)
+
+
 def run_suites(cfg: RunConfig) -> dict:
     """Run the selected suites and assemble the verification report.
 
-    Every verdict is read off the checks: a suite passes when all its checks
-    do, each max keeps a NaN, and first_failure names the first failing suite
-    in run order with its alphabetically first failing check.
+    The suites run on one BLAS thread (`_one_blas_thread`); the report does
+    not depend on the thread count.  Every verdict is read off the checks: a
+    suite passes when all its checks do, each max keeps a NaN, and
+    first_failure names the first failing suite in run order with its
+    alphabetically first failing check.
     """
     selected = cfg.suites or tuple(SUITES)
     report = {
@@ -435,14 +481,15 @@ def run_suites(cfg: RunConfig) -> dict:
         "suites": {},
     }
     suites = report["suites"]
-    for name in selected:
-        checks = {k: {"residual": v, "pass": bool(v <= cfg.tolerance)}
-                  for k, v in SUITES[name](cfg).items()}
-        suites[name] = {
-            "checks": checks,
-            "max_residual": float(np.max([c["residual"] for c in checks.values()])),
-            "pass": all(c["pass"] for c in checks.values()),
-        }
+    with _one_blas_thread():
+        for name in selected:
+            checks = {k: {"residual": v, "pass": bool(v <= cfg.tolerance)}
+                      for k, v in SUITES[name](cfg).items()}
+            suites[name] = {
+                "checks": checks,
+                "max_residual": float(np.max([c["residual"] for c in checks.values()])),
+                "pass": all(c["pass"] for c in checks.values()),
+            }
     report["max_residual"] = float(np.max([s["max_residual"] for s in suites.values()]))
     report["all_pass"] = all(s["pass"] for s in suites.values())
     failures = [f"{n}:{k}" for n, s in suites.items()

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, report schemas, determinism."""
 
+import ctypes
 import dataclasses
 import importlib
 import inspect
@@ -380,6 +381,29 @@ class TestExceptionPickling:
         assert str(back) == str(exc)
         assert vars(back) == vars(exc)
 
+    @pytest.mark.parametrize("exc, argv, module, name, code", [
+        (transgression.NotDCClosed("J", 1e-3), ["transgress", "--order", "1"], transgression,
+         "transgress1", 3),
+        (zeta.QuadratureFailure("quad"), ["torsion"], zeta, "torsion_report", 4),
+        (transgression.InconsistentConstant("spread"), ["verify"], cli, "run_suites", 4),
+    ], ids=["NotDCClosed", "QuadratureFailure", "InconsistentConstant"])
+    def test_exit_survives_round_trip(self, tmp_path, monkeypatch, capsys, exc, argv, module,
+                                      name, code):
+        # what a worker process raises reaches main as its unpickled copy
+        if argv[0] == "transgress":
+            inp = tmp_path / "t.json"
+            inp.write_text(json.dumps({"truncation": 1, "entries": []}))
+            argv = [*argv, "--input", str(inp)]
+
+        def exit_of(raised):
+            monkeypatch.setattr(module, name, _raise(raised))
+            return run([*argv, "--out", str(tmp_path / "out.json")]), capsys.readouterr()
+
+        direct = exit_of(exc)
+        assert direct[0] == code
+        assert exit_of(pickle.loads(pickle.dumps(exc))) == direct
+        assert not (tmp_path / "out.json").exists()
+
 
 class TestUnwritableOut:
     """An --out that cannot be opened is a usage error: one line on stderr, exit 2."""
@@ -463,22 +487,105 @@ class TestModuleEntryPoint:
         assert not (tmp_path / "r.json").exists()
 
     def test_report_does_not_depend_on_blas_threads(self, tmp_path):
-        # a threaded BLAS dot sums in an order set by its thread count
-        argv = ["verify", "--kmax", "3", "--fields", "2", "--suite", "operators",
-                "--suite", "kodaira", "--seed", "7", "--out"]
+        # a threaded BLAS dot sums in an order set by its thread count; run_suites
+        # holds one thread, so the suite functions themselves run at 1 and at 2
+        residuals = []
         for threads in ("1", "2"):
-            proc = self.run_module(tmp_path, [*argv, f"report-{threads}.json"],
-                                   OPENBLAS_NUM_THREADS=threads)
+            proc = self.run_python(tmp_path, ["-c", SUITE_RESIDUALS], OPENBLAS_NUM_THREADS=threads)
             assert proc.returncode == 0, proc.stderr
-        assert (tmp_path / "report-1.json").read_bytes() == (tmp_path / "report-2.json").read_bytes()
+            residuals.append(proc.stdout)
+        assert residuals[0] == residuals[1]
+
+        proc = self.run_module(tmp_path, ["verify", "--kmax", "3", "--fields", "2", "--suite",
+                                          "operators", "--suite", "kodaira", "--seed", "7",
+                                          "--out", "report.json"], OPENBLAS_NUM_THREADS="2")
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads((tmp_path / "report.json").read_text())["suites"]
+        assert {name: {k: c["residual"] for k, c in suite["checks"].items()}
+                for name, suite in report.items()} == json.loads(residuals[0])
+
+    @classmethod
+    def run_module(cls, cwd, argv, **env):
+        return cls.run_python(cwd, ["-m", "qhodge.cli", *argv], **env)
 
     @staticmethod
-    def run_module(cwd, argv, **env):
+    def run_python(cwd, args, **env):
         src = os.path.dirname(os.path.dirname(os.path.abspath(qhodge.__file__)))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        return subprocess.run([sys.executable, "-m", "qhodge.cli", *argv], cwd=cwd,
+        return subprocess.run([sys.executable, *args], cwd=cwd,
                               env=dict(os.environ, PYTHONPATH=path, **env), capture_output=True,
                               text=True, timeout=300)
+
+
+# the residual dicts of two suite functions, outside run_suites and its BLAS pin
+SUITE_RESIDUALS = """
+import json
+from qhodge.suites import SUITES, RunConfig
+cfg = RunConfig(kmax=3, field_count=2, seed=7)
+print(json.dumps({name: SUITES[name](cfg) for name in ("operators", "kodaira")}))
+"""
+
+
+def openblas_thread_counters():
+    """get_num_threads of each OpenBLAS this process has loaded; empty when none is found."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line and ".so" in line})
+    except OSError:
+        return []
+    counters = []
+    for lib in libs:
+        handle = ctypes.CDLL(lib)
+        for symbol in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                       "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            counter = getattr(handle, symbol, None)
+            if counter is not None:
+                counter.restype = ctypes.c_int
+                counters.append(counter)
+                break
+    return counters
+
+
+class TestBlasPin:
+    """run_suites holds its suites at one BLAS thread and gives the caller's count back."""
+
+    @pytest.fixture
+    def two_threads(self):
+        setters = suites._openblas_thread_setters()
+        counters = openblas_thread_counters()
+        if not setters or len(counters) != len(setters):
+            pytest.skip("no OpenBLAS with a per-thread setter is loaded")
+        previous = [setter(2) for setter in setters]
+        yield counters
+        for setter, count in zip(setters, previous):
+            setter(count)
+
+    @pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+    def test_one_thread_inside_and_restored_after(self, monkeypatch, two_threads, fails):
+        seen = []
+
+        def record(cfg):
+            seen.extend(counter() for counter in two_threads)
+            if fails:
+                raise zeta.QuadratureFailure("quad")
+            return {"a": 0.0}
+
+        monkeypatch.setitem(suites.SUITES, "zeta", record)
+        if fails:
+            with pytest.raises(zeta.QuadratureFailure):
+                run_suites(RunConfig(suites=("zeta",)))
+        else:
+            assert run_suites(RunConfig(suites=("zeta",)))["all_pass"] is True
+        assert seen == [1] * len(two_threads)
+        assert [counter() for counter in two_threads] == [2] * len(two_threads)
+
+    def test_report_without_the_setter_is_byte_identical(self, tmp_path, monkeypatch, two_threads):
+        argv = ["verify", "--kmax", "2", "--fields", "2", "--suite", "operators", "--suite",
+                "kodaira", "--seed", "7", "--out"]
+        assert run([*argv, str(tmp_path / "pinned.json")]) == 0
+        monkeypatch.setattr(suites, "_openblas_thread_setters", lambda: ())
+        assert run([*argv, str(tmp_path / "unpinned.json")]) == 0
+        assert (tmp_path / "pinned.json").read_bytes() == (tmp_path / "unpinned.json").read_bytes()
 
 
 class TestTransgress:

@@ -1,7 +1,9 @@
 """Clifford algebra, spin module, sl2 structure, Dirac blocks."""
 
+import cmath
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -249,6 +251,12 @@ class TestPropForms:
     def test_f_kills_vacuum(self):
         rep = spin.omega_operator_check()
         assert rep["f_kills_vacuum"] == 0.0
+
+    def test_fit_to_zero_target_is_nan_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lam, misfit = spin._fit(np.ones((4, 4)), np.zeros((4, 4)))
+        assert cmath.isnan(lam) and math.isnan(misfit)
 
 
 class TestDiracBlocks:
