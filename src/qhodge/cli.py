@@ -49,9 +49,11 @@ class UsageError(Exception):
 
 
 def _check_out(out: str | None) -> None:
-    """UsageError unless --out can be created; run before any work, it creates nothing."""
-    if not out:
+    """UsageError unless out is None (not given) or can be created; run before any work."""
+    if out is None:
         return
+    if not out:
+        raise UsageError("cannot write '': an empty path names no file")
     parent = os.path.dirname(os.path.abspath(out))
     if os.path.isdir(out):
         raise UsageError(f"cannot write {out}: it is a directory")
@@ -60,12 +62,12 @@ def _check_out(out: str | None) -> None:
 
 
 def _emit(doc: dict, out: str | None) -> None:
-    """Write doc's JSON to out, or to stdout; NonFiniteOutput, before anything is written."""
+    """Write doc's JSON to out, or to stdout if None; NonFiniteOutput, before anything is written."""
     try:
         chunks = dump_json(doc)
     except ValueError as exc:
         raise NonFiniteOutput(f"nothing written: {exc}") from exc
-    if not out:
+    if out is None:
         sys.stdout.writelines(chunks)
         return
     try:

@@ -73,20 +73,21 @@ _FIELD_MARK = "\0qhodge.FormField %d"
 def dump_json(doc):
     """A document's file text (strict JSON, indent 1, sorted keys) as an iterator of chunks.
 
-    The text is json.dumps(doc, indent=1, sort_keys=True, allow_nan=False)
-    and a newline, with each FormField anywhere in doc (doc itself included)
-    written as its to_dict().  The envelope goes through that encoder; every
-    field's entries are formatted straight from its coefficient array.
-    Everything is checked here, before the first chunk: ValueError on a NaN
-    or inf.
+    The one encoder of a form document: the text is json.dumps(doc, indent=1,
+    sort_keys=True, allow_nan=False) and a newline, with each FormField in doc
+    (doc itself included) written as {"entries": [{"blade_mask", "im", "k", "re"},
+    ...], "truncation"}, entries in row-major (mode, blade) order, exact zeros
+    skipped; json.loads of the text gives that dict.  Checked before the first
+    chunk: ValueError on a NaN or inf, and the json module's TypeError on any
+    other value it cannot encode (a numpy scalar other than float64 too).
     """
     fields = []
 
     def default(obj):
-        if isinstance(obj, FormField):
-            fields.append(obj)
-            return _FIELD_MARK % (len(fields) - 1)
-        return float(obj)
+        if not isinstance(obj, FormField):
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        fields.append(obj)
+        return _FIELD_MARK % (len(fields) - 1)
 
     text = json.dumps(doc, indent=1, sort_keys=True, default=default, allow_nan=False)
     for f in fields:
@@ -213,33 +214,20 @@ class FormField:
         return float(np.abs(self.coeffs - np.conj(self.coeffs)[::-1]).max())
 
     # -- serialization -----------------------------------------------------
-    def _entry_lists(self, rows, masks):
-        """The entries at (rows, masks) as lists: k, blade mask, re, im.  All
-        entries of one mode share one k list (a dense field has 16 a mode)."""
-        z = self.coeffs[rows, masks]
-        modes, which = np.unique(rows, return_inverse=True)
-        ks = list(map(self.modes[modes].tolist().__getitem__, which.tolist()))
-        return ks, masks.tolist(), z.real.tolist(), z.imag.tolist()
-
-    def to_dict(self) -> dict:
-        """The form document; entries in row-major (mode, blade) order, exact zeros skipped."""
-        columns = self._entry_lists(*np.nonzero(self.coeffs))
-        entries = [{"k": k, "blade_mask": m, "re": re, "im": im} for k, m, re, im in zip(*columns)]
-        return {"truncation": self.kmax, "entries": entries}
-
     def _json_chunks(self, indent: int):
-        """json.dumps(self.to_dict(), indent=1, sort_keys=True) for a value whose
-        line is indented by `indent`, in chunks; the coefficients must be finite."""
+        """This field's form document, as dump_json writes it on a line indented by
+        `indent`, in chunks of _ENTRY_CHUNK entries; the coefficients must be finite."""
         nl = ["\n" + " " * (indent + i) for i in range(5)]
         entry = (f'{nl[2]}{{{nl[3]}"blade_mask": %d,{nl[3]}"im": %r,{nl[3]}"k": ['
                  f'{nl[4]}%d,{nl[4]}%d,{nl[4]}%d,{nl[4]}%d{nl[3]}],{nl[3]}"re": %r{nl[2]}}}')
         yield f'{{{nl[1]}"entries": ['
         rows, masks = np.nonzero(self.coeffs)
         for start in range(0, len(rows), _ENTRY_CHUNK):
-            chunk = slice(start, start + _ENTRY_CHUNK)
-            ks, ms, res, ims = self._entry_lists(rows[chunk], masks[chunk])
+            r, m = rows[start:start + _ENTRY_CHUNK], masks[start:start + _ENTRY_CHUNK]
+            z = self.coeffs[r, m]
+            columns = self.modes[r].tolist(), m.tolist(), z.real.tolist(), z.imag.tolist()
             yield ("," if start else "") + ",".join(
-                [entry % (m, im, *k, re) for k, m, re, im in zip(ks, ms, res, ims)])
+                [entry % (mask, im, *k, re) for k, mask, re, im in zip(*columns)])
         # an empty list is "[]"; a filled one closes on its own line
         yield f'{nl[1] if len(rows) else ""}],{nl[1]}"truncation": {self.kmax}{nl[0]}}}'
 

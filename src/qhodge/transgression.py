@@ -89,13 +89,14 @@ class TransgressionResult:
     precondition_residuals: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
+        """The result document for dump_json, which writes the potential as its form document."""
         return {
             "schema_version": 1,
             "order": self.order,
             "sign": self.sign,
             "residual": self.residual,
             "precondition_residuals": self.precondition_residuals,
-            "potential": self.potential,  # dump_json writes it as its to_dict()
+            "potential": self.potential,
         }
 
 

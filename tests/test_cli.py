@@ -426,7 +426,8 @@ class TestUnwritableOut:
         assert captured.err.count("\n") == 1
         assert captured.out == ""
 
-    @pytest.mark.parametrize("argv, module, name", [
+    # each subcommand line, and the function that does its work
+    WORK = pytest.mark.parametrize("argv, module, name", [
         (["verify"], cli, "run_suites"),
         (["torsion"], zeta, "torsion_report"),
         (["lapl-constant"], transgression, "measure_lapl_constant"),
@@ -434,14 +435,22 @@ class TestUnwritableOut:
         (["transgress", "--order", "2", "--structure", "I"], transgression, "transgress2"),
         (["transgress", "--order", "4"], transgression, "transgress4"),
     ], ids=["verify", "torsion", "lapl-constant", "transgress-1", "transgress-2", "transgress-4"])
+
+    @staticmethod
+    def no_work(tmp_path, monkeypatch, argv, module, name):
+        """argv with a form file for transgress; the work function raises if it runs."""
+        monkeypatch.setattr(module, name, _raise(AssertionError(f"{name} ran before --out")))
+        if argv[0] != "transgress":
+            return argv
+        inp = tmp_path / "t.json"
+        exterior_d(random_field(1, np.random.default_rng(5))).save(inp)
+        return [*argv, "--input", str(inp)]
+
+    @WORK
     @pytest.mark.parametrize("target", ["missing-dir", "directory"])
     def test_checked_before_any_work(self, tmp_path, monkeypatch, capsys, argv, module, name,
                                      target):
-        monkeypatch.setattr(module, name, _raise(AssertionError(f"{name} ran before --out")))
-        if argv[0] == "transgress":
-            inp = tmp_path / "t.json"
-            exterior_d(random_field(1, np.random.default_rng(5))).save(inp)
-            argv = [*argv, "--input", str(inp)]
+        argv = self.no_work(tmp_path, monkeypatch, argv, module, name)
         out = tmp_path / "missing_dir" / "out.json" if target == "missing-dir" else tmp_path
         before = sorted(tmp_path.rglob("*"))
         assert run([*argv, "--out", str(out)]) == 2
@@ -449,6 +458,27 @@ class TestUnwritableOut:
         assert captured.err.startswith(f"error: cannot write {out}: ")
         assert captured.err.count("\n") == 1
         assert sorted(tmp_path.rglob("*")) == before  # nothing created
+
+    @WORK
+    def test_empty_out_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv, module, name):
+        # an empty --out is given, not absent: it must not fall back to stdout
+        argv = self.no_work(tmp_path, monkeypatch, argv, module, name)
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        assert run([*argv, "--out", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: cannot write '': an empty path names no file\n"
+        assert captured.out == ""
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_empty_config_out_is_a_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_suites", _raise(AssertionError("run_suites ran before out")))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"out": ""}))
+        assert run(["verify", "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: cannot write '': an empty path names no file\n"
+        assert captured.out == ""
 
     def test_config_out_checked_before_suites(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "run_suites", _raise(AssertionError("run_suites ran before out")))

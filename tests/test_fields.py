@@ -135,22 +135,25 @@ class TestRandom:
         assert invariance_defect(f.coeffs) <= 1e-12 * f.norm()
 
 
+def written(f: FormField) -> dict:
+    """The form document as the CLI writes it."""
+    return json.loads("".join(dump_json(f)))
+
+
 class TestSerialization:
     def test_exact_roundtrip(self):
         rng = np.random.default_rng(7)
         f = random_field(1, rng)
-        doc = json.loads(json.dumps(f.to_dict()))
-        back = FormField.from_dict(doc)
+        back = FormField.from_dict(written(f))
         assert np.array_equal(back.coeffs, f.coeffs)
         assert back.kmax == f.kmax
 
     def test_schema_fields(self):
         f = single_mode(1, (1, 0, -1, 0), (2.5 - 1.5j) * np.eye(N_BLADES)[0b0101])
-        doc = f.to_dict()
-        assert doc["truncation"] == 1
-        assert doc["entries"] == [
-            {"k": [1, 0, -1, 0], "blade_mask": 5, "re": 2.5, "im": -1.5}
-        ]
+        assert written(f) == form_document_oracle(f) == {
+            "truncation": 1,
+            "entries": [{"k": [1, 0, -1, 0], "blade_mask": 5, "re": 2.5, "im": -1.5}],
+        }
 
     def test_missing_modes_are_zero(self):
         doc = {"truncation": 1, "entries": []}
@@ -166,7 +169,7 @@ class TestSerialization:
 
     def test_vol_entry(self):
         f = single_mode(1, (0, 0, 0, 0), VOL)
-        (entry,) = f.to_dict()["entries"]
+        (entry,) = written(f)["entries"]
         assert entry["blade_mask"] == 15
 
     def test_save_rejects_non_finite_before_opening(self, tmp_path):
@@ -182,18 +185,18 @@ class TestSerialization:
         f = random_field(1, np.random.default_rng(9), degree=2)
         saved, emitted = tmp_path / "saved.json", tmp_path / "emitted.json"
         f.save(saved)
-        cli._emit(f.to_dict(), str(emitted))
+        cli._emit(form_document_oracle(f), str(emitted))
         assert saved.read_bytes() == emitted.read_bytes()
 
     def test_saved_and_printed_bytes_are_the_stock_encoding(self, tmp_path, capsys):
         f = random_field(1, np.random.default_rng(9), degree=2)
-        text = stock_json(f.to_dict())
+        text = stock_json(form_document_oracle(f))
         f.save(tmp_path / "saved.json")
         cli._emit(f, str(tmp_path / "emitted.json"))
         cli._emit({"field": f}, None)
         assert (tmp_path / "saved.json").read_bytes() == text.encode()
         assert (tmp_path / "emitted.json").read_bytes() == text.encode()
-        assert capsys.readouterr().out == stock_json({"field": f.to_dict()})
+        assert capsys.readouterr().out == stock_json({"field": form_document_oracle(f)})
 
     @staticmethod
     def special_field():
@@ -214,9 +217,9 @@ class TestSerialization:
     ], ids=["empty-kmax-0", "empty-kmax-2", "kmax-0", "special-values", "dense-kmax-2"])
     def test_dump_json_is_the_stock_encoding_of_the_loop_document(self, make):
         f = make()
-        doc = form_document_oracle(f)
-        assert f.to_dict() == doc
-        assert "".join(dump_json(f)) == stock_json(doc)
+        text = "".join(dump_json(f))
+        assert text == stock_json(form_document_oracle(f))
+        assert np.array_equal(FormField.from_dict(json.loads(text)).coeffs, f.coeffs)
 
     def test_empty_field_writes_an_empty_entry_list(self):
         assert "".join(dump_json(FormField(0))) == '{\n "entries": [],\n "truncation": 0\n}\n'
@@ -233,6 +236,16 @@ class TestSerialization:
         f.coeffs[0, 0] = complex(0.0, np.inf)
         with pytest.raises(ValueError, match="NaN or infinite"):
             dump_json({"a": [1.0, {"b": f}]})
+
+    @pytest.mark.parametrize("value", [np.int64(3), np.bool_(True), np.float32(0.5)],
+                             ids=["int64", "bool_", "float32"])
+    def test_dump_json_coerces_nothing(self, value):
+        # the json module's own TypeError: a numpy scalar is never coerced to a float
+        with pytest.raises(TypeError) as stock:
+            json.dumps(value)
+        with pytest.raises(TypeError) as ours:
+            dump_json({"a": [1.0, value], "field": FormField(0)})
+        assert str(ours.value) == str(stock.value)
 
 
 class TestMemoryBudget:

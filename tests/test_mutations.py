@@ -33,6 +33,8 @@ MUTANTS = {
                     "EULER_GAMMA = 0.5772156649015328606065120900824024 + 1e-9"),
     "star-sign-mask-3": ("exterior.py", "s[mc, m] = _merge_sign(m, mc)",
                          "s[mc, m] = _merge_sign(m, mc) * (-1 if m == 3 else 1)"),
+    # the form-document writer puts each entry's real part under "im" and its imaginary under "re"
+    "writer-re-im": ("fields.py", "entry % (mask, im, *k, re)", "entry % (mask, re, *k, im)"),
 }
 
 

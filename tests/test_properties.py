@@ -87,8 +87,8 @@ def sparse_field(draw, values=finite):
 
 @PROPERTY
 @given(sparse_field())
-def test_to_dict_from_dict_round_trip_is_exact(f):
-    back = FormField.from_dict(json.loads(json.dumps(f.to_dict())))
+def test_written_text_round_trip_is_exact(f):
+    back = FormField.from_dict(json.loads("".join(dump_json(f))))
     assert back.kmax == f.kmax
     assert np.array_equal(back.coeffs, f.coeffs)
 
@@ -96,10 +96,9 @@ def test_to_dict_from_dict_round_trip_is_exact(f):
 @PROPERTY
 @given(sparse_field(st.one_of(special, finite)), st.integers(0, 3))
 def test_dump_json_is_the_stock_encoding(f, depth):
-    assert f.to_dict() == form_document_oracle(f)
-    assert "".join(dump_json(f)) == stock_json(f.to_dict())
+    assert "".join(dump_json(f)) == stock_json(form_document_oracle(f))
     # the field embedded `depth` levels down an envelope, between other keys
-    doc, old = f, f.to_dict()
+    doc, old = f, form_document_oracle(f)
     for level in range(depth):
         doc = {"a": level, "field": [doc, -0.0], "z": {"t": 1e-300}}
         old = {"a": level, "field": [old, -0.0], "z": {"t": 1e-300}}
