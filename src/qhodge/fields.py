@@ -10,13 +10,18 @@ lexicographic order, so every operator in the algebra is a plain (n, 16)
 array transform and mode sets never need realignment.  The field is real
 iff omega_{-k} = conj(omega_k) for all k.
 
-A field takes ownership of the (n, 16) array it is built from (no copy).
+The (n, 16) array is stored blade-major (column-major): `coeffs.T` is a
+C-contiguous (16, n) array, so each blade's n coefficients are one
+contiguous run, which is what the symbol kernel in `operators` reads and
+writes.  A field keeps a blade-major array it is built from and copies a
+row-major one once.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import numbers
 from functools import lru_cache
 
 import numpy as np
@@ -134,7 +139,10 @@ def _entry_column(entries, key: str, width: int, types, what: str) -> np.ndarray
 
 
 class FormField:
-    """Truncated Fourier series of a complex-valued differential form on T^4; owns `coeffs`."""
+    """Truncated Fourier series of a complex-valued differential form on T^4.
+
+    `coeffs` is the (n, 16) array of coefficients, stored blade-major.
+    """
 
     __slots__ = ("kmax", "coeffs")
 
@@ -143,9 +151,9 @@ class FormField:
         check_truncation(self.kmax)
         n = (2 * self.kmax + 1) ** 4
         if coeffs is None:
-            self.coeffs = np.zeros((n, N_BLADES), dtype=complex)
+            self.coeffs = np.zeros((N_BLADES, n), dtype=complex).T
         else:
-            coeffs = np.asarray(coeffs, dtype=complex)
+            coeffs = np.asarray(coeffs, dtype=complex, order="F")
             if coeffs.shape != (n, N_BLADES):
                 raise ValueError(f"expected coeffs of shape {(n, N_BLADES)}, got {coeffs.shape}")
             self.coeffs = coeffs
@@ -170,30 +178,42 @@ class FormField:
             raise ValueError("truncation mismatch")
 
     def __add__(self, other):
+        if not isinstance(other, FormField):
+            return NotImplemented
         self._check(other)
         return FormField(self.kmax, self.coeffs + other.coeffs)
 
     def __sub__(self, other):
+        if not isinstance(other, FormField):
+            return NotImplemented
         self._check(other)
         return FormField(self.kmax, self.coeffs - other.coeffs)
 
     def __mul__(self, scalar):
+        if not isinstance(scalar, numbers.Number):
+            return NotImplemented
         return FormField(self.kmax, self.coeffs * scalar)
 
     __rmul__ = __mul__
 
     # -- geometry ---------------------------------------------------------
     def inner(self, other: "FormField") -> complex:
-        """L^2 pairing; Fourier modes and blades are orthonormal."""
+        """L^2 pairing; Fourier modes and blades are orthonormal.
+
+        The products are summed in row-major (mode, blade) order.
+        """
+        if not isinstance(other, FormField):
+            raise TypeError(f"inner product of a FormField with {type(other).__name__}")
         self._check(other)
-        return complex(np.sum(self.coeffs * np.conj(other.coeffs)))
+        return complex(np.sum(np.ascontiguousarray(self.coeffs * np.conj(other.coeffs))))
 
     def norm(self) -> float:
         """L^2 norm; finite whenever it is representable, even when its square is not.
 
         The sum of squares runs over the real and imaginary parts in row-major
-        order, in numpy's own loop rather than a BLAS dot, so its value does
-        not depend on the BLAS thread count.
+        order (reshape(-1) makes a row-major copy of the blade-major array), in
+        numpy's own loop rather than a BLAS dot, so its value does not depend
+        on the BLAS thread count.
         """
         parts = self.coeffs.reshape(-1).view(float)
         with np.errstate(over="ignore"):  # handled below

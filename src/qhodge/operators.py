@@ -15,10 +15,13 @@ Every first-order operator is therefore one symbol, i eps(L kappa) or its
 adjoint -i iota(L kappa) for a 4x4 matrix L (the identity, C or L_x),
 applied by `_first_order`.  With weights w = L kappa per mode, the symbol is
 sum_a w_a eps_a (or iota_a), and each eps_a and iota_a only flips blade
-bit a and attaches a sign.  So no matrix product is taken: in the
-blade-major view of the coefficients, axis a moves one half of the blades
-(one slab over all modes) onto the other half, times a fixed sign array and
-w_a.  The per-axis plans are read off `WEDGE_E` and `INTERIOR_E` at import.
+bit a and attaches a sign.  So no matrix product is taken: a field stores
+its coefficients blade-major (see `fields`), and axis a moves one half of
+the blades (one slab of contiguous runs over all modes) onto the other
+half, times a fixed sign array and w_a, into a blade-major result.  The
+per-axis plans are read off `WEDGE_E` and `INTERIOR_E` at import.  Fiber
+matrices (`apply_fiber`) multiply the blade-major (16, n) array from the
+left, so they keep the layout too.
 
 Adjoint signs are not transcribed from anywhere: they are forced by the
 L^2 adjointness property, which the test suite asserts directly.
@@ -44,8 +47,18 @@ _EYE = np.eye(4)
 
 
 def apply_fiber(f: FormField, mat: np.ndarray) -> FormField:
-    """Apply one mode-independent 16x16 fiber matrix to every mode."""
-    return FormField(f.kmax, f.coeffs @ mat.T)
+    """Apply one mode-independent 16x16 fiber matrix to every mode.
+
+    The product is taken on the blade-major (16, n) array and keeps that
+    layout.  For a real matrix, as every fiber matrix of the package is, each
+    value equals that of the row-major f.coeffs @ mat.T; a dense complex
+    matrix may round differently.  A single mode (truncation 0) takes the
+    row-major product itself, which is blade-major too: BLAS sums a
+    matrix-vector product in another order than a vector-matrix one.
+    """
+    if len(f.coeffs) == 1:
+        return FormField(f.kmax, f.coeffs @ mat.T)
+    return FormField(f.kmax, (mat @ f.coeffs.T).T)
 
 
 def _axis_plan(tables):
@@ -83,7 +96,9 @@ def _apply_symbol(coeffs: np.ndarray, weights: np.ndarray, plan, scale: complex)
     half, weight it, add it into the destination half.  The sum is taken in
     axis order 0..3 and every sign is +-1, so every value equals that of
     sum_a (coeffs @ E_a.T) * weights[:, a] times scale; only the sign of an
-    entry that is exactly zero can differ.
+    entry that is exactly zero can differ.  With blade-major coeffs every slab
+    is contiguous; the (n, 16) result is the .T of the blade-major sum, scaled
+    in place.
     """
     n = len(coeffs)
     view = coeffs.T.reshape(2, 2, 2, 2, n)
@@ -93,9 +108,8 @@ def _apply_symbol(coeffs: np.ndarray, weights: np.ndarray, plan, scale: complex)
         np.multiply(view[source], signs, out=tmp)
         tmp *= w
         acc[dst] += tmp
-    out = np.empty((n, N_BLADES), dtype=complex)
-    np.multiply(acc.reshape(N_BLADES, n), scale, out=out.T)
-    return out
+    acc *= scale
+    return acc.reshape(N_BLADES, n).T
 
 
 def _first_order(f: FormField, L: np.ndarray, star: bool) -> FormField:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qhodge import cli
-from qhodge.exterior import N_BLADES, VOL
+from qhodge.exterior import GRADING, N_BLADES, VOL
 from qhodge.fields import (
     FIELD_BYTE_BUDGET,
     FormField,
@@ -16,6 +16,9 @@ from qhodge.fields import (
     random_field,
     single_mode,
 )
+
+from qhodge import operators
+from qhodge.transgression import quartic_differential, transgress1, transgress2, transgress4
 
 from oracles import form_document_oracle, stock_json
 
@@ -62,6 +65,28 @@ class TestAlgebra:
         with pytest.raises(ValueError):
             FormField(1) + FormField(2)
 
+    @pytest.mark.parametrize("op", [
+        lambda f: f + 1,
+        lambda f: 1 + f,
+        lambda f: f - 1.0,
+        lambda f: 1.0 - f,
+        lambda f: f + f.coeffs.tolist(),
+        lambda f: f * f,
+        lambda f: f * "2",
+        lambda f: f.inner(1),
+        lambda f: f.inner(f.coeffs),
+    ], ids=["add", "radd", "sub", "rsub", "add-list", "mul-field", "mul-str", "inner-int",
+            "inner-array"])
+    def test_arithmetic_with_a_non_field_is_a_type_error(self, op):
+        with pytest.raises(TypeError):
+            op(random_field(0, np.random.default_rng(3)))
+
+    def test_scalars_of_every_number_type_scale(self):
+        f = random_field(1, np.random.default_rng(3))
+        for s in (2, 2.0, 2 + 0j, np.int64(2), np.float64(2.0), np.complex128(2.0)):
+            assert np.array_equal((f * s).coeffs, 2 * f.coeffs)
+            assert np.array_equal((s * f).coeffs, 2 * f.coeffs)
+
     def test_inner_is_mode_orthonormal(self):
         f = single_mode(2, (1, 0, 0, 0), ONE)
         g = single_mode(2, (0, 1, 0, 0), ONE)
@@ -69,10 +94,23 @@ class TestAlgebra:
         assert f.inner(g) == 0.0
 
     def test_norm_keeps_the_bits_of_a_normal_range_field(self):
-        # no rescale in the normal range: the plain root of the sum of squares
-        f = random_field(2, np.random.default_rng(1))
-        parts = f.coeffs.reshape(-1).view(float)
-        assert f.norm() == float(np.sqrt(np.einsum("i,i->", parts, parts)))
+        # no rescale in the normal range: the plain root of the sum of squares,
+        # taken in row-major (mode, blade) order whatever the stored layout
+        for kmax in range(4):
+            f = random_field(kmax, np.random.default_rng(1))
+            parts = np.ascontiguousarray(f.coeffs).reshape(-1).view(float)
+            assert f.norm() == float(np.sqrt(np.einsum("i,i->", parts, parts)))
+
+    def test_inner_sums_in_row_major_order(self):
+        rng = np.random.default_rng(12)
+        for kmax in range(4):
+            f, g = random_field(kmax, rng), random_field(kmax, rng)
+            a, b = np.ascontiguousarray(f.coeffs), np.ascontiguousarray(g.coeffs)
+            # outside the assert: pytest keeps the conj temporary alive there, and numpy
+            # then multiplies into a new array instead of into the temporary, which can
+            # round differently
+            want = complex(np.sum(a * np.conj(b)))
+            assert f.inner(g) == want
 
     @pytest.mark.parametrize("scale", [1e160, 1e300, 1e-170, 1e-300])
     def test_norm_beyond_the_range_of_its_square(self, scale):
@@ -133,6 +171,71 @@ class TestRandom:
         f = random_field(1, rng, invariant=True)
         assert f.norm() > 1.0
         assert invariance_defect(f.coeffs) <= 1e-12 * f.norm()
+
+
+def transgression_potentials(kmax: int, rng):
+    """The potentials of transgress1, transgress2 (structure J) and transgress4."""
+    closed1 = operators.exterior_d(random_field(kmax, rng, real=True))
+    closed2 = operators.exterior_d(operators.twisted_d(random_field(kmax, rng, real=True), "J"))
+    closed4 = quartic_differential(random_field(kmax, rng, degree=0, real=True))
+    return [transgress1(closed1).potential, transgress2(closed2, "J").potential,
+            transgress4(closed4).potential]
+
+
+class TestBladeMajorLayout:
+    """Every field the package makes stores its coefficients blade-major.
+
+    The symbol kernel reads coeffs.T as contiguous slabs; a row-major field
+    would still give the same values, but through a full copy per call.
+    """
+
+    @staticmethod
+    def assert_blade_major(f: FormField):
+        assert f.coeffs.shape == ((2 * f.kmax + 1) ** 4, N_BLADES)
+        assert f.coeffs.T.flags.c_contiguous
+
+    def test_constructors(self):
+        rng = np.random.default_rng(13)
+        fields = [FormField(0), FormField(2), single_mode(1, (1, 0, 0, 0), ONE),
+                  FormField(1, np.zeros((81, N_BLADES))), FormField(1, np.zeros((N_BLADES, 81)).T),
+                  random_field(2, rng), random_field(2, rng, degree=2),
+                  random_field(2, rng, real=True), random_field(2, rng, invariant=True),
+                  random_field(2, rng, degree=2, real=True, invariant=True)]
+        f = random_field(2, rng)
+        fields += [FormField.from_dict(written(f)), FormField.from_dict(written(FormField(1)))]
+        for g in fields:
+            self.assert_blade_major(g)
+
+    def test_a_blade_major_array_is_kept(self):
+        array = np.zeros((N_BLADES, 81), dtype=complex).T
+        assert FormField(1, array).coeffs is array
+
+    def test_arithmetic(self):
+        rng = np.random.default_rng(14)
+        f, g = random_field(2, rng), random_field(2, rng)
+        for h in (f + g, f - g, 2.0 * f, f * 1j, np.float64(-1.0) * f):
+            self.assert_blade_major(h)
+
+    def test_every_public_operator(self):
+        rng = np.random.default_rng(15)
+        f = random_field(2, rng)
+        x = rng.standard_normal(4)
+        results = [
+            operators.apply_fiber(f, GRADING),
+            operators.exterior_d(f), operators.d_star(f),
+            operators.twisted_d(f, "I"), operators.twisted_d_star(f, "K"),
+            operators.quaternionic_d(f, x), operators.quaternionic_d_star(f, x),
+            operators.grading(f), operators.xhat(f, x),
+            operators.laplacian(f), operators.laplacian_hodge(f),
+            operators.green(f), operators.harmonic_project(f),
+            quartic_differential(f),
+        ]
+        for h in results:
+            self.assert_blade_major(h)
+
+    def test_transgression_potentials(self):
+        for potential in transgression_potentials(1, np.random.default_rng(16)):
+            self.assert_blade_major(potential)
 
 
 def written(f: FormField) -> dict:

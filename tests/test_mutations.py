@@ -35,6 +35,8 @@ MUTANTS = {
                          "s[mc, m] = _merge_sign(m, mc) * (-1 if m == 3 else 1)"),
     # the form-document writer puts each entry's real part under "im" and its imaginary under "re"
     "writer-re-im": ("fields.py", "entry % (mask, im, *k, re)", "entry % (mask, re, *k, im)"),
+    # apply_fiber applies the transpose of each fiber matrix on the blade-major array
+    "apply-fiber-transpose": ("operators.py", "(mat @ f.coeffs.T).T", "(mat.T @ f.coeffs.T).T"),
 }
 
 

@@ -9,7 +9,7 @@ derived independently before being asserted here.
 import numpy as np
 import pytest
 
-from qhodge.exterior import INTERIOR_E, N_BLADES, VOL, WEDGE_E
+from qhodge.exterior import GRADING, INTERIOR_E, N_BLADES, VOL, WEDGE_E
 from qhodge.fields import FormField, dump_json, grid, random_field, single_mode
 from qhodge.operators import (
     apply_fiber,
@@ -33,10 +33,14 @@ from qhodge.operators import (
 from qhodge import operators
 from qhodge.quaternionic import (
     AD,
+    GROUP,
+    STRUCTURE_NAMES,
     left_matrix,
     lefschetz_dual_matrix,
     lefschetz_matrix,
+    rotor_matrix,
     structure_matrix,
+    xhat_matrix,
 )
 
 SEED = 99
@@ -142,6 +146,28 @@ class TestSymbolKernel:
         bad[1, 0b0011, 0] = 1.0  # blade 0 sent to a blade two bits away
         with pytest.raises(AssertionError, match="table 1 is not a signed flip of bit 1"):
             operators._axis_plan(bad)
+
+
+class TestApplyFiber:
+    """apply_fiber's blade-major product against the row-major one, bit for bit."""
+
+    @staticmethod
+    def fiber_matrices(rng):
+        """Every kind of fiber matrix the package applies to a field."""
+        u = rng.standard_normal(4)
+        return [*AD.values(), *GROUP.values(),
+                *(lefschetz_matrix(c) for c in STRUCTURE_NAMES),
+                *(lefschetz_dual_matrix(c) for c in STRUCTURE_NAMES),
+                GRADING, rotor_matrix(u / np.linalg.norm(u)), xhat_matrix(rng.standard_normal(4))]
+
+    @pytest.mark.parametrize("kmax", range(5))
+    def test_equals_the_row_major_product(self, kmax):
+        rng = np.random.default_rng(SEED + 40 + kmax)
+        f = random_field(kmax, rng)
+        row_major = np.ascontiguousarray(f.coeffs)
+        for M in self.fiber_matrices(rng):
+            assert np.isrealobj(M)
+            assert np.array_equal(apply_fiber(f, M).coeffs, row_major @ M.T)
 
 
 class TestTwistedD:
