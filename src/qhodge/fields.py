@@ -327,7 +327,6 @@ def random_field(
         from .quaternionic import INVARIANT_PROJECTOR
 
         c = c @ INVARIANT_PROJECTOR.T
-    f = FormField(kmax, c)
     if real:
-        f.coeffs = (f.coeffs + np.conj(f.coeffs)[::-1]) / 2
-    return f
+        c = (c + np.conj(c)[::-1]) / 2
+    return FormField(kmax, c)

@@ -50,14 +50,12 @@ def apply_fiber(f: FormField, mat: np.ndarray) -> FormField:
     """Apply one mode-independent 16x16 fiber matrix to every mode.
 
     The product is taken on the blade-major (16, n) array and keeps that
-    layout.  For a real matrix, as every fiber matrix of the package is, each
-    value equals that of the row-major f.coeffs @ mat.T; a dense complex
-    matrix may round differently.  A single mode (truncation 0) takes the
-    row-major product itself, which is blade-major too: BLAS sums a
-    matrix-vector product in another order than a vector-matrix one.
+    layout.  Each entry is the row-major f.coeffs @ mat.T up to the order in
+    which BLAS sums its 16 terms.  For a real matrix, as every fiber matrix
+    of the package is, the OpenBLAS Haswell and SkylakeX kernels give the
+    same bits on two or more modes; other kernels, a single mode (a
+    matrix-vector product) and a dense complex matrix may round differently.
     """
-    if len(f.coeffs) == 1:
-        return FormField(f.kmax, f.coeffs @ mat.T)
     return FormField(f.kmax, (mat @ f.coeffs.T).T)
 
 

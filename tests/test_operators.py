@@ -149,7 +149,7 @@ class TestSymbolKernel:
 
 
 class TestApplyFiber:
-    """apply_fiber's blade-major product against the row-major one, bit for bit."""
+    """apply_fiber's blade-major product against the row-major one."""
 
     @staticmethod
     def fiber_matrices(rng):
@@ -161,13 +161,20 @@ class TestApplyFiber:
                 GRADING, rotor_matrix(u / np.linalg.norm(u)), xhat_matrix(rng.standard_normal(4))]
 
     @pytest.mark.parametrize("kmax", range(5))
-    def test_equals_the_row_major_product(self, kmax):
+    def test_within_the_dot_product_bound_of_the_row_major_product(self, kmax):
+        # Each entry is a 16-term dot product.  Whether BLAS sums the
+        # blade-major (16, 16) @ (16, n) product and the row-major
+        # (n, 16) @ (16, 16) one in the same order depends on its kernel (and
+        # at one mode on gemv against gemm), so the check is the gap that the
+        # forward error bounds of two length-16 dot products allow (with a
+        # factor 2 for the modulus of a complex entry).
         rng = np.random.default_rng(SEED + 40 + kmax)
         f = random_field(kmax, rng)
         row_major = np.ascontiguousarray(f.coeffs)
         for M in self.fiber_matrices(rng):
             assert np.isrealobj(M)
-            assert np.array_equal(apply_fiber(f, M).coeffs, row_major @ M.T)
+            bound = 2 * N_BLADES * np.finfo(float).eps * (np.abs(row_major) @ np.abs(M).T)
+            assert np.all(np.abs(apply_fiber(f, M).coeffs - row_major @ M.T) <= bound)
 
 
 class TestTwistedD:
