@@ -7,12 +7,10 @@ import inspect
 import itertools
 import json
 import math
-import os
 import pickle
 import pkgutil
 import re
-import subprocess
-import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +23,9 @@ from qhodge.exterior import VOL
 from qhodge.operators import exterior_d
 from qhodge.suites import RunConfig, run_suites
 from qhodge.transgression import TransgressionResult, quartic_differential
+from reference_runs import run_python
+
+SRC = Path(qhodge.__file__).resolve().parents[1]
 
 
 def run(argv):
@@ -512,8 +513,8 @@ class TestModuleEntryPoint:
         proc = self.run_module(tmp_path, ["transgress", "--order", "1", "--input", "deep.json",
                                           "--out", "r.json"])
         assert proc.returncode == 2
-        assert proc.stderr.startswith("error: cannot read form file: maximum recursion depth")
-        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith(b"error: cannot read form file: maximum recursion depth")
+        assert proc.stderr.count(b"\n") == 1
         assert not (tmp_path / "r.json").exists()
 
     def test_report_does_not_depend_on_blas_threads(self, tmp_path):
@@ -521,7 +522,7 @@ class TestModuleEntryPoint:
         # holds one thread, so the suite functions themselves run at 1 and at 2
         residuals = []
         for threads in ("1", "2"):
-            proc = self.run_python(tmp_path, ["-c", SUITE_RESIDUALS], OPENBLAS_NUM_THREADS=threads)
+            proc = run_python(SRC, ["-c", SUITE_RESIDUALS], tmp_path, OPENBLAS_NUM_THREADS=threads)
             assert proc.returncode == 0, proc.stderr
             residuals.append(proc.stdout)
         assert residuals[0] == residuals[1]
@@ -534,17 +535,9 @@ class TestModuleEntryPoint:
         assert {name: {k: c["residual"] for k, c in suite["checks"].items()}
                 for name, suite in report.items()} == json.loads(residuals[0])
 
-    @classmethod
-    def run_module(cls, cwd, argv, **env):
-        return cls.run_python(cwd, ["-m", "qhodge.cli", *argv], **env)
-
     @staticmethod
-    def run_python(cwd, args, **env):
-        src = os.path.dirname(os.path.dirname(os.path.abspath(qhodge.__file__)))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        return subprocess.run([sys.executable, *args], cwd=cwd,
-                              env=dict(os.environ, PYTHONPATH=path, **env), capture_output=True,
-                              text=True, timeout=300)
+    def run_module(cwd, argv, **env):
+        return run_python(SRC, ["-m", "qhodge.cli", *argv], cwd, **env)
 
 
 # the residual dicts of two suite functions, outside run_suites and its BLAS pin

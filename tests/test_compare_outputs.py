@@ -5,9 +5,11 @@ import shutil
 from pathlib import Path
 
 import qhodge
+from reference_runs import RUNS
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_outputs.py"
 SRC = Path(qhodge.__file__).resolve().parents[1]
+DENSE = "same: qhodge transgress --order 1 --input dense.json --out out.json\n"
 
 
 def load_script():
@@ -19,13 +21,24 @@ def load_script():
 
 def test_names_the_first_difference(tmp_path, monkeypatch, capsys):
     script = load_script()
-    monkeypatch.setattr(script, "COMMANDS", [["torsion"]])
+    monkeypatch.setattr(script, "RUNS", [(["torsion"], 0, None)])
     shutil.copytree(SRC / "qhodge", tmp_path / "qhodge",
                     ignore=shutil.ignore_patterns("__pycache__"))
     assert script.main([str(SRC), str(tmp_path)]) == 0
-    assert capsys.readouterr().out == "same: qhodge torsion\n"
+    assert capsys.readouterr().out == "same: qhodge torsion\n" + DENSE
 
     zeta = tmp_path / "qhodge" / "zeta.py"
     zeta.write_text(zeta.read_text() + "EULER_GAMMA += 1e-9\n")
     assert script.main([str(SRC), str(tmp_path)]) == 1
     assert capsys.readouterr().err == "differ: qhodge torsion: stdout\n"
+
+    # with --out the report is a written file, and stdout stays empty on both trees
+    monkeypatch.setattr(script, "RUNS", [(["torsion"], 0, "t.json")])
+    assert script.main([str(SRC), str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "differ: qhodge torsion --out t.json: file t.json\n"
+
+
+def test_both_report_writers_are_compared():
+    # a report goes to stdout without --out and to the file with it; RUNS keeps a verify of each
+    verify = [name for argv, _, name in RUNS if argv[0] == "verify" and "--help" not in argv]
+    assert None in verify and any(verify)

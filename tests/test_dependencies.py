@@ -6,10 +6,10 @@ tests/test_quaternionic.py and tests/test_spin.py).
 """
 
 import ast
-import os
-import subprocess
 import sys
 from pathlib import Path
+
+from reference_runs import run_python
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qhodge"
 
@@ -49,11 +49,11 @@ def test_boundary_sees_every_import_kind():
     assert ("zeta.py", "numpy") in found
 
 
-def test_cli_import_loads_no_scipy():
+def test_cli_import_loads_no_scipy(tmp_path):
     # numpy may import optional packages of its own; a fresh interpreter
     # shows what `import qhodge.cli` pulls in end to end
     code = ("import sys, qhodge.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)}, timeout=120)
-    assert out.stdout.strip() == "[]"
+    out = run_python(SRC.parent, ["-c", code], tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == b"[]"

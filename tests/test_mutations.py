@@ -7,15 +7,13 @@ a check (exit 1) or a numerical gate (exit 4), never with a traceback or a
 numpy warning on stderr.
 """
 
-import os
 import shutil
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
 import qhodge
+from reference_runs import run_python
 
 SRC = Path(qhodge.__file__).resolve().parent
 ARGV = ["verify", "--kmax", "1", "--fields", "1", "--seed", "7",
@@ -49,10 +47,7 @@ def run_copy(tmp_path, mutant=None):
         text = path.read_text(encoding="utf-8")
         assert text.count(old) == 1
         path.write_text(text.replace(old, new), encoding="utf-8")
-    path = os.pathsep.join(filter(None, [str(tmp_path), os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "qhodge.cli", *ARGV], cwd=tmp_path,
-                          env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
-                          timeout=300)
+    return run_python(tmp_path, ["-m", "qhodge.cli", *ARGV], tmp_path)
 
 
 def test_unmutated_copy_passes(tmp_path):
@@ -64,6 +59,6 @@ def test_unmutated_copy_passes(tmp_path):
 def test_mutant_is_caught(tmp_path, mutant):
     proc = run_copy(tmp_path, mutant)
     assert proc.returncode in (1, 4), proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert b"Traceback" not in proc.stderr
     # the w^1 mutant zeroes the target of spin._fit; a NaN fails the check, silently
-    assert "RuntimeWarning" not in proc.stderr
+    assert b"RuntimeWarning" not in proc.stderr
