@@ -138,6 +138,25 @@ def _entry_column(entries, key: str, width: int, types, what: str) -> np.ndarray
     return column.reshape(-1, width) if width else column
 
 
+def _row_major_norm(coeffs: np.ndarray) -> float:
+    """L^2 norm of an (n, 16) complex array, summed in row-major (mode, blade) order.
+
+    The sum of squares runs over the real and imaginary parts in numpy's own
+    loop rather than a BLAS dot, so its value does not depend on the BLAS
+    thread count.  reshape(-1) is a view of a row-major array and a row-major
+    copy of a blade-major one.  When the sum overflows or underflows, the
+    parts are rescaled by a power of two (exact) that brings the largest near 1.
+    """
+    parts = coeffs.reshape(-1).view(float)
+    with np.errstate(over="ignore"):  # handled below
+        value = float(np.sqrt(np.einsum("i,i->", parts, parts)))
+    if value == np.inf or (value == 0.0 and parts.any()):
+        _, e = np.frexp(np.abs(parts).max())
+        scaled = np.ldexp(parts, -e)
+        value = float(np.ldexp(np.sqrt(np.einsum("i,i->", scaled, scaled)), e))
+    return value
+
+
 class FormField:
     """Truncated Fourier series of a complex-valued differential form on T^4.
 
@@ -210,21 +229,22 @@ class FormField:
     def norm(self) -> float:
         """L^2 norm; finite whenever it is representable, even when its square is not.
 
-        The sum of squares runs over the real and imaginary parts in row-major
-        order (reshape(-1) makes a row-major copy of the blade-major array), in
-        numpy's own loop rather than a BLAS dot, so its value does not depend
-        on the BLAS thread count.
+        The sum of squares runs in row-major order: reshape(-1) makes a
+        row-major copy of the blade-major array (see `_row_major_norm`).
         """
-        parts = self.coeffs.reshape(-1).view(float)
-        with np.errstate(over="ignore"):  # handled below
-            value = float(np.sqrt(np.einsum("i,i->", parts, parts)))
-        if value == np.inf or (value == 0.0 and parts.any()):
-            # the sum of squares overflowed or underflowed: rescale by a power
-            # of two (exact) that brings the largest component near 1
-            _, e = np.frexp(np.abs(parts).max())
-            scaled = np.ldexp(parts, -e)
-            value = float(np.ldexp(np.sqrt(np.einsum("i,i->", scaled, scaled)), e))
-        return value
+        return _row_major_norm(self.coeffs)
+
+    def distance(self, other: "FormField") -> float:
+        """||self - other||, equal to (self - other).norm() bit for bit.
+
+        The difference is written straight into one row-major array, so no
+        blade-major difference and no second copy of it are made.
+        """
+        if not isinstance(other, FormField):
+            raise TypeError(f"distance of a FormField to {type(other).__name__}")
+        self._check(other)
+        diff = np.empty(self.coeffs.shape, dtype=complex)
+        return _row_major_norm(np.subtract(self.coeffs, other.coeffs, out=diff))
 
     def degrees(self, tol: float = 0.0):
         present = np.abs(self.coeffs).max(axis=0)
@@ -320,7 +340,13 @@ def random_field(
     """
     check_truncation(kmax)
     n = (2 * kmax + 1) ** 4
-    c = (rng.standard_normal((n, N_BLADES)) + 1j * rng.standard_normal((n, N_BLADES))) / np.sqrt(2)
+    # drawn straight into blade-major storage; numpy divides a complex array by
+    # a real scalar as a product with its reciprocal, so this has the bits of
+    # (N1 + 1j N2) / np.sqrt(2)
+    c = np.empty((N_BLADES, n), dtype=complex).T
+    c.real = rng.standard_normal((n, N_BLADES))
+    c.imag = rng.standard_normal((n, N_BLADES))
+    c *= 1 / np.sqrt(2)
     if degree is not None:
         c[:, DEGREE != degree] = 0.0
     if invariant:
@@ -328,5 +354,6 @@ def random_field(
 
         c = c @ INVARIANT_PROJECTOR.T
     if real:
-        c = (c + np.conj(c)[::-1]) / 2
+        c += np.conj(c)[::-1]
+        c /= 2
     return FormField(kmax, c)

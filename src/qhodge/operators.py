@@ -65,7 +65,8 @@ def _axis_plan(tables):
     tables[a] must map blade m to +-blade m ^ 2^a on one half of the blades
     (bit a clear for eps, set for iota) and vanish on the other; that is
     checked here.  In the blade-major view (2, 2, 2, 2, n) bit a is axis
-    3 - a, so each half is one slab and its signs are a (2, 2, 2, 1) array.
+    3 - a, so each half is one slab and its signs are a (2, 2, 2, 1) array,
+    complex like the fields, so signing a slab needs no buffered cast.
     """
     blades = np.arange(N_BLADES)
     plan = []
@@ -79,7 +80,8 @@ def _axis_plan(tables):
             f"table {a} is not a signed flip of bit {a}"
         axis = (slice(None),) * (3 - a)
         source = axis + (bit,)
-        plan.append((axis + (1 - bit,), source, signs.reshape(2, 2, 2, 2)[source][..., None]))
+        signs = signs.reshape(2, 2, 2, 2)[source][..., None].astype(complex)
+        plan.append((axis + (1 - bit,), source, signs))
     return tuple(plan)
 
 
@@ -158,9 +160,9 @@ def laplacian(f: FormField) -> FormField:
 
 def laplacian_hodge(f: FormField) -> FormField:
     """d d* + d* d, assembled from the factors (property-check companion)."""
-    df = exterior_d(f)
-    sf = d_star(f)
-    return d_star(df) + exterior_d(sf)
+    out = d_star(exterior_d(f))
+    out.coeffs += exterior_d(d_star(f)).coeffs
+    return out
 
 
 def green(f: FormField) -> FormField:
@@ -187,7 +189,7 @@ def rel_defect(a: FormField, b: FormField) -> float:
     denom = float(np.max([a.norm(), b.norm()]))
     if denom == 0.0:
         return 0.0
-    return (a - b).norm() / denom
+    return a.distance(b) / denom
 
 
 def cancellation_defect(total: FormField, *terms: FormField) -> float:
@@ -202,6 +204,59 @@ def cancellation_defect(total: FormField, *terms: FormField) -> float:
 # identity suites
 # ---------------------------------------------------------------------------
 
+def _subtract_into(a: FormField, b: FormField) -> FormField:
+    """a - b, written into a: a must be a field its caller computed and holds alone."""
+    a.coeffs -= b.coeffs
+    return a
+
+
+def kodaira_samples(fields):
+    """kodaira_suite of each field of an iterable in turn, as one loop.
+
+    A loop, not a call per field: each sample's fields stay bound until the
+    next sample rebinds them, so the allocator reuses their memory instead of
+    returning it to the OS and faulting it back in.  Each commutator is formed
+    in the array of its freshly computed left operand.
+    """
+    LamI = lefschetz_dual_matrix("I")
+    # the operands of the last two identities, made once: the next sample
+    # replaces each entry on its own instead of freeing them all at once
+    dC, dC_star, lam_f = {}, {}, {}
+    for f in fields:
+        out: dict[str, float] = {}
+        df = exterior_d(f)
+        sf = d_star(f)
+        for name in STRUCTURE_NAMES:
+            L = lefschetz_matrix(name)
+            Lam = lefschetz_dual_matrix(name)
+            dc = twisted_d(f, name)
+            dcs = twisted_d_star(f, name)
+            lf = apply_fiber(f, L)
+            lamf = apply_fiber(f, Lam)
+            if name == "I":
+                lam_f["I"] = lamf
+            else:
+                dC[name], dC_star[name] = dc, dcs
+
+            comm = _subtract_into(apply_fiber(df, Lam), exterior_d(lamf))
+            out[f"dC_star_eq_comm_Lambda_d[{name}]"] = rel_defect(dcs, comm)
+
+            comm = _subtract_into(twisted_d(lamf, name), apply_fiber(dc, Lam))  # -[Lambda_C, d_C]
+            out[f"d_star_eq_minus_comm_Lambda_dC[{name}]"] = rel_defect(sf, comm)
+
+            comm = _subtract_into(apply_fiber(dcs, L), twisted_d_star(lf, name))
+            out[f"d_eq_comm_L_dC_star[{name}]"] = rel_defect(df, comm)
+
+            comm = _subtract_into(d_star(lf), apply_fiber(sf, L))  # -[L_C, d*]
+            out[f"dC_eq_minus_comm_L_d_star[{name}]"] = rel_defect(dc, comm)
+
+        comm = _subtract_into(apply_fiber(dC["J"], LamI), twisted_d(lam_f["I"], "J"))
+        out["dK_star_eq_comm_LambdaI_dJ"] = rel_defect(dC_star["K"], comm)
+        comm = _subtract_into(twisted_d(lam_f["I"], "K"), apply_fiber(dC["K"], LamI))
+        out["dJ_star_eq_comm_dK_LambdaI"] = rel_defect(dC_star["J"], comm)
+        yield out
+
+
 def kodaira_suite(f: FormField) -> dict[str, float]:
     """Residuals of the six commutator identities tying d, d_C, L_C, Lambda_C.
 
@@ -209,36 +264,7 @@ def kodaira_suite(f: FormField) -> dict[str, float]:
         d*   = -[Lambda_C, d_C]      d_C = -[L_C, d*]
         d_K* =  [Lambda_I, d_J]      d_J* = [d_K, Lambda_I]
     """
-    out: dict[str, float] = {}
-    df = exterior_d(f)
-    sf = d_star(f)
-    dC, dC_star, lam_f = {}, {}, {}
-    for name in STRUCTURE_NAMES:
-        L = lefschetz_matrix(name)
-        Lam = lefschetz_dual_matrix(name)
-        dc = dC[name] = twisted_d(f, name)
-        dcs = dC_star[name] = twisted_d_star(f, name)
-        lf = apply_fiber(f, L)
-        lamf = lam_f[name] = apply_fiber(f, Lam)
-
-        comm = apply_fiber(df, Lam) - exterior_d(lamf)
-        out[f"dC_star_eq_comm_Lambda_d[{name}]"] = rel_defect(dcs, comm)
-
-        comm = twisted_d(lamf, name) - apply_fiber(dc, Lam)  # -[Lambda_C, d_C]
-        out[f"d_star_eq_minus_comm_Lambda_dC[{name}]"] = rel_defect(sf, comm)
-
-        comm = apply_fiber(dcs, L) - twisted_d_star(lf, name)
-        out[f"d_eq_comm_L_dC_star[{name}]"] = rel_defect(df, comm)
-
-        comm = d_star(lf) - apply_fiber(sf, L)  # -[L_C, d*]
-        out[f"dC_eq_minus_comm_L_d_star[{name}]"] = rel_defect(dc, comm)
-
-    LamI = lefschetz_dual_matrix("I")
-    comm = apply_fiber(dC["J"], LamI) - twisted_d(lam_f["I"], "J")
-    out["dK_star_eq_comm_LambdaI_dJ"] = rel_defect(dC_star["K"], comm)
-    comm = twisted_d(lam_f["I"], "K") - apply_fiber(dC["K"], LamI)
-    out["dJ_star_eq_comm_dK_LambdaI"] = rel_defect(dC_star["J"], comm)
-    return out
+    return next(kodaira_samples([f]))
 
 
 def conjugation_defect(f: FormField, u, x) -> float:

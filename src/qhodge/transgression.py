@@ -104,8 +104,9 @@ def _rel(value: float, scale: float) -> float:
     return value / scale if scale > 0 else value
 
 
-def _hypotheses(target: FormField, structures, tol: float) -> dict[str, float]:
-    """Relative precondition residuals of target; raises the first one above tol (or NaN)."""
+def _hypotheses(target: FormField, structures, tol: float) -> tuple[float, dict[str, float]]:
+    """target.norm() and the relative precondition residuals of target; raises the
+    first residual above tol (or NaN)."""
     scale = target.norm()
     # d multiplies coefficients by O(2 pi |k|); normalize the residual by the
     # same scale so "closed" means small relative to a generic derivative
@@ -124,34 +125,35 @@ def _hypotheses(target: FormField, structures, tol: float) -> dict[str, float]:
         pre[f"d{name}_closed"] = residual = closedness(twisted_d, name)
         if not residual <= tol:
             raise NotDCClosed(name, residual)
-    return pre
+    return scale, pre
 
 
-def _result(potential: FormField, image: FormField, target: FormField, order: int,
-            sign: float, pre: dict) -> TransgressionResult:
-    """The result, with the relative residual of the potential's image against target."""
-    residual = _rel((image - target).norm(), target.norm())
+def _result(potential: FormField, image: FormField, target: FormField, scale: float,
+            order: int, sign: float, pre: dict) -> TransgressionResult:
+    """The result, with the residual of the potential's image against target relative
+    to scale, the norm of target."""
+    residual = _rel(image.distance(target), scale)
     return TransgressionResult(potential, residual, order, sign, pre)
 
 
 def transgress1(target: FormField, tol: float = DEFAULT_TOL[1]) -> TransgressionResult:
     """Solve target = d(phi) with phi = d* G target."""
-    pre = _hypotheses(target, (), tol)
+    scale, pre = _hypotheses(target, (), tol)
     phi = d_star(green(target))
-    return _result(phi, exterior_d(phi), target, 1, +1.0, pre)
+    return _result(phi, exterior_d(phi), target, scale, 1, +1.0, pre)
 
 
 def transgress2(target: FormField, c: str = "I",
                 tol: float = DEFAULT_TOL[2]) -> TransgressionResult:
     """Solve target = d d_C(chi) with chi = s2 d* d_C* G^2 target."""
-    pre = _hypotheses(target, (c,), tol)
+    scale, pre = _hypotheses(target, (c,), tol)
     chi = ORDER2_SIGN * d_star(twisted_d_star(green(green(target)), c))
-    return _result(chi, exterior_d(twisted_d(chi, c)), target, 2, ORDER2_SIGN, pre)
+    return _result(chi, exterior_d(twisted_d(chi, c)), target, scale, 2, ORDER2_SIGN, pre)
 
 
 def transgress4(target: FormField, tol: float = DEFAULT_TOL[4]) -> TransgressionResult:
     """Solve target = d d_I d_J d_K(tau) with tau = G^2 (vol coefficient of target)."""
-    pre = _hypotheses(target, STRUCTURE_NAMES, tol)
+    scale, pre = _hypotheses(target, STRUCTURE_NAMES, tol)
     # admissible targets are pure top degree (the closedness conditions force
     # per-mode vol multiples); detect structural low-degree content sharply
     degs = target.degrees(tol=1e-13 * float(np.abs(target.coeffs).max(initial=0.0)))
@@ -159,7 +161,7 @@ def transgress4(target: FormField, tol: float = DEFAULT_TOL[4]) -> Transgression
         raise DegreeTooLow(f"target has components of degree {degs}; need degree >= 4")
     tau = FormField(target.kmax)
     tau.coeffs[:, 0] = green(green(target)).coeffs[:, VOL_MASK]
-    return _result(tau, quartic_differential(tau), target, 4, +1.0, pre)
+    return _result(tau, quartic_differential(tau), target, scale, 4, +1.0, pre)
 
 
 def quartic_differential(f: FormField) -> FormField:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qhodge import cli
-from qhodge.exterior import GRADING, N_BLADES, VOL
+from qhodge.exterior import DEGREE, GRADING, N_BLADES, VOL
 from qhodge.fields import (
     FIELD_BYTE_BUDGET,
     FormField,
@@ -18,11 +18,18 @@ from qhodge.fields import (
 )
 
 from qhodge import operators
+from qhodge.quaternionic import INVARIANT_PROJECTOR
 from qhodge.transgression import quartic_differential, transgress1, transgress2, transgress4
 
 from oracles import form_document_oracle, stock_json
 
 ONE = np.eye(N_BLADES)[0]
+
+
+def same_bits(a, b) -> bool:
+    """Equal arrays down to the sign of every zero."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 class TestGrid:
@@ -112,6 +119,50 @@ class TestAlgebra:
             want = complex(np.sum(a * np.conj(b)))
             assert f.inner(g) == want
 
+    @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+    @pytest.mark.parametrize("kmax", [1, 2, 3])
+    def test_distance_is_the_norm_of_the_difference(self, kmax, scale):
+        # near 1e200 the squares overflow and near 1e-200 they underflow, so both
+        # sides take the rescaled sum
+        rng = np.random.default_rng(30 + kmax)
+        a, b = random_field(kmax, rng) * scale, random_field(kmax, rng) * scale
+        assert a.distance(b) == (a - b).norm()
+        assert a.distance(a) == 0.0
+        assert FormField(kmax).distance(b) == b.norm()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_distance_keeps_inf_and_nan(self):
+        a, b = random_field(1, np.random.default_rng(33)), FormField(1)
+        b.coeffs[4, 2] = np.inf
+        assert a.distance(b) == np.inf
+        b.coeffs[7, 9] = np.nan
+        assert np.isnan(a.distance(b)) and np.isnan(b.distance(a))
+
+    def test_distance_checks_its_operand(self):
+        f = random_field(1, np.random.default_rng(34))
+        with pytest.raises(TypeError):
+            f.distance(f.coeffs)
+        with pytest.raises(ValueError):
+            f.distance(FormField(2))
+
+    def test_in_place_arithmetic_makes_a_new_field(self):
+        # -=, += and *= bind a new field: never a write into an array the caller
+        # handed to FormField
+        other = random_field(1, np.random.default_rng(35))
+        array = np.zeros((N_BLADES, 81), dtype=complex).T
+        f = first = FormField(1, array)
+        f += other
+        f -= other
+        f *= 2.0
+        assert f is not first and first.coeffs is array and not array.any()
+        with pytest.raises(TypeError):
+            first += 1
+        with pytest.raises(TypeError):
+            first -= other.coeffs
+        with pytest.raises(ValueError):
+            first -= FormField(2)
+        assert first.coeffs is array and not array.any()
+
     @pytest.mark.parametrize("scale", [1e160, 1e300, 1e-170, 1e-300])
     def test_norm_beyond_the_range_of_its_square(self, scale):
         # the plain sum of squares overflows to inf or underflows to 0
@@ -163,6 +214,24 @@ class TestRandom:
         rng = np.random.default_rng(5)
         f = random_field(1, rng, degree=2)
         assert f.degrees() == [2]
+
+    @pytest.mark.parametrize("options", [{}, {"degree": 2}, {"real": True}, {"invariant": True},
+                                         {"degree": 2, "real": True, "invariant": True}],
+                             ids=["default", "degree", "real", "invariant", "all"])
+    @pytest.mark.parametrize("kmax", [1, 2, 4])
+    def test_equals_the_literal_draw(self, kmax, options):
+        # the literal formula: a row-major complex draw, divided by sqrt 2
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            n = (2 * kmax + 1) ** 4
+            c = (rng.standard_normal((n, N_BLADES)) + 1j * rng.standard_normal((n, N_BLADES))) / np.sqrt(2)
+            if "degree" in options:
+                c[:, DEGREE != options["degree"]] = 0.0
+            if options.get("invariant"):
+                c = c @ INVARIANT_PROJECTOR.T
+            if options.get("real"):
+                c = (c + np.conj(c)[::-1]) / 2
+            assert same_bits(random_field(kmax, np.random.default_rng(seed), **options).coeffs, c)
 
     def test_invariant_restriction(self):
         from qhodge.quaternionic import invariance_defect

@@ -20,6 +20,7 @@ from qhodge.operators import (
     grading,
     green,
     harmonic_project,
+    kodaira_samples,
     kodaira_suite,
     laplacian,
     laplacian_hodge,
@@ -295,6 +296,16 @@ class TestLaplacian:
             f = random_field(1, rng)
             assert rel_defect(laplacian(f), laplacian_hodge(f)) <= 1e-12
 
+    def test_hodge_composition_is_the_literal_sum(self):
+        # assembled in the array of its first term: the bits of the plain sum, and f untouched
+        rng = np.random.default_rng(SEED + 15)
+        for kmax in (1, 3):
+            f = random_field(kmax, rng)
+            before = f.coeffs.copy()
+            want = d_star(exterior_d(f)) + exterior_d(d_star(f))
+            assert np.array_equal(laplacian_hodge(f).coeffs, want.coeffs)
+            assert np.array_equal(f.coeffs, before)
+
     def test_twisted_laplacian_equal(self):
         # Delta_d = Delta_{d_C}
         rng = np.random.default_rng(SEED + 14)
@@ -332,6 +343,20 @@ class TestGreen:
 class TestRelDefect:
     def test_both_vanish(self):
         assert rel_defect(FormField(1), FormField(1)) == 0.0
+
+    @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+    @pytest.mark.parametrize("kmax", [1, 2, 3])
+    def test_equals_the_literal_quotients(self, kmax, scale):
+        # near 1e200 the squares overflow and near 1e-200 they underflow, so every
+        # norm takes its rescaled sum
+        rng = np.random.default_rng(SEED + 30 + kmax)
+        a, b = random_field(kmax, rng) * scale, random_field(kmax, rng) * scale
+        assert rel_defect(a, b) == (a - b).norm() / max(a.norm(), b.norm())
+        assert rel_defect(FormField(kmax), b) == 1.0
+        assert cancellation_defect(a + b, a, b) == (a + b).norm() / (a.norm() + b.norm())
+        zero = FormField(kmax)
+        assert rel_defect(zero, FormField(kmax)) == 0.0
+        assert cancellation_defect(zero, zero, FormField(kmax)) == 0.0
 
     def test_nan_operand_keeps_nan(self):
         nan_field = FormField(1)
@@ -374,6 +399,14 @@ class TestKodaira:
         assert len(hit) == count
         assert all(bad[k] >= 1.0 for k in hit)
         assert all(bad[k] == good[k] for k in bad if k not in hit)
+
+    def test_sample_loop_equals_one_call_per_field(self):
+        # each sample's operands are computed afresh, and no input array is written
+        rng = np.random.default_rng(SEED + 22)
+        fields = [random_field(2, rng) for _ in range(3)]
+        before = [f.coeffs.copy() for f in fields]
+        assert list(kodaira_samples(fields)) == [kodaira_suite(f) for f in fields]
+        assert all(np.array_equal(f.coeffs, c) for f, c in zip(fields, before))
 
     def test_matches_literal_compositions(self):
         # each identity written out as its two compositions, bit for bit

@@ -231,6 +231,42 @@ class TestResultDocument:
         assert "".join(dump_json(doc)) == stock_json(old)
 
 
+class TestResidual:
+    """The round-trip residual is ||image - target|| / ||target||, with the target's
+    norm taken once per solve."""
+
+    @staticmethod
+    def solve(order, scale):
+        rng = np.random.default_rng(SEED + 20 + order)
+        if order == 1:
+            target = exterior_d(random_field(2, rng)) * scale
+            res = transgress1(target)
+            image = exterior_d(res.potential)
+        elif order == 2:
+            target = exterior_d(twisted_d(random_field(2, rng), "J")) * scale
+            res = transgress2(target, "J")
+            image = exterior_d(twisted_d(res.potential, "J"))
+        else:
+            target = quartic_differential(random_field(2, rng, degree=0)) * scale
+            res = transgress4(target)
+            image = quartic_differential(res.potential)
+        return target, res, image
+
+    @pytest.mark.parametrize("scale", [1.0, 1e160, 1e-170])
+    @pytest.mark.parametrize("order", [1, 2, 4])
+    def test_equals_the_literal_quotient(self, order, scale):
+        target, res, image = self.solve(order, scale)
+        assert res.residual == (image - target).norm() / target.norm()
+
+    @pytest.mark.parametrize("order", [1, 2, 4])
+    def test_target_norm_is_taken_once(self, order, monkeypatch):
+        calls = []
+        norm = FormField.norm
+        monkeypatch.setattr(FormField, "norm", lambda f: calls.append(f) or norm(f))
+        target, _, _ = self.solve(order, 1.0)
+        assert sum(f is target for f in calls) == 1
+
+
 class TestHypothesisGate:
     """Each order computes d_C of its target only for the structures it names."""
 
