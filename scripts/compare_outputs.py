@@ -5,9 +5,11 @@
 Each argument is a directory that holds the `qhodge` package, such as the `src` directory
 of a checkout.  Every entry of RUNS in tests/reference_runs.py, a pinned one with --out
 naming its file, and a `transgress --order 1` on a dense target written with PARENT_SRC,
-runs on each tree in a fresh interpreter and its own empty directory.  Stdout, stderr, the
-exit code and every file written are compared byte for byte.  The script exits 0 when the
-trees agree and 1 at the first difference, which it names.
+runs on each tree in a fresh interpreter and its own empty directory.  Each run must exit
+with the code RUNS declares for it (0 for the dense one), and stdout, stderr, the exit code
+and every file written are compared byte for byte.  The script exits 0 when every run gives
+its declared code and the trees agree, and 1 at the first wrong code or difference, which it
+names.
 """
 
 import sys
@@ -49,11 +51,17 @@ def main(argv=None) -> int:
         if proc.returncode != 0:
             sys.exit(f"cannot write the dense target:\n{proc.stderr.decode()}")
         dense = (["transgress", "--order", "1", "--input", f"{tmp}/dense.json"], 0, "out.json")
-        for i, (command, _, name) in enumerate([*RUNS, dense]):
+        for i, (command, code, name) in enumerate([*RUNS, dense]):
             if name is not None:
                 command = [*command, "--out", name]
-            key = first_difference(*(outputs(src, command, Path(tmp, f"{i}-{side}"))
-                                     for side, src in (("parent", parent), ("change", change))))
+            runs = {side: outputs(src, command, Path(tmp, f"{i}-{side}"))
+                    for side, src in (("parent", parent), ("change", change))}
+            for side, out in runs.items():
+                if out["exit code"] != code:
+                    print(f"exit code {out['exit code']}, not {code}, on {side}: {label(command)}",
+                          file=sys.stderr)
+                    return 1
+            key = first_difference(*runs.values())
             if key is not None:
                 print(f"differ: {label(command)}: {key}", file=sys.stderr)
                 return 1

@@ -68,6 +68,19 @@ def grid(kmax: int):
     return modes, ksq
 
 
+# the scalar symbols per mode: the modes as floats (every first-order symbol's weights
+# are modes @ L.T), Delta's 4 pi^2 |k|^2, and G's, its inverse off k = 0 and 0 on it
+@lru_cache(maxsize=None)
+def mode_symbols(kmax: int):
+    """Cached read-only (float modes, Delta's symbol, G's symbol) of a truncation."""
+    lapl = 4 * np.pi**2 * grid(kmax)[1]
+    symbols = (grid(kmax)[0].astype(float), lapl,
+               np.divide(1.0, lapl, out=np.zeros_like(lapl), where=lapl > 0))
+    for arr in symbols:
+        arr.setflags(write=False)
+    return symbols
+
+
 # a form field's entries are formatted this many at a time, so a dense field's
 # document (~13 MB at truncation 4) is never one string
 _ENTRY_CHUNK = 4096

@@ -32,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from .exterior import GRADING, INTERIOR_E, N_BLADES, WEDGE_E
-from .fields import FormField, grid
+from .fields import FormField, mode_symbols
 from .quaternionic import (
     STRUCTURE_NAMES,
     left_matrix,
@@ -114,7 +114,7 @@ def _apply_symbol(coeffs: np.ndarray, weights: np.ndarray, plan, scale: complex)
 
 def _first_order(f: FormField, L: np.ndarray, star: bool) -> FormField:
     """i eps(L kappa), or its adjoint -i iota(L kappa) when star is set."""
-    weights = grid(f.kmax)[0] @ L.T
+    weights = mode_symbols(f.kmax)[0] @ L.T
     plan, scale = (_IOTA_PLAN, -2j * np.pi) if star else (_EPS_PLAN, 2j * np.pi)
     return FormField(f.kmax, _apply_symbol(f.coeffs, weights, plan, scale))
 
@@ -154,8 +154,7 @@ def xhat(f: FormField, x) -> FormField:
 
 
 def laplacian(f: FormField) -> FormField:
-    ksq = grid(f.kmax)[1]
-    return FormField(f.kmax, f.coeffs * (4 * np.pi**2 * ksq)[:, None])
+    return FormField(f.kmax, f.coeffs * mode_symbols(f.kmax)[1][:, None])
 
 
 def laplacian_hodge(f: FormField) -> FormField:
@@ -166,11 +165,7 @@ def laplacian_hodge(f: FormField) -> FormField:
 
 
 def green(f: FormField) -> FormField:
-    ksq = grid(f.kmax)[1]
-    inv = np.zeros_like(ksq)
-    nz = ksq > 0
-    inv[nz] = 1.0 / (4 * np.pi**2 * ksq[nz])
-    return FormField(f.kmax, f.coeffs * inv[:, None])
+    return FormField(f.kmax, f.coeffs * mode_symbols(f.kmax)[2][:, None])
 
 
 def harmonic_project(f: FormField) -> FormField:

@@ -33,13 +33,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exterior import VOL_MASK
-from .fields import FormField
+from .fields import FormField, mode_symbols
 from .operators import (
     d_star,
     exterior_d,
     green,
     harmonic_project,
-    laplacian,
     twisted_d,
     twisted_d_star,
 )
@@ -160,7 +159,8 @@ def transgress4(target: FormField, tol: float = DEFAULT_TOL[4]) -> Transgression
     if degs and min(degs) < 4:
         raise DegreeTooLow(f"target has components of degree {degs}; need degree >= 4")
     tau = FormField(target.kmax)
-    tau.coeffs[:, 0] = green(green(target)).coeffs[:, VOL_MASK]
+    inv = mode_symbols(target.kmax)[2]
+    tau.coeffs[:, 0] = target.coeffs[:, VOL_MASK] * inv * inv
     return _result(tau, quartic_differential(tau), target, scale, 4, +1.0, pre)
 
 
@@ -190,7 +190,8 @@ def measure_lapl_constant(modes, tol: float = 1e-10):
     phi.coeffs[np.ravel(rows), 0] = 1.0
     # both sides live on the vol blade times each probe's mode pair
     num = quartic_differential(phi).coeffs[:, VOL_MASK]
-    den = laplacian(laplacian(phi)).coeffs[:, 0]
+    lapl = mode_symbols(phi.kmax)[1]
+    den = phi.coeffs[:, 0] * lapl * lapl
     ratios = {}
     for k, pair in zip(modes, rows):
         vals = num[pair] / den[pair]

@@ -528,8 +528,9 @@ class TestModuleEntryPoint:
         assert residuals[0] == residuals[1]
 
         proc = self.run_module(tmp_path, ["verify", "--kmax", "3", "--fields", "2", "--suite",
-                                          "operators", "--suite", "kodaira", "--seed", "7",
-                                          "--out", "report.json"], OPENBLAS_NUM_THREADS="2")
+                                          "operators", "--suite", "kodaira", "--suite",
+                                          "transgression", "--seed", "7", "--out", "report.json"],
+                                   OPENBLAS_NUM_THREADS="2")
         assert proc.returncode == 0, proc.stderr
         report = json.loads((tmp_path / "report.json").read_text())["suites"]
         assert {name: {k: c["residual"] for k, c in suite["checks"].items()}
@@ -540,12 +541,12 @@ class TestModuleEntryPoint:
         return run_python(SRC, ["-m", "qhodge.cli", *argv], cwd, **env)
 
 
-# the residual dicts of two suite functions, outside run_suites and its BLAS pin
+# the residual dicts of the three field suite functions, outside run_suites and its BLAS pin
 SUITE_RESIDUALS = """
 import json
 from qhodge.suites import SUITES, RunConfig
 cfg = RunConfig(kmax=3, field_count=2, seed=7)
-print(json.dumps({name: SUITES[name](cfg) for name in ("operators", "kodaira")}))
+print(json.dumps({name: SUITES[name](cfg) for name in ("operators", "kodaira", "transgression")}))
 """
 
 

@@ -38,6 +38,16 @@ def test_names_the_first_difference(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == "differ: qhodge torsion --out t.json: file t.json\n"
 
 
+def test_an_undeclared_exit_code_fails(monkeypatch, capsys):
+    # both trees exit 0 alike, but RUNS declares 3: agreeing is not enough
+    script = load_script()
+    monkeypatch.setattr(script, "RUNS", [(["torsion"], 3, None)])
+    assert script.main([str(SRC), str(SRC)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "exit code 0, not 3, on parent: qhodge torsion\n"
+
+
 def test_both_report_writers_are_compared():
     # a report goes to stdout without --out and to the file with it; RUNS keeps a verify of each
     verify = [name for argv, _, name in RUNS if argv[0] == "verify" and "--help" not in argv]

@@ -13,6 +13,7 @@ from qhodge.fields import (
     check_truncation,
     dump_json,
     grid,
+    mode_symbols,
     random_field,
     single_mode,
 )
@@ -58,6 +59,24 @@ class TestGrid:
         f = FormField(1)
         with pytest.raises(KeyError):
             f.mode_index((2, 0, 0, 0))
+
+
+class TestModeSymbols:
+    @pytest.mark.parametrize("kmax", [1, 2, 4, 6])
+    def test_bits_of_the_expressions_they_replace(self, kmax):
+        modes, ksq = grid(kmax)
+        inv = np.zeros_like(ksq)
+        inv[ksq > 0] = 1.0 / (4 * np.pi**2 * ksq[ksq > 0])
+        want = (modes.astype(float), 4 * np.pi**2 * ksq, inv)
+        assert all(same_bits(a, b) for a, b in zip(mode_symbols(kmax), want))
+
+    def test_cached_and_read_only(self):
+        symbols = mode_symbols(2)
+        assert mode_symbols(2) is symbols
+        for arr in symbols:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
 
 
 class TestAlgebra:

@@ -33,6 +33,9 @@ MUTANTS = {
                          "s[mc, m] = _merge_sign(m, mc) * (-1 if m == 3 else 1)"),
     # the form-document writer puts each entry's real part under "im" and its imaginary under "re"
     "writer-re-im": ("fields.py", "entry % (mask, im, *k, re)", "entry % (mask, re, *k, im)"),
+    # the order-4 closed form applies G once to the target's vol column instead of twice
+    "order4-one-green": ("transgression.py", "target.coeffs[:, VOL_MASK] * inv * inv",
+                         "target.coeffs[:, VOL_MASK] * inv"),
     # apply_fiber applies the transpose of each fiber matrix on the blade-major array
     "apply-fiber-transpose": ("operators.py", "(mat @ f.coeffs.T).T", "(mat.T @ f.coeffs.T).T"),
 }

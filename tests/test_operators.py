@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from qhodge.exterior import GRADING, INTERIOR_E, N_BLADES, VOL, WEDGE_E
-from qhodge.fields import FormField, dump_json, grid, random_field, single_mode
+from qhodge.fields import FormField, dump_json, grid, mode_symbols, random_field, single_mode
 from qhodge.operators import (
     apply_fiber,
     cancellation_defect,
@@ -126,6 +126,14 @@ class TestSymbolKernel:
                     if f is cosine:
                         assert "".join(dump_json(FormField(kmax, got))) == \
                             "".join(dump_json(FormField(kmax, want)))
+
+    @pytest.mark.parametrize("kmax", [1, 2, 4, 6])
+    def test_weights_are_the_integer_grid_product(self, kmax):
+        # _first_order reads the cached float modes; the product has the bits of int @ float
+        rng = np.random.default_rng(SEED + 35 + kmax)
+        for L in (np.eye(4), *(structure_matrix(c) for c in "IJK"), left_matrix(rand_quat(rng))):
+            got, want = mode_symbols(kmax)[0] @ L.T, grid(kmax)[0] @ L.T
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_plans_rebuild_the_tables(self):
         units = np.eye(N_BLADES, dtype=complex)  # row m: the unit blade m

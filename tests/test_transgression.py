@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from qhodge import transgression
-from qhodge.exterior import VOL
+from qhodge.exterior import VOL, VOL_MASK
 from qhodge.fields import FormField, random_field, single_mode
 from qhodge.operators import (
     d_star,
@@ -158,6 +158,17 @@ class TestOrder4:
             assert res.residual <= 1e-8
             assert res.potential.degrees(tol=1e-9) == [0]
             assert rel_defect(res.potential, literal_order4_potential(target)) <= 1e-14
+
+    @pytest.mark.parametrize("kmax", [1, 2, 4, 6])
+    def test_closed_form_is_the_vol_column_of_green_squared(self, kmax):
+        # tau's scalar column is the target's vol column times G's symbol twice, bit for bit
+        target = quartic_differential(random_field(kmax, np.random.default_rng(SEED + kmax),
+                                                   degree=0))
+        tau = transgress4(target).potential.coeffs
+        want = np.ascontiguousarray(green(green(target)).coeffs[:, VOL_MASK])
+        assert np.array_equal(np.ascontiguousarray(tau[:, 0]).view(np.uint64),
+                              want.view(np.uint64))
+        assert not tau[:, 1:].any()
 
     def test_potential_degree_drop(self):
         rng = np.random.default_rng(SEED + 6)
@@ -346,6 +357,20 @@ class TestLaplConstant:
                 modes.append(k)
         c, report = measure_lapl_constant(modes)
         assert report["spread"] <= 1e-10
+
+    @pytest.mark.parametrize("kmax", [1, 2, 4, 6])
+    def test_denominator_is_the_blade0_bilaplacian(self, kmax):
+        # each ratio, read at the first row of its mode pair, has the bits of num / Delta^2 phi
+        modes = [(kmax, 0, 0, 0), (1, -kmax, 0, 1), (0, 1, kmax, -1)]
+        _, report = measure_lapl_constant(modes)
+        phi = FormField(kmax)
+        pairs = [[phi.mode_index(k), phi.mode_index([-v for v in k])] for k in modes]
+        phi.coeffs[np.ravel(pairs), 0] = 1.0
+        rows = [min(pair) for pair in pairs]
+        ratios = (quartic_differential(phi).coeffs[rows, VOL_MASK]
+                  / laplacian(laplacian(phi)).coeffs[rows, 0]).real
+        got = np.array([report["per_mode"][str(list(k))] for k in modes])
+        assert np.array_equal(got.view(np.uint64), ratios.view(np.uint64))
 
     def test_nan_symbol_is_inconsistent(self, monkeypatch):
         monkeypatch.setattr(transgression, "quartic_differential", lambda f: f * np.nan)
