@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import os
 import re
@@ -27,7 +26,7 @@ import sys
 import numpy as np
 
 from . import quaternionic, transgression, zeta
-from .fields import FormField, dump_json, grid
+from .fields import FormField, dump_json, grid, load_json
 from .suites import RunConfig, run_suites
 
 EXIT_OK = 0
@@ -80,8 +79,7 @@ def _emit(doc: dict, out: str | None) -> None:
 def _read_json(path: str, what: str, parse=lambda doc: doc):
     """parse(the JSON document in path); UsageError if it cannot be opened, decoded or parsed."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse(json.load(fh))
+        return load_json(path, parse)
     except (OSError, ValueError, RecursionError) as exc:  # ValueError covers JSON and UTF-8
         raise UsageError(f"cannot read {what}: {exc}") from exc
 

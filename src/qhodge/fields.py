@@ -19,10 +19,12 @@ row-major one once.
 
 from __future__ import annotations
 
-import itertools
+import gc
 import json
 import numbers
 from functools import lru_cache
+from itertools import chain, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -127,25 +129,41 @@ def _splice(text: str, fields):
     yield text[pos:] + "\n"
 
 
+def load_json(path, parse):
+    """parse(the JSON document in path), decoded and parsed with the cyclic GC paused.
+
+    The one decoder of a form or config file.  A decoded document holds no
+    reference cycles, so the collector's passes over its many new containers
+    find nothing; the caller's GC state is restored on every exit.  Raises what
+    open, json.load (ValueError for bad UTF-8 or JSON, RecursionError for a
+    too-deeply-nested document) and parse raise.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(json.load(fh))
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _entry_column(entries, key: str, width: int, types, what: str) -> np.ndarray:
     """One field of every form-document entry as an array of ints, or of floats when
     types admits a float; k (width 4) as (n, 4)."""
     try:
-        values = [e[key] for e in entries]
+        values = list(map(itemgetter(key), entries))
         if width and set(map(len, values)) != {width}:
             raise ValueError(f"expected {width} components")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed entries: {key}: {exc!r}") from exc
-
-    def scalars():
-        return itertools.chain.from_iterable(values) if width else values
-
+    if width:
+        values = list(chain.from_iterable(values))
     # exact types: a boolean is no number here, and a float k is no integer
-    if not set(map(type, scalars())) <= types:
+    if not set(map(type, values)) <= types:
         raise ValueError(f"every {key} must be {what}")
     try:
-        column = np.fromiter(scalars(), float if float in types else np.int64,
-                             len(values) * (width or 1))
+        column = np.fromiter(values, float if float in types else np.int64, len(values))
     except OverflowError as exc:
         raise ValueError(f"malformed entries: {key}: {exc!r}") from exc
     return column.reshape(-1, width) if width else column
@@ -269,18 +287,38 @@ class FormField:
     # -- serialization -----------------------------------------------------
     def _json_chunks(self, indent: int):
         """This field's form document, as dump_json writes it on a line indented by
-        `indent`, in chunks of _ENTRY_CHUNK entries; the coefficients must be finite."""
+        `indent`, in chunks of _ENTRY_CHUNK entries; the coefficients must be finite.
+
+        An entry's text is looked up in small tables of fixed pieces, one per
+        blade mask and one per value of each k component, with the float text
+        repr(float) in between, as the json module writes it.  Each chunk is one
+        join over C iterators; every entry ends in "}," and the last one's comma
+        is cut.
+        """
         nl = ["\n" + " " * (indent + i) for i in range(5)]
-        entry = (f'{nl[2]}{{{nl[3]}"blade_mask": %d,{nl[3]}"im": %r,{nl[3]}"k": ['
-                 f'{nl[4]}%d,{nl[4]}%d,{nl[4]}%d,{nl[4]}%d{nl[3]}],{nl[3]}"re": %r{nl[2]}}}')
+        head = np.array([f'{nl[2]}{{{nl[3]}"blade_mask": {m},{nl[3]}"im": '
+                         for m in range(N_BLADES)], dtype=object)
+
+        def k_table(lead, tail=""):
+            """The text of one k component of each value v, after its lead: row v + kmax."""
+            return np.array([f"{lead}{v}{tail}" for v in range(-self.kmax, self.kmax + 1)],
+                            dtype=object)
+
+        k0 = k_table(f',{nl[3]}"k": [{nl[4]}')
+        k1 = k_table(f",{nl[4]}")
+        k2 = k_table(f",{nl[4]}")
+        k3 = k_table(f",{nl[4]}", f'{nl[3]}],{nl[3]}"re": ')
+        close = repeat(f"{nl[2]}}},")
         yield f'{{{nl[1]}"entries": ['
         rows, masks = np.nonzero(self.coeffs)
         for start in range(0, len(rows), _ENTRY_CHUNK):
             r, m = rows[start:start + _ENTRY_CHUNK], masks[start:start + _ENTRY_CHUNK]
             z = self.coeffs[r, m]
-            columns = self.modes[r].tolist(), m.tolist(), z.real.tolist(), z.imag.tolist()
-            yield ("," if start else "") + ",".join(
-                [entry % (mask, im, *k, re) for k, mask, re, im in zip(*columns)])
+            im, re = z.imag.tolist(), z.real.tolist()
+            k = (self.modes[r] + self.kmax).T
+            text = "".join(chain.from_iterable(zip(
+                head[m], map(repr, im), k0[k[0]], k1[k[1]], k2[k[2]], k3[k[3]], map(repr, re), close)))
+            yield text if start + _ENTRY_CHUNK < len(rows) else text[:-1]
         # an empty list is "[]"; a filled one closes on its own line
         yield f'{nl[1] if len(rows) else ""}],{nl[1]}"truncation": {self.kmax}{nl[0]}}}'
 
@@ -323,8 +361,7 @@ class FormField:
 
     @classmethod
     def load(cls, path) -> "FormField":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return load_json(path, cls.from_dict)
 
     def __repr__(self):
         nz = int(np.count_nonzero(np.abs(self.coeffs).sum(axis=1)))

@@ -2,6 +2,7 @@
 
 import ctypes
 import dataclasses
+import gc
 import importlib
 import inspect
 import itertools
@@ -766,6 +767,34 @@ class TestTransgress:
         code = run(["transgress", "--order", "1", "--input", str(tmp_path / "no.json"),
                     "--out", str(tmp_path / "r.json")])
         assert code == 2
+
+
+class TestDecoderGC:
+    """Form and config files are read with the cyclic GC paused; every outcome restores it."""
+
+    @pytest.mark.parametrize("what", ["form", "config"])
+    @pytest.mark.parametrize("text, code", [
+        ("valid", 0),
+        (None, 2),
+        (b"\xff", 2),
+        (b"{", 2),
+        (b"[" * 100000 + b"]" * 100000, 2),
+        (b'{"truncation": -1, "entries": [], "seed": -1}', 2),
+    ], ids=["valid", "missing", "not-utf-8", "bad-json", "deeply-nested", "rejected-document"])
+    def test_state_is_restored(self, tmp_path, capsys, gc_state, what, text, code):
+        path, out = tmp_path / "in.json", tmp_path / "out.json"
+        if text == "valid" and what == "form":
+            exterior_d(random_field(1, np.random.default_rng(5))).save(path)
+        elif text == "valid":
+            path.write_text(json.dumps({"suites": ["exterior"], "kmax": 1, "field_count": 1}))
+        elif text is not None:
+            path.write_bytes(text)
+        argv = (["transgress", "--order", "1", "--input", str(path)] if what == "form"
+                else ["verify", "--config", str(path)])
+        assert run([*argv, "--out", str(out)]) == code
+        assert gc.isenabled() is gc_state
+        if code:
+            assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestTorsion:

@@ -1,5 +1,7 @@
 """FormField storage, realness, random generation, JSON round trips."""
 
+import gc
+import itertools
 import json
 
 import numpy as np
@@ -8,11 +10,13 @@ import pytest
 from qhodge import cli
 from qhodge.exterior import DEGREE, GRADING, N_BLADES, VOL
 from qhodge.fields import (
+    _ENTRY_CHUNK,
     FIELD_BYTE_BUDGET,
     FormField,
     check_truncation,
     dump_json,
     grid,
+    load_json,
     mode_symbols,
     random_field,
     single_mode,
@@ -412,6 +416,42 @@ class TestSerialization:
         assert text == stock_json(form_document_oracle(f))
         assert np.array_equal(FormField.from_dict(json.loads(text)).coeffs, f.coeffs)
 
+    @staticmethod
+    def first_entries(count: int, kmax: int = 2) -> FormField:
+        """A field whose first `count` (mode, blade) slots in row-major order are nonzero."""
+        f = FormField(kmax)
+        z = np.random.default_rng(count).standard_normal((2, count))
+        f.coeffs[np.divmod(np.arange(count), N_BLADES)] = z[0] + 1j * z[1]
+        return f
+
+    @pytest.mark.parametrize("count", [_ENTRY_CHUNK, _ENTRY_CHUNK + 1], ids=["full", "full+1"])
+    def test_a_chunk_edge_is_the_stock_encoding(self, count):
+        f = self.first_entries(count)
+        chunks = list(dump_json(f))
+        assert "".join(chunks) == stock_json(form_document_oracle(f))
+        assert sum('"blade_mask"' in c for c in chunks) == -(-count // _ENTRY_CHUNK)
+
+    def test_float_text_across_a_chunk_edge(self):
+        # each value as a real and as an imaginary part, on both sides of the edge
+        special = [-0.0, 5e-324, 1e16, 1e-5, 9.999999999999999e15]
+        f = self.first_entries(_ENTRY_CHUNK + 8)
+        rows, masks = np.divmod(np.arange(_ENTRY_CHUNK - 5, _ENTRY_CHUNK + 5), N_BLADES)
+        f.coeffs[rows, masks] = ([complex(v, 1.5) for v in special]
+                                 + [complex(-2.5, v) for v in special])
+        text = "".join(dump_json(f))
+        assert text == stock_json(form_document_oracle(f))
+        for v in special:
+            assert f": {v!r}," in text or f": {v!r}\n" in text
+
+    def test_extreme_k_components_on_every_axis(self):
+        # every k with components in {-4, 0, 4}: the first, middle and last row of each k table
+        f = FormField(4)
+        rng = np.random.default_rng(12)
+        for k in itertools.product((-4, 0, 4), repeat=4):
+            f.set_coeff(k, rng.standard_normal(N_BLADES) + 1j * rng.standard_normal(N_BLADES))
+        assert "".join(dump_json({"f": f, "g": [f]})) == stock_json(
+            {"f": form_document_oracle(f), "g": [form_document_oracle(f)]})
+
     def test_empty_field_writes_an_empty_entry_list(self):
         assert "".join(dump_json(FormField(0))) == '{\n "entries": [],\n "truncation": 0\n}\n'
 
@@ -437,6 +477,37 @@ class TestSerialization:
         with pytest.raises(TypeError) as ours:
             dump_json({"a": [1.0, value], "field": FormField(0)})
         assert str(ours.value) == str(stock.value)
+
+
+class TestDecoder:
+    """load_json pauses the cyclic GC and restores the caller's state on every exit."""
+
+    def test_decode_and_parse_run_with_the_gc_paused(self, tmp_path, gc_state):
+        path = tmp_path / "doc.json"
+        path.write_text('{"a": [1, 2.5]}')
+        assert load_json(path, lambda doc: (doc, gc.isenabled())) == ({"a": [1, 2.5]}, False)
+        assert gc.isenabled() is gc_state
+
+    @pytest.mark.parametrize("text, error", [
+        (None, FileNotFoundError),
+        (b"\xff", UnicodeDecodeError),
+        (b"{", json.JSONDecodeError),
+        (b"[" * 100000 + b"]" * 100000, RecursionError),
+        (b'{"truncation": -1, "entries": []}', ValueError),
+    ], ids=["missing", "not-utf-8", "bad-json", "deeply-nested", "from-dict"])
+    def test_form_file_errors_restore_the_gc_state(self, tmp_path, gc_state, text, error):
+        path = tmp_path / "t.json"
+        if text is not None:
+            path.write_bytes(text)
+        with pytest.raises(error):
+            FormField.load(path)
+        assert gc.isenabled() is gc_state
+
+    def test_load_restores_the_gc_state(self, tmp_path, gc_state):
+        f = random_field(1, np.random.default_rng(13))
+        f.save(tmp_path / "f.json")
+        assert same_bits(FormField.load(tmp_path / "f.json").coeffs, f.coeffs)
+        assert gc.isenabled() is gc_state
 
 
 class TestMemoryBudget:

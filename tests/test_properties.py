@@ -76,7 +76,7 @@ special = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
 
 @st.composite
 def sparse_field(draw, values=finite):
-    kmax = draw(st.integers(0, 2))
+    kmax = draw(st.integers(0, 4))
     f = FormField(kmax)
     for _ in range(draw(st.integers(0, 6))):
         row = draw(st.integers(0, f.coeffs.shape[0] - 1))
