@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
 import re
@@ -113,6 +114,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+@functools.cache  # one parser per process: parse_args keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="qhodge", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)

@@ -38,7 +38,9 @@ _MODE_BYTES = N_BLADES * np.dtype(complex).itemsize
 
 
 def check_truncation(kmax: int) -> None:
-    """ValueError when a dense field of truncation kmax would exceed FIELD_BYTE_BUDGET."""
+    """ValueError for a negative kmax or a dense field of truncation kmax above FIELD_BYTE_BUDGET."""
+    if kmax < 0:
+        raise ValueError(f"truncation must be >= 0, got {kmax}")
     nbytes = (2 * kmax + 1) ** 4 * _MODE_BYTES
     if nbytes > FIELD_BYTE_BUDGET:
         raise ValueError(f"truncation {kmax} needs {nbytes / 2**20:.0f} MiB per field, "
@@ -305,8 +307,7 @@ class FormField:
                             dtype=object)
 
         k0 = k_table(f',{nl[3]}"k": [{nl[4]}')
-        k1 = k_table(f",{nl[4]}")
-        k2 = k_table(f",{nl[4]}")
+        k12 = k_table(f",{nl[4]}")  # components 1 and 2 share their lead
         k3 = k_table(f",{nl[4]}", f'{nl[3]}],{nl[3]}"re": ')
         close = repeat(f"{nl[2]}}},")
         yield f'{{{nl[1]}"entries": ['
@@ -317,7 +318,7 @@ class FormField:
             im, re = z.imag.tolist(), z.real.tolist()
             k = (self.modes[r] + self.kmax).T
             text = "".join(chain.from_iterable(zip(
-                head[m], map(repr, im), k0[k[0]], k1[k[1]], k2[k[2]], k3[k[3]], map(repr, re), close)))
+                head[m], map(repr, im), k0[k[0]], k12[k[1]], k12[k[2]], k3[k[3]], map(repr, re), close)))
             yield text if start + _ENTRY_CHUNK < len(rows) else text[:-1]
         # an empty list is "[]"; a filled one closes on its own line
         yield f'{nl[1] if len(rows) else ""}],{nl[1]}"truncation": {self.kmax}{nl[0]}}}'
@@ -380,13 +381,11 @@ def random_field(
     rng: np.random.Generator,
     degree: int | None = None,
     real: bool = False,
-    invariant: bool = False,
 ) -> FormField:
     """Seeded random field: iid complex Gaussian per (mode, blade).
 
-    degree restricts to homogeneous blades; invariant projects each fiber
-    coefficient onto the joint kernel of ad_I, ad_J, ad_K; real symmetrizes
-    modes so that omega_{-k} = conj(omega_k).
+    degree restricts to homogeneous blades; real symmetrizes modes so that
+    omega_{-k} = conj(omega_k).
     """
     check_truncation(kmax)
     n = (2 * kmax + 1) ** 4
@@ -399,10 +398,6 @@ def random_field(
     c *= 1 / np.sqrt(2)
     if degree is not None:
         c[:, DEGREE != degree] = 0.0
-    if invariant:
-        from .quaternionic import INVARIANT_PROJECTOR
-
-        c = c @ INVARIANT_PROJECTOR.T
     if real:
         c += np.conj(c)[::-1]
         c /= 2

@@ -45,6 +45,7 @@ from .quaternionic import (
     AD,
     GROUP,
     I,
+    INVARIANT_PROJECTOR,
     J,
     K,
     STRUCTURE_NAMES,
@@ -305,7 +306,7 @@ def suite_transgression(cfg: RunConfig) -> dict[str, float]:
         for _ in range(5):
             f = random_field(kmax, rng)
             sigma = random_field(kmax, rng, degree=0)
-            inv = random_field(kmax, rng, invariant=True)
+            inv = apply_fiber(random_field(kmax, rng), INVARIANT_PROJECTOR)
             # each target stays bound until the next one replaces it, so a solve's
             # temporaries reuse freed memory rather than the heap being trimmed and regrown
             target = exterior_d(f)

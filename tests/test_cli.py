@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, report schemas, determinism."""
 
+import argparse
 import ctypes
 import dataclasses
 import gc
@@ -494,6 +495,34 @@ class TestUnwritableOut:
         monkeypatch.chdir(tmp_path)
         assert run(["lapl-constant", "--modes", "1", "--out", "c.json"]) == 0
         assert json.loads((tmp_path / "c.json").read_text())["constant"] == pytest.approx(1.0)
+
+
+class TestOneParser:
+    """main parses every call with the one parser build_parser makes per process."""
+
+    def test_second_call_leaves_no_argparse_garbage(self, tmp_path, capsys):
+        out = tmp_path / "t.json"
+        argv = ["torsion", "--theta", "0.5,0,0,0", "--out", str(out)]
+        assert main(argv) == 0
+        first = out.read_bytes()
+        gc.collect()
+        flags = gc.get_debug()
+        gc.set_debug(flags | gc.DEBUG_SAVEALL)  # keep what the collector frees, to look at
+        try:
+            assert main(argv) == 0
+            gc.collect()
+            left = sorted({type(o).__qualname__ for o in gc.garbage
+                           if type(o).__module__ == "argparse" or isinstance(o, argparse.ArgumentParser)})
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+        assert left == []
+        # the shared parser still answers --help and rejects a bad flag, and parses as before
+        assert main(["--help"]) == 0
+        assert main(["torsion", "--no-such-flag"]) == 2
+        assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+        assert main(argv) == 0
+        assert out.read_bytes() == first
 
 
 class TestModuleEntryPoint:

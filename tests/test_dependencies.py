@@ -14,19 +14,37 @@ from reference_runs import run_python
 SRC = Path(__file__).resolve().parents[1] / "src" / "qhodge"
 
 
+def imports_in(source: str, filename: str = "<source>"):
+    """(module, level) for every import in one module's source, nested ones too.
+
+    A relative import's module is its absolute name in the package: `from .exterior
+    import DEGREE` and `from . import exterior` both give ("qhodge.exterior", 1).
+    """
+    found = []
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if isinstance(node, ast.Import):
+            found += [(alias.name, 0) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # every package module sits directly in qhodge, so "." is the package
+            assert node.level <= 1, (filename, node.level)
+            if node.level == 0:
+                found.append((node.module, 0))
+            elif node.module:
+                found.append((f"qhodge.{node.module}", 1))
+            else:
+                found += [(f"qhodge.{alias.name}", 1) for alias in node.names]
+    return found
+
+
+def package_imports():
+    """(file name, module, level) for every import in the package."""
+    return [(path.name, module, level) for path in sorted(SRC.glob("*.py"))
+            for module, level in imports_in(path.read_text(encoding="utf-8"), str(path))]
+
+
 def absolute_imports():
     """(file name, module) for every absolute import in the package, nested ones too."""
-    found = []
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                modules = [node.module]
-            else:
-                continue
-            found += [(path.name, m) for m in modules]
-    return found
+    return [(f, m) for f, m, level in package_imports() if level == 0]
 
 
 def test_no_module_imports_scipy():
@@ -47,6 +65,18 @@ def test_boundary_sees_every_import_kind():
     assert ("cli.py", "argparse") in found
     assert ("suites.py", "numpy.linalg") in found
     assert ("zeta.py", "numpy") in found
+    found = package_imports()
+    assert ("fields.py", "qhodge.exterior", 1) in found
+    assert ("cli.py", "qhodge.zeta", 1) in found
+    nested = "def f():\n    from .quaternionic import AD\n    from . import spin\n"
+    assert imports_in(nested) == [("qhodge.quaternionic", 1), ("qhodge.spin", 1)]
+
+
+def test_fields_imports_only_exterior_from_the_package():
+    # fields is the data layer under every operator: a fiber matrix meets a form
+    # field only in operators.apply_fiber, so fields needs no quaternionic table
+    assert {m for f, m, _ in package_imports()
+            if f == "fields.py" and m.split(".")[0] == "qhodge"} == {"qhodge.exterior"}
 
 
 def test_cli_import_loads_no_scipy(tmp_path):

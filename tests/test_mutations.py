@@ -34,8 +34,8 @@ MUTANTS = {
     # the form-document writer puts each entry's real part under "im" and its imaginary under "re"
     "writer-re-im": ("fields.py", "im, re = z.imag.tolist(), z.real.tolist()",
                      "im, re = z.real.tolist(), z.imag.tolist()"),
-    # the writer puts k components 1 and 2 through each other's piece table, so they trade places
-    "writer-k-tables": ("fields.py", "k1[k[1]], k2[k[2]]", "k1[k[2]], k2[k[1]]"),
+    # the writer looks up k components 1 and 2 in each other's place, so they trade places
+    "writer-k-tables": ("fields.py", "k12[k[1]], k12[k[2]]", "k12[k[2]], k12[k[1]]"),
     # the order-4 closed form applies G once to the target's vol column instead of twice
     "order4-one-green": ("transgression.py", "target.coeffs[:, VOL_MASK] * inv * inv",
                          "target.coeffs[:, VOL_MASK] * inv"),

@@ -35,6 +35,7 @@ from qhodge import operators
 from qhodge.quaternionic import (
     AD,
     GROUP,
+    INVARIANT_PROJECTOR,
     STRUCTURE_NAMES,
     left_matrix,
     lefschetz_dual_matrix,
@@ -167,7 +168,8 @@ class TestApplyFiber:
         return [*AD.values(), *GROUP.values(),
                 *(lefschetz_matrix(c) for c in STRUCTURE_NAMES),
                 *(lefschetz_dual_matrix(c) for c in STRUCTURE_NAMES),
-                GRADING, rotor_matrix(u / np.linalg.norm(u)), xhat_matrix(rng.standard_normal(4))]
+                GRADING, INVARIANT_PROJECTOR, rotor_matrix(u / np.linalg.norm(u)),
+                xhat_matrix(rng.standard_normal(4))]
 
     @pytest.mark.parametrize("kmax", range(5))
     def test_within_the_dot_product_bound_of_the_row_major_product(self, kmax):

@@ -23,6 +23,7 @@ from qhodge import transgression
 from qhodge.exterior import VOL, VOL_MASK
 from qhodge.fields import FormField, random_field, single_mode
 from qhodge.operators import (
+    apply_fiber,
     d_star,
     exterior_d,
     green,
@@ -32,6 +33,7 @@ from qhodge.operators import (
     twisted_d,
     twisted_d_star,
 )
+from qhodge.quaternionic import INVARIANT_PROJECTOR
 from qhodge.transgression import (
     DEFAULT_TOL,
     DegreeTooLow,
@@ -152,7 +154,7 @@ class TestOrder4:
     def test_roundtrip_invariant_sigma(self):
         rng = np.random.default_rng(SEED + 5)
         for kmax in (2, 3, 6):
-            sigma = random_field(kmax, rng, invariant=True)
+            sigma = apply_fiber(random_field(kmax, rng), INVARIANT_PROJECTOR)
             target = quartic_differential(sigma)
             res = transgress4(target)
             assert res.residual <= 1e-8
