@@ -7,9 +7,10 @@ of a checkout.  Every entry of RUNS in tests/reference_runs.py, a pinned one wit
 naming its file, and a `transgress --order 1` on a dense target written with PARENT_SRC,
 runs on each tree in a fresh interpreter and its own empty directory.  Each run must exit
 with the code RUNS declares for it (0 for the dense one), and stdout, stderr, the exit code
-and every file written are compared byte for byte.  The script exits 0 when every run gives
-its declared code and the trees agree, and 1 at the first wrong code or difference, which it
-names.
+and every file written are compared byte for byte.  Every run is reported: a `same:` line on
+stdout, or a `differ:` line naming the first differing output on stderr, after an `exit code`
+line on stderr for each tree whose code is not the declared one.  The script exits 0 when
+every run gives its declared code and the trees agree, and 1 after the last run otherwise.
 """
 
 import sys
@@ -51,6 +52,7 @@ def main(argv=None) -> int:
         if proc.returncode != 0:
             sys.exit(f"cannot write the dense target:\n{proc.stderr.decode()}")
         dense = (["transgress", "--order", "1", "--input", f"{tmp}/dense.json"], 0, "out.json")
+        failed = False
         for i, (command, code, name) in enumerate([*RUNS, dense]):
             if name is not None:
                 command = [*command, "--out", name]
@@ -60,13 +62,14 @@ def main(argv=None) -> int:
                 if out["exit code"] != code:
                     print(f"exit code {out['exit code']}, not {code}, on {side}: {label(command)}",
                           file=sys.stderr)
-                    return 1
+                    failed = True
             key = first_difference(*runs.values())
             if key is not None:
                 print(f"differ: {label(command)}: {key}", file=sys.stderr)
-                return 1
-            print(f"same: {label(command)}")
-    return 0
+                failed = True
+            else:
+                print(f"same: {label(command)}")
+    return int(failed)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ iff omega_{-k} = conj(omega_k) for all k.
 
 The (n, 16) array is stored blade-major (column-major): `coeffs.T` is a
 C-contiguous (16, n) array, so each blade's n coefficients are one
-contiguous run, which is what the symbol kernel in `operators` reads and
+contiguous run, which is what the row kernel in `operators` reads and
 writes.  A field keeps a blade-major array it is built from and copies a
 row-major one once.
 """
@@ -252,12 +252,16 @@ class FormField:
     def inner(self, other: "FormField") -> complex:
         """L^2 pairing; Fourier modes and blades are orthonormal.
 
-        The products are summed in row-major (mode, blade) order.
+        The products conj(other) * self are formed in place in the conj array,
+        written out so that no size decides the operand order, and summed in
+        row-major (mode, blade) order.
         """
         if not isinstance(other, FormField):
             raise TypeError(f"inner product of a FormField with {type(other).__name__}")
         self._check(other)
-        return complex(np.sum(np.ascontiguousarray(self.coeffs * np.conj(other.coeffs))))
+        prod = np.conj(other.coeffs)
+        np.multiply(prod, self.coeffs, out=prod)
+        return complex(np.sum(np.ascontiguousarray(prod)))
 
     def norm(self) -> float:
         """L^2 norm; finite whenever it is representable, even when its square is not.

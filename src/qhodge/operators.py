@@ -15,13 +15,12 @@ Every first-order operator is therefore one symbol, i eps(L kappa) or its
 adjoint -i iota(L kappa) for a 4x4 matrix L (the identity, C or L_x),
 applied by `_first_order`.  With weights w = L kappa per mode, the symbol is
 sum_a w_a eps_a (or iota_a), and each eps_a and iota_a only flips blade
-bit a and attaches a sign.  So no matrix product is taken: a field stores
-its coefficients blade-major (see `fields`), and axis a moves one half of
-the blades (one slab of contiguous runs over all modes) onto the other
-half, times a fixed sign array and w_a, into a blade-major result.  The
-per-axis plans are read off `WEDGE_E` and `INTERIOR_E` at import.  Fiber
-matrices (`apply_fiber`) multiply the blade-major (16, n) array from the
-left, so they keep the layout too.
+bit a and attaches a sign.  So a symbol, like a fiber matrix, is a row
+plan: each result blade is a fixed-order sum of (source blade, factor,
+negate) terms, which one kernel, `_apply_rows`, builds on the blade-major
+(16, n) array (see `fields`) with no BLAS call.  A symbol's plan is read off
+`WEDGE_E` or `INTERIOR_E` at import, with the weight columns as factors; a
+fiber matrix's plan is read off its nonzero entries (`apply_fiber`).
 
 Adjoint signs are not transcribed from anywhere: they are forced by the
 L^2 adjointness property, which the test suite asserts directly.
@@ -46,70 +45,71 @@ from .quaternionic import (
 _EYE = np.eye(4)
 
 
+def _apply_rows(coeffs: np.ndarray, rows, scale: complex | None = None) -> np.ndarray:
+    """The (n, 16) array whose blade r is the sum of +-coeffs[:, s] * factor over the
+    (s, factor, negate) terms of rows[r], in order, times scale if one is given.
+
+    Each row is built on the blade-major (16, n) array through one n-length
+    scratch row, with no BLAS call.  Its first term is added to (or subtracted
+    from) +0.0, so that, as in a sum into zeros, every zero of the sum is +0.0
+    whatever the signs of its terms' zeros.
+    """
+    src = coeffs.T
+    out = np.empty(src.shape, dtype=complex)
+    scratch = np.empty(src.shape[1], dtype=complex)
+    for dst, terms in zip(out, rows):
+        if not terms:
+            dst.fill(0.0)
+        for i, (s, factor, negate) in enumerate(terms):
+            np.multiply(src[s], factor, out=scratch)
+            (np.subtract if negate else np.add)(dst if i else 0.0, scratch, out=dst)
+        if scale is not None:
+            dst *= scale
+    return out.T
+
+
 def apply_fiber(f: FormField, mat: np.ndarray) -> FormField:
     """Apply one mode-independent 16x16 fiber matrix to every mode.
 
-    The product is taken on the blade-major (16, n) array and keeps that
-    layout.  Each entry is the row-major f.coeffs @ mat.T up to the order in
-    which BLAS sums its 16 terms.  For a real matrix, as every fiber matrix
-    of the package is, the OpenBLAS Haswell and SkylakeX kernels give the
-    same bits on two or more modes; other kernels, a single mode (a
-    matrix-vector product) and a dense complex matrix may round differently.
+    Each entry is that of the row-major f.coeffs @ mat.T, summed over the
+    nonzero entries of its row of mat in ascending source order, whatever the
+    BLAS or its thread count.
     """
-    return FormField(f.kmax, (mat @ f.coeffs.T).T)
+    rows, cols = np.nonzero(mat)
+    plan = [[] for _ in range(N_BLADES)]
+    for dst, src, factor in zip(rows.tolist(), cols.tolist(), mat[rows, cols].tolist()):
+        plan[dst].append((src, factor, False))
+    return FormField(f.kmax, _apply_rows(f.coeffs, plan))
 
 
-def _axis_plan(tables):
-    """Per-axis slab plan (destination, source, signs) of four signed bit flips.
+def _symbol_plan(tables):
+    """Row plan of sum_a w_a E_a for E_a = tables[a]: each blade's (source, a, negate)
+    terms, in axis order, with w_a the factor of every term of axis a.
 
-    tables[a] must map blade m to +-blade m ^ 2^a on one half of the blades
-    (bit a clear for eps, set for iota) and vanish on the other; that is
-    checked here.  In the blade-major view (2, 2, 2, 2, n) bit a is axis
-    3 - a, so each half is one slab and its signs are a (2, 2, 2, 1) array,
-    complex like the fields, so signing a slab needs no buffered cast.
+    Each E_a must be a signed flip of bit a: blade m to +-blade m ^ 2^a on one
+    half of the blades (bit a clear for eps, set for iota), 0 on the other.
     """
-    blades = np.arange(N_BLADES)
-    plan = []
+    plan = [[] for _ in range(N_BLADES)]
     for a, E in enumerate(tables):
-        bits = blades >> a & 1
-        signs = E[blades ^ (1 << a), blades]  # E[m ^ 2^a, m]
-        bit = int(signs[bits == 1].any())  # bit a on the source half
-        flip = np.zeros_like(E)
-        flip[blades ^ (1 << a), blades] = np.where(bits == bit, signs, 0)
-        assert np.array_equal(E, flip) and np.all(np.abs(signs[bits == bit]) == 1), \
+        dst, src = np.nonzero(E)
+        signs = E[dst, src]
+        assert (len(src) == N_BLADES // 2 and np.all(dst == src ^ 1 << a)
+                and len(set(src >> a & 1)) == 1 and np.all(np.abs(signs) == 1)), \
             f"table {a} is not a signed flip of bit {a}"
-        axis = (slice(None),) * (3 - a)
-        source = axis + (bit,)
-        signs = signs.reshape(2, 2, 2, 2)[source][..., None].astype(complex)
-        plan.append((axis + (1 - bit,), source, signs))
-    return tuple(plan)
+        for m, r, sign in zip(src.tolist(), dst.tolist(), signs.tolist()):
+            plan[r].append((m, a, sign < 0))
+    return tuple(map(tuple, plan))
 
 
-_EPS_PLAN = _axis_plan(WEDGE_E)
-_IOTA_PLAN = _axis_plan(INTERIOR_E)
+_EPS_PLAN = _symbol_plan(WEDGE_E)
+_IOTA_PLAN = _symbol_plan(INTERIOR_E)
 
 
 def _apply_symbol(coeffs: np.ndarray, weights: np.ndarray, plan, scale: complex) -> np.ndarray:
-    """scale * sum_a weights[:, a] * E_a applied per mode, E_a the signed flip in plan[a].
-
-    Every pass runs over a blade-major slab of all n modes: sign the source
-    half, weight it, add it into the destination half.  The sum is taken in
-    axis order 0..3 and every sign is +-1, so every value equals that of
-    sum_a (coeffs @ E_a.T) * weights[:, a] times scale; only the sign of an
-    entry that is exactly zero can differ.  With blade-major coeffs every slab
-    is contiguous; the (n, 16) result is the .T of the blade-major sum, scaled
-    in place.
-    """
-    n = len(coeffs)
-    view = coeffs.T.reshape(2, 2, 2, 2, n)
-    acc = np.zeros(view.shape, dtype=complex)
-    tmp = np.empty(view.shape[1:], dtype=complex)
-    for (dst, source, signs), w in zip(plan, weights.T):
-        np.multiply(view[source], signs, out=tmp)
-        tmp *= w
-        acc[dst] += tmp
-    acc *= scale
-    return acc.reshape(N_BLADES, n).T
+    """scale * sum_a weights[:, a] * E_a per mode, for the symbol plan of the E_a, with each
+    weight column cast to complex once, as a product with the field would cast it."""
+    w = np.ascontiguousarray(weights.T, dtype=complex)
+    return _apply_rows(coeffs, [[(s, w[a], negate) for s, a, negate in row] for row in plan], scale)
 
 
 def _first_order(f: FormField, L: np.ndarray, star: bool) -> FormField:

@@ -1,4 +1,5 @@
-"""scripts/compare_outputs.py: equal trees agree, and a changed output is named."""
+"""scripts/compare_outputs.py: equal trees agree, a changed output is named, and every run
+is reported."""
 
 import importlib.util
 import shutil
@@ -27,10 +28,14 @@ def test_names_the_first_difference(tmp_path, monkeypatch, capsys):
     assert script.main([str(SRC), str(tmp_path)]) == 0
     assert capsys.readouterr().out == "same: qhodge torsion\n" + DENSE
 
+    # a differing run does not stop the compare: the runs after it are still reported
     zeta = tmp_path / "qhodge" / "zeta.py"
     zeta.write_text(zeta.read_text() + "EULER_GAMMA += 1e-9\n")
+    monkeypatch.setattr(script, "RUNS", [(["torsion"], 0, None), (["torsion", "--help"], 0, None)])
     assert script.main([str(SRC), str(tmp_path)]) == 1
-    assert capsys.readouterr().err == "differ: qhodge torsion: stdout\n"
+    out, err = capsys.readouterr()
+    assert err == "differ: qhodge torsion: stdout\n"
+    assert out == "same: qhodge torsion --help\n" + DENSE
 
     # with --out the report is a written file, and stdout stays empty on both trees
     monkeypatch.setattr(script, "RUNS", [(["torsion"], 0, "t.json")])
@@ -44,8 +49,9 @@ def test_an_undeclared_exit_code_fails(monkeypatch, capsys):
     monkeypatch.setattr(script, "RUNS", [(["torsion"], 3, None)])
     assert script.main([str(SRC), str(SRC)]) == 1
     out, err = capsys.readouterr()
-    assert out == ""
-    assert err == "exit code 0, not 3, on parent: qhodge torsion\n"
+    assert out == "same: qhodge torsion\n" + DENSE
+    assert err == ("exit code 0, not 3, on parent: qhodge torsion\n"
+                   "exit code 0, not 3, on change: qhodge torsion\n")
 
 
 def test_both_report_writers_are_compared():

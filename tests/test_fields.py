@@ -138,15 +138,18 @@ class TestAlgebra:
             assert f.norm() == float(np.sqrt(np.einsum("i,i->", parts, parts)))
 
     def test_inner_sums_in_row_major_order(self):
+        # the in-place product conj(b) * a at every size: numpy's temporary elision
+        # would pick the operand order of a * np.conj(b) by size, and not inside an
+        # assert, whose rewriting keeps the temporary alive
         rng = np.random.default_rng(12)
-        for kmax in range(4):
+        for kmax in range(1, 5):
             f, g = random_field(kmax, rng), random_field(kmax, rng)
             a, b = np.ascontiguousarray(f.coeffs), np.ascontiguousarray(g.coeffs)
-            # outside the assert: pytest keeps the conj temporary alive there, and numpy
-            # then multiplies into a new array instead of into the temporary, which can
-            # round differently
-            want = complex(np.sum(a * np.conj(b)))
+            conj_b = np.conj(b)
+            want = complex(np.sum(np.multiply(conj_b, a, out=conj_b)))
             assert f.inner(g) == want
+            conj_b = np.conj(b)
+            assert f.inner(g) == complex(np.sum(np.multiply(conj_b, a, out=conj_b)))
 
     @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
     @pytest.mark.parametrize("kmax", [1, 2, 3])
@@ -280,8 +283,8 @@ def transgression_potentials(kmax: int, rng):
 class TestBladeMajorLayout:
     """Every field the package makes stores its coefficients blade-major.
 
-    The symbol kernel reads coeffs.T as contiguous slabs; a row-major field
-    would still give the same values, but through a full copy per call.
+    The row kernel reads each blade of coeffs.T as one contiguous run; a
+    row-major field would still give the same values, but through strided reads.
     """
 
     @staticmethod

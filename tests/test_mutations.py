@@ -39,8 +39,15 @@ MUTANTS = {
     # the order-4 closed form applies G once to the target's vol column instead of twice
     "order4-one-green": ("transgression.py", "target.coeffs[:, VOL_MASK] * inv * inv",
                          "target.coeffs[:, VOL_MASK] * inv"),
-    # apply_fiber applies the transpose of each fiber matrix on the blade-major array
-    "apply-fiber-transpose": ("operators.py", "(mat @ f.coeffs.T).T", "(mat.T @ f.coeffs.T).T"),
+    # apply_fiber's plan sends each matrix entry (i, j) from blade i to blade j: the transpose
+    "apply-fiber-transpose": ("operators.py", "zip(rows.tolist(), cols.tolist(),",
+                              "zip(cols.tolist(), rows.tolist(),"),
+    # the adjoint's symbol plan drops its negate flags, so iota acts as unsigned bit flips
+    # (dropping them from eps too breaks d^2 = 0, and the transgression suite refuses its
+    # target with exit 3 before the report)
+    "symbol-plan-negate": ("operators.py", "_IOTA_PLAN = _symbol_plan(INTERIOR_E)",
+                           "_IOTA_PLAN = tuple(tuple((s, a, False) for s, a, _ in row) "
+                           "for row in _symbol_plan(INTERIOR_E))"),
 }
 # the writer mutants must fail the one check that reads written text back
 ROUNDTRIP = {"writer-re-im", "writer-k-tables"}

@@ -105,7 +105,7 @@ SYMBOLS = [(operators._EPS_PLAN, WEDGE_E, 2j * np.pi), (operators._IOTA_PLAN, IN
 
 
 class TestSymbolKernel:
-    """The slab kernel against the literal sum of four fiber products."""
+    """The symbol row plans against the literal sum of four fiber products."""
 
     @pytest.mark.parametrize("kmax", [0, 1, 2, 3])
     def test_equals_literal_formula(self, kmax):
@@ -147,7 +147,7 @@ class TestSymbolKernel:
         bad = WEDGE_E.copy()
         bad[2, 0b0100, 0] *= -1  # dxi^3 = -(dxi^3 ^ 1)
         rebuilt = operators._apply_symbol(np.eye(N_BLADES, dtype=complex), unit_weights(2),
-                                          operators._axis_plan(bad), 1.0).T
+                                          operators._symbol_plan(bad), 1.0).T
         assert np.array_equal(rebuilt, bad[2])
         assert not np.array_equal(rebuilt, WEDGE_E[2])
 
@@ -155,11 +155,21 @@ class TestSymbolKernel:
         bad = WEDGE_E.copy()
         bad[1, 0b0011, 0] = 1.0  # blade 0 sent to a blade two bits away
         with pytest.raises(AssertionError, match="table 1 is not a signed flip of bit 1"):
-            operators._axis_plan(bad)
+            operators._symbol_plan(bad)
+
+
+def literal_fiber(coeffs, mat):
+    """coeffs @ mat.T as a sum into zeros over each row's nonzero entries, in ascending source order."""
+    out = np.zeros(coeffs.shape, dtype=complex)
+    for i in range(N_BLADES):
+        for j in range(N_BLADES):
+            if mat[i, j] != 0:
+                out[:, i] += coeffs[:, j] * mat[i, j]
+    return out
 
 
 class TestApplyFiber:
-    """apply_fiber's blade-major product against the row-major one."""
+    """apply_fiber's row plan against the literal sum and the row-major product."""
 
     @staticmethod
     def fiber_matrices(rng):
@@ -172,10 +182,18 @@ class TestApplyFiber:
                 xhat_matrix(rng.standard_normal(4))]
 
     @pytest.mark.parametrize("kmax", range(5))
+    def test_bits_of_the_fixed_order_sum(self, kmax):
+        rng = np.random.default_rng(SEED + 45 + kmax)
+        f = random_field(kmax, rng)
+        for M in self.fiber_matrices(rng):
+            got = np.ascontiguousarray(apply_fiber(f, M).coeffs)
+            want = literal_fiber(f.coeffs, M)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("kmax", range(5))
     def test_within_the_dot_product_bound_of_the_row_major_product(self, kmax):
-        # Each entry is a 16-term dot product.  Whether BLAS sums the
-        # blade-major (16, 16) @ (16, n) product and the row-major
-        # (n, 16) @ (16, 16) one in the same order depends on its kernel (and
+        # Each entry is a 16-term dot product.  The order in which BLAS sums
+        # the row-major (n, 16) @ (16, 16) product depends on its kernel (and
         # at one mode on gemv against gemm), so the check is the gap that the
         # forward error bounds of two length-16 dot products allow (with a
         # factor 2 for the modulus of a complex entry).
