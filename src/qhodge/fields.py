@@ -14,7 +14,9 @@ The (n, 16) array is stored blade-major (column-major): `coeffs.T` is a
 C-contiguous (16, n) array, so each blade's n coefficients are one
 contiguous run, which is what the row kernel in `operators` reads and
 writes.  A field keeps a blade-major array it is built from and copies a
-row-major one once.
+row-major one once.  The whole-field reductions (`norm`, `distance`,
+`inner`, `realness_defect`) read `coeffs.T` in memory order, blade by
+blade, so none of them copies the field into another layout.
 """
 
 from __future__ import annotations
@@ -72,14 +74,18 @@ def grid(kmax: int):
     return modes, ksq
 
 
-# the scalar symbols per mode: the modes as floats (every first-order symbol's weights
-# are modes @ L.T), Delta's 4 pi^2 |k|^2, and G's, its inverse off k = 0 and 0 on it
+# the scalar symbols per mode: the modes as floats (a first-order symbol's weights are
+# modes @ L.T), Delta's 4 pi^2 |k|^2, G's, its inverse off k = 0 and 0 on it, and the
+# modes as complex (4, n) columns (the weights of an L with one +-1 a row, read in place)
 @lru_cache(maxsize=None)
 def mode_symbols(kmax: int):
-    """Cached read-only (float modes, Delta's symbol, G's symbol) of a truncation."""
-    lapl = 4 * np.pi**2 * grid(kmax)[1]
-    symbols = (grid(kmax)[0].astype(float), lapl,
-               np.divide(1.0, lapl, out=np.zeros_like(lapl), where=lapl > 0))
+    """Cached read-only (float modes, Delta's symbol, G's symbol, complex mode columns)
+    of a truncation."""
+    modes, ksq = grid(kmax)
+    lapl = 4 * np.pi**2 * ksq
+    symbols = (modes.astype(float), lapl,
+               np.divide(1.0, lapl, out=np.zeros_like(lapl), where=lapl > 0),
+               np.ascontiguousarray(modes.T, dtype=complex))
     for arr in symbols:
         arr.setflags(write=False)
     return symbols
@@ -171,16 +177,14 @@ def _entry_column(entries, key: str, width: int, types, what: str) -> np.ndarray
     return column.reshape(-1, width) if width else column
 
 
-def _row_major_norm(coeffs: np.ndarray) -> float:
-    """L^2 norm of an (n, 16) complex array, summed in row-major (mode, blade) order.
+def _norm_of_parts(parts: np.ndarray) -> float:
+    """sqrt of the sum of squares of a 1-D float array, summed in its order.
 
-    The sum of squares runs over the real and imaginary parts in numpy's own
-    loop rather than a BLAS dot, so its value does not depend on the BLAS
-    thread count.  reshape(-1) is a view of a row-major array and a row-major
-    copy of a blade-major one.  When the sum overflows or underflows, the
-    parts are rescaled by a power of two (exact) that brings the largest near 1.
+    The sum runs in numpy's own loop rather than a BLAS dot, so its value
+    does not depend on the BLAS thread count.  When it overflows or
+    underflows, the parts are rescaled by a power of two (exact) that brings
+    the largest near 1.
     """
-    parts = coeffs.reshape(-1).view(float)
     with np.errstate(over="ignore"):  # handled below
         value = float(np.sqrt(np.einsum("i,i->", parts, parts)))
     if value == np.inf or (value == 0.0 and parts.any()):
@@ -254,41 +258,45 @@ class FormField:
 
         The products conj(other) * self are formed in place in the conj array,
         written out so that no size decides the operand order, and summed in
-        row-major (mode, blade) order.
+        blade-major (blade, mode) order, the order they are stored in.
         """
         if not isinstance(other, FormField):
             raise TypeError(f"inner product of a FormField with {type(other).__name__}")
         self._check(other)
         prod = np.conj(other.coeffs)
         np.multiply(prod, self.coeffs, out=prod)
-        return complex(np.sum(np.ascontiguousarray(prod)))
+        return complex(np.sum(prod.T))
 
     def norm(self) -> float:
         """L^2 norm; finite whenever it is representable, even when its square is not.
 
-        The sum of squares runs in row-major order: reshape(-1) makes a
-        row-major copy of the blade-major array (see `_row_major_norm`).
+        The sum of squares runs over the real and imaginary parts in
+        blade-major order, through a view of the stored array: no copy.
         """
-        return _row_major_norm(self.coeffs)
+        return _norm_of_parts(self.coeffs.T.reshape(-1).view(float))
 
     def distance(self, other: "FormField") -> float:
         """||self - other||, equal to (self - other).norm() bit for bit.
 
-        The difference is written straight into one row-major array, so no
-        blade-major difference and no second copy of it are made.
+        The difference is written straight into one blade-major array.
         """
         if not isinstance(other, FormField):
             raise TypeError(f"distance of a FormField to {type(other).__name__}")
         self._check(other)
-        diff = np.empty(self.coeffs.shape, dtype=complex)
-        return _row_major_norm(np.subtract(self.coeffs, other.coeffs, out=diff))
+        diff = np.empty(self.coeffs.T.shape, dtype=complex)
+        np.subtract(self.coeffs.T, other.coeffs.T, out=diff)
+        return _norm_of_parts(diff.reshape(-1).view(float))
 
     def degrees(self, tol: float = 0.0):
         present = np.abs(self.coeffs).max(axis=0)
         return sorted({int(DEGREE[m]) for m in range(N_BLADES) if present[m] > tol})
 
     def realness_defect(self) -> float:
-        return float(np.abs(self.coeffs - np.conj(self.coeffs)[::-1]).max())
+        """max |omega_k - conj(omega_{-k})|, formed blade-major in one conj array."""
+        c = self.coeffs.T
+        diff = np.conj(c[:, ::-1])
+        np.subtract(c, diff, out=diff)
+        return float(np.abs(diff).max())
 
     # -- serialization -----------------------------------------------------
     def _json_chunks(self, indent: int):

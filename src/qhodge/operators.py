@@ -22,11 +22,21 @@ negate) terms, which one kernel, `_apply_rows`, builds on the blade-major
 `WEDGE_E` or `INTERIOR_E` at import, with the weight columns as factors; a
 fiber matrix's plan is read off its nonzero entries (`apply_fiber`).
 
+When each row of L holds a single nonzero, +-1 at column p(a) (the identity,
+I, J and K, however they are passed), the weight column a is exactly
++-kappa_{p(a)}: the symbol's plan then takes the cached complex mode column
+p(a) as the factor of axis a, with its negate flag flipped for a -1, and is
+built once per truncation and L (`_folded_plan`).  Any other L (d_x, a general
+structure vector) takes its weights from one (n, 4) @ (4, 4) product per
+call (`_apply_symbol`).  Both give the same bits for the same L.
+
 Adjoint signs are not transcribed from anywhere: they are forced by the
 L^2 adjointness property, which the test suite asserts directly.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -112,11 +122,34 @@ def _apply_symbol(coeffs: np.ndarray, weights: np.ndarray, plan, scale: complex)
     return _apply_rows(coeffs, [[(s, w[a], negate) for s, a, negate in row] for row in plan], scale)
 
 
+def _signed_columns(L: np.ndarray):
+    """(p(a), L[a, p(a)] < 0) per row a when each row of L holds a single nonzero,
+    +-1 at column p(a); None for any other L."""
+    columns = []
+    for row in L.tolist():
+        entries = [(p, v) for p, v in enumerate(row) if v != 0]
+        if len(entries) != 1 or abs(entries[0][1]) != 1:
+            return None
+        columns.append((entries[0][0], entries[0][1] < 0))
+    return tuple(columns)
+
+
+@lru_cache(maxsize=None)
+def _folded_plan(kmax: int, star: bool, columns) -> tuple:
+    """Row plan of the symbol of an L with `columns` = _signed_columns(L): the factor of
+    axis a is the complex mode column p(a), and its negate flag flips when L[a, p(a)] < 0."""
+    modes = mode_symbols(kmax)[3]
+    return tuple(tuple((s, modes[columns[a][0]], negate != columns[a][1]) for s, a, negate in row)
+                 for row in (_IOTA_PLAN if star else _EPS_PLAN))
+
+
 def _first_order(f: FormField, L: np.ndarray, star: bool) -> FormField:
     """i eps(L kappa), or its adjoint -i iota(L kappa) when star is set."""
-    weights = mode_symbols(f.kmax)[0] @ L.T
     plan, scale = (_IOTA_PLAN, -2j * np.pi) if star else (_EPS_PLAN, 2j * np.pi)
-    return FormField(f.kmax, _apply_symbol(f.coeffs, weights, plan, scale))
+    columns = _signed_columns(L)
+    if columns is not None:
+        return FormField(f.kmax, _apply_rows(f.coeffs, _folded_plan(f.kmax, star, columns), scale))
+    return FormField(f.kmax, _apply_symbol(f.coeffs, mode_symbols(f.kmax)[0] @ L.T, plan, scale))
 
 
 def exterior_d(f: FormField) -> FormField:

@@ -6,7 +6,7 @@ the ordered orthonormal basis (`s_basis_forms` divides each blade by its norm)
 
     ( |1>,  w^1/sqrt2,  w^2/sqrt2,  (w^1 ^ w^2)/2 ),
 
-of grades S_DEGREES (grade q FORM_RANKS[q] times), in which Hermitian
+of grades S_DEGREES (the number of w factors), in which Hermitian
 adjoints are plain conjugate transposes.  The Clifford action is
 c(w) = sqrt2 eps(w) for w in W and c(wbar) = -sqrt2 iota(wbar) for wbar in
 Wbar, iota contracting against the Hermitian pairing <wbar^i, w^j> =
@@ -31,12 +31,8 @@ import numpy as np
 
 from .exterior import N_BLADES, VOL, one_form, wedge, wedge_matrix
 from .fields import grid
-from .quaternionic import AD, FORM_RANKS, STRUCTURE_NAMES, kahler_form, left_matrix
+from .quaternionic import AD, STRUCTURE_NAMES, kahler_form, left_matrix
 from .zeta import reduce_theta
-
-# form degree q of each S basis element: FORM_RANKS[q] elements of degree q
-S_DEGREES = np.repeat(np.arange(3), FORM_RANKS)
-S_DEGREES.setflags(write=False)
 
 # holomorphic coframe: +i eigenvectors of I acting on covectors
 W_COFRAME = np.array(
@@ -46,6 +42,12 @@ W_COFRAME = np.array(
     ]
 )
 W_COFRAME.setflags(write=False)
+
+# form degree of each S basis element: basis element i wedges the w^j of the set bits
+# of i; read off the basis, not off the type ranks of I, so a broken I fails the
+# grading checks instead of resizing the basis
+S_DEGREES = np.array([bin(i).count("1") for i in range(2 ** len(W_COFRAME))])
+S_DEGREES.setflags(write=False)
 
 
 # c(w^i) = sqrt2 eps(w^i): |w^i| = sqrt2 and |w^1 ^ w^2| = 2 make each entry of

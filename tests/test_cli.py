@@ -304,6 +304,35 @@ class TestNumericalFailure:
         assert not out.exists()
 
 
+class TestRefusalInsideVerify:
+    """A solver refusal or an inconsistent constant inside verify is a failed check."""
+
+    @pytest.mark.parametrize("name, exc, check", [
+        ("transgress1", transgression.NotClosed("target is not closed"), "transgress1_roundtrip"),
+        ("transgress2", transgression.NotDCClosed("I", 1.0), "transgress2_roundtrip"),
+        ("measure_lapl_constant", transgression.InconsistentConstant("spread"),
+         "lapl_constant_spread"),
+    ], ids=["NotClosed", "NotDCClosed", "InconsistentConstant"])
+    def test_exit_1_with_the_other_suites_run(self, tmp_path, monkeypatch, capsys, name, exc,
+                                              check):
+        monkeypatch.setattr(suites, name, _raise(exc))
+        ran = []
+        monkeypatch.setitem(suites.SUITES, "exterior",
+                            lambda cfg: ran.append("exterior") or {"stub": 0.0})
+        cfg = RunConfig(kmax=1, field_count=1, suites=("transgression", "exterior"))
+        report = run_suites(cfg)
+        assert ran == ["exterior"]
+        assert report["suites"]["transgression"]["checks"][check]["residual"] == math.inf
+        assert report["first_failure"] == f"transgression:{check}"
+        assert report["suites"]["exterior"]["pass"]
+        out = tmp_path / "out.json"
+        argv = ["verify", "--kmax", "1", "--fields", "1", "--suite", "transgression"]
+        assert run([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.endswith(
+            f"FAILED: transgression:{check} exceeds tolerance 1e-10\n")
+        assert not out.exists()
+
+
 class TestExitMap:
     """main alone maps what a command raises to its exit code."""
 

@@ -3,6 +3,7 @@
 import gc
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,8 +78,11 @@ class TestModeSymbols:
         modes, ksq = grid(kmax)
         inv = np.zeros_like(ksq)
         inv[ksq > 0] = 1.0 / (4 * np.pi**2 * ksq[ksq > 0])
-        want = (modes.astype(float), 4 * np.pi**2 * ksq, inv)
+        want = (modes.astype(float), 4 * np.pi**2 * ksq, inv, modes.T.astype(complex))
+        assert len(mode_symbols(kmax)) == len(want)
         assert all(same_bits(a, b) for a, b in zip(mode_symbols(kmax), want))
+        # each complex mode column, a symbol factor, is one contiguous run
+        assert mode_symbols(kmax)[3].flags.c_contiguous
 
     def test_cached_and_read_only(self):
         symbols = mode_symbols(2)
@@ -131,20 +135,20 @@ class TestAlgebra:
 
     def test_norm_keeps_the_bits_of_a_normal_range_field(self):
         # no rescale in the normal range: the plain root of the sum of squares,
-        # taken in row-major (mode, blade) order whatever the stored layout
+        # taken in blade-major (blade, mode) order, the order of the stored array
         for kmax in range(4):
             f = random_field(kmax, np.random.default_rng(1))
-            parts = np.ascontiguousarray(f.coeffs).reshape(-1).view(float)
+            parts = np.ascontiguousarray(f.coeffs.T).reshape(-1).view(float)
             assert f.norm() == float(np.sqrt(np.einsum("i,i->", parts, parts)))
 
-    def test_inner_sums_in_row_major_order(self):
+    def test_inner_sums_in_blade_major_order(self):
         # the in-place product conj(b) * a at every size: numpy's temporary elision
         # would pick the operand order of a * np.conj(b) by size, and not inside an
         # assert, whose rewriting keeps the temporary alive
         rng = np.random.default_rng(12)
         for kmax in range(1, 5):
             f, g = random_field(kmax, rng), random_field(kmax, rng)
-            a, b = np.ascontiguousarray(f.coeffs), np.ascontiguousarray(g.coeffs)
+            a, b = np.ascontiguousarray(f.coeffs.T), np.ascontiguousarray(g.coeffs.T)
             conj_b = np.conj(b)
             want = complex(np.sum(np.multiply(conj_b, a, out=conj_b)))
             assert f.inner(g) == want
@@ -234,6 +238,48 @@ class TestRealness:
     def test_generic_field_not_real(self):
         rng = np.random.default_rng(4)
         assert random_field(1, rng).realness_defect() > 1e-12
+
+    def test_defect_is_the_max_of_the_literal_difference(self):
+        # a max does not depend on the order it reads the entries in
+        rng = np.random.default_rng(5)
+        for kmax in range(4):
+            for f in (random_field(kmax, rng), random_field(kmax, rng, real=True)):
+                assert f.realness_defect() == float(np.abs(f.coeffs - np.conj(f.coeffs)[::-1]).max())
+
+
+class TestReductionAllocations:
+    """The whole-field reductions read the stored blade-major array in place.
+
+    tracemalloc sees numpy's data allocations: the traced peak of one call,
+    in dense kmax-4 field-sizes, counts the field-sized temporaries it makes.
+    """
+
+    KMAX = 4
+    FIELD_BYTES = (2 * KMAX + 1) ** 4 * N_BLADES * 16
+
+    def peak_fields(self, reduce) -> float:
+        reduce()  # caches and numpy's own first-call state, outside the measure
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            reduce()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        return (peak - before) / self.FIELD_BYTES
+
+    @pytest.mark.parametrize("name, limit", [
+        ("norm", 0.05), ("distance", 1.05), ("inner", 1.05), ("realness_defect", 1.55)])
+    def test_temporaries(self, name, limit):
+        rng = np.random.default_rng(6)
+        f, g = random_field(self.KMAX, rng), random_field(self.KMAX, rng)
+        reduce = {"norm": f.norm, "distance": lambda: f.distance(g), "inner": lambda: f.inner(g),
+                  "realness_defect": f.realness_defect}[name]
+        assert self.peak_fields(reduce) <= limit
 
 
 class TestRandom:

@@ -43,12 +43,18 @@ MUTANTS = {
     "apply-fiber-transpose": ("operators.py", "zip(rows.tolist(), cols.tolist(),",
                               "zip(cols.tolist(), rows.tolist(),"),
     # the adjoint's symbol plan drops its negate flags, so iota acts as unsigned bit flips
-    # (dropping them from eps too breaks d^2 = 0, and the transgression suite refuses its
-    # target with exit 3 before the report)
     "symbol-plan-negate": ("operators.py", "_IOTA_PLAN = _symbol_plan(INTERIOR_E)",
                            "_IOTA_PLAN = tuple(tuple((s, a, False) for s, a, _ in row) "
                            "for row in _symbol_plan(INTERIOR_E))"),
+    # both symbol plans drop their negate flags, so d^2 != 0: the transgression solvers
+    # refuse their targets, which fails those checks instead of ending the run
+    "both-symbol-plans-negate": ("operators.py", "plan[r].append((m, a, sign < 0))",
+                                 "plan[r].append((m, a, False))"),
+    # the plan of an L with one +-1 a row ignores the signs of L: d_I, d_J and d_K lose theirs
+    "folded-plan-sign": ("operators.py", "negate != columns[a][1])", "negate)"),
 }
+# mutants that must fail a check (exit 1), not a numerical gate
+FAIL_A_CHECK = {"both-symbol-plans-negate", "folded-plan-sign"}
 # the writer mutants must fail the one check that reads written text back
 ROUNDTRIP = {"writer-re-im", "writer-k-tables"}
 
@@ -73,7 +79,7 @@ def test_unmutated_copy_passes(tmp_path):
 @pytest.mark.parametrize("name", MUTANTS)
 def test_mutant_is_caught(tmp_path, name):
     proc = run_copy(tmp_path, MUTANTS[name])
-    assert proc.returncode in (1, 4), proc.stderr
+    assert proc.returncode in ((1,) if name in FAIL_A_CHECK else (1, 4)), proc.stderr
     if name in ROUNDTRIP:
         assert b"FAILED: operators:serialization_roundtrip " in proc.stderr
     assert b"Traceback" not in proc.stderr

@@ -130,11 +130,45 @@ class TestSymbolKernel:
 
     @pytest.mark.parametrize("kmax", [1, 2, 4, 6])
     def test_weights_are_the_integer_grid_product(self, kmax):
-        # _first_order reads the cached float modes; the product has the bits of int @ float
+        # the weights of an L that does not fold read the cached float modes; the product
+        # has the bits of int @ float
         rng = np.random.default_rng(SEED + 35 + kmax)
         for L in (np.eye(4), *(structure_matrix(c) for c in "IJK"), left_matrix(rand_quat(rng))):
             got, want = mode_symbols(kmax)[0] @ L.T, grid(kmax)[0] @ L.T
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("kmax", range(5))
+    def test_structure_plans_keep_the_bits_of_the_weight_product(self, kmax):
+        # the identity and I, J, K, whether named, given as matrices or as axis 3-vectors
+        # (also negated), fold into cached plans; they must give the weights' bits
+        (eps, _, up), (iota, _, down) = SYMBOLS
+        cases = [(exterior_d, (), np.eye(4), eps, up), (d_star, (), np.eye(4), iota, down)]
+        for name, axis in zip(STRUCTURE_NAMES, np.eye(3)):
+            L = structure_matrix(name)
+            for c, Lc in ((name, L), (L, L), (axis, L), (-axis, -L)):
+                cases += [(twisted_d, (c,), Lc, eps, up), (twisted_d_star, (c,), Lc, iota, down)]
+        f = random_field(kmax, np.random.default_rng(SEED + 40 + kmax))
+        for op, args, L, plan, scale in cases:
+            assert operators._signed_columns(L) is not None
+            got = op(f, *args).coeffs.T
+            want = operators._apply_symbol(f.coeffs, mode_symbols(kmax)[0] @ L.T, plan, scale).T
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_only_an_l_with_one_unit_a_row_folds(self):
+        rng = np.random.default_rng(SEED + 45)
+        assert operators._signed_columns(structure_matrix("J")) == \
+            ((2, True), (3, False), (0, False), (1, True))
+        for L in (left_matrix(rand_quat(rng)), structure_matrix(np.array([0.6, 0.8, 0.0])),
+                  2 * np.eye(4), np.zeros((4, 4)), np.full((4, 4), np.nan)):
+            assert operators._signed_columns(L) is None
+
+    def test_folded_factors_are_the_cached_mode_columns(self):
+        columns = mode_symbols(2)[3]
+        plan = operators._folded_plan(2, False, operators._signed_columns(np.eye(4)))
+        assert operators._folded_plan(2, False, operators._signed_columns(np.eye(4))) is plan
+        for row in plan:
+            for _, factor, _ in row:
+                assert factor.base is columns and not factor.flags.writeable
 
     def test_plans_rebuild_the_tables(self):
         units = np.eye(N_BLADES, dtype=complex)  # row m: the unit blade m
