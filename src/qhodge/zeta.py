@@ -236,8 +236,9 @@ def _regularized(low, high, singular: dict[int, float], split: float):
     t_fine, w_fine = _gauss_panels(halves)
     t_low = np.concatenate([t_coarse, t_fine])
     f_low = low(t_low) / t_low
-    low_coarse = w_coarse @ f_low[:t_coarse.size]
-    low_fine = w_fine @ f_low[t_coarse.size:]
+    # numpy's own sums, not a BLAS dot, whose summation order follows the BLAS kernel
+    low_coarse = (w_coarse * f_low[:t_coarse.size]).sum()
+    low_fine = (w_fine * f_low[t_coarse.size:]).sum()
 
     t_high = split + _ES_X
     f_high = _ES_W * high(t_high) / t_high

@@ -5,14 +5,22 @@ are derived at import, so each copy runs `python -m qhodge.cli verify` in a
 fresh interpreter: the unmutated copy must exit 0 and every mutant must fail
 a check (exit 1) or a numerical gate (exit 4), never with a traceback or a
 numpy warning on stderr.
+
+The exact fiber checks take their tables as arguments, so their table mutants
+run in process: each check reads 0 on the package's tables and at least 1 with
+any one nonzero entry's sign flipped.
 """
 
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qhodge
+from qhodge.exterior import INTERIOR_E, WEDGE
+from qhodge.quaternionic import GROUP, STRUCTURE_NAMES
+from qhodge.suites import derivation_defect, graded_commutativity_defect, multiplicativity_defect
 from reference_runs import run_python
 
 SRC = Path(qhodge.__file__).resolve().parent
@@ -31,6 +39,9 @@ MUTANTS = {
                     "EULER_GAMMA = 0.5772156649015328606065120900824024 + 1e-9"),
     "star-sign-mask-3": ("exterior.py", "s[mc, m] = _merge_sign(m, mc)",
                          "s[mc, m] = _merge_sign(m, mc) * (-1 if m == 3 else 1)"),
+    # e_1 ^ e_2 = -e_12 while e_2 ^ e_1 = -e_12 too: WEDGE is no longer graded commutative
+    "merge-sign-masks-1-2": ("exterior.py", "return 1 - 2 * (s & 1)",
+                             "return (1 - 2 * (s & 1)) * (-1 if (a, b) == (1, 2) else 1)"),
     # the form-document writer puts each entry's real part under "im" and its imaginary under "re"
     "writer-re-im": ("fields.py", "im, re = z.imag.tolist(), z.real.tolist()",
                      "im, re = z.real.tolist(), z.imag.tolist()"),
@@ -54,7 +65,7 @@ MUTANTS = {
     "folded-plan-sign": ("operators.py", "negate != columns[a][1])", "negate)"),
 }
 # mutants that must fail a check (exit 1), not a numerical gate
-FAIL_A_CHECK = {"both-symbol-plans-negate", "folded-plan-sign"}
+FAIL_A_CHECK = {"both-symbol-plans-negate", "folded-plan-sign", "merge-sign-masks-1-2"}
 # the writer mutants must fail the one check that reads written text back
 ROUNDTRIP = {"writer-re-im", "writer-k-tables"}
 
@@ -85,3 +96,31 @@ def test_mutant_is_caught(tmp_path, name):
     assert b"Traceback" not in proc.stderr
     # the w^1 mutant zeroes the target of spin._fit; a NaN fails the check, silently
     assert b"RuntimeWarning" not in proc.stderr
+
+
+def flips(table):
+    """(index, copy of table with that entry's sign flipped) for each nonzero entry, in C order."""
+    for index in zip(*np.nonzero(table)):
+        out = table.copy()
+        out[index] *= -1
+        yield tuple(map(int, index)), out
+
+
+class TestTableMutants:
+    groups = np.stack([GROUP[n] for n in STRUCTURE_NAMES])
+
+    def test_graded_commutativity(self):
+        assert graded_commutativity_defect(WEDGE) == 0.0
+        defects = {index: graded_commutativity_defect(w) for index, w in flips(WEDGE)}
+        # e_0 ^ e_0 = e_0 commutes whatever its sign; the derivation check sees that flip
+        assert defects.pop((0, 0, 0)) == 0.0
+        assert min(defects.values()) >= 1
+
+    def test_interior_derivation(self):
+        assert derivation_defect(WEDGE, INTERIOR_E) == 0.0
+        assert min(derivation_defect(WEDGE, iota) for _, iota in flips(INTERIOR_E)) >= 1
+        assert min(derivation_defect(w, INTERIOR_E) for _, w in flips(WEDGE)) >= 1
+
+    def test_group_multiplicativity(self):
+        assert multiplicativity_defect(WEDGE, self.groups) == 0.0
+        assert min(multiplicativity_defect(WEDGE, g) for _, g in flips(self.groups)) >= 1
