@@ -74,17 +74,15 @@ def grid(kmax: int):
     return modes, ksq
 
 
-# the scalar symbols per mode: the modes as floats (a first-order symbol's weights are
-# modes @ L.T), Delta's 4 pi^2 |k|^2, G's, its inverse off k = 0 and 0 on it, and the
-# modes as complex (4, n) columns (the weights of an L with one +-1 a row, read in place)
+# the scalar symbols per mode: Delta's 4 pi^2 |k|^2, G's, its inverse off k = 0 and 0 on
+# it, and the modes as complex (4, n) columns, from which every first-order symbol reads
+# its axis weights (operators._first_order)
 @lru_cache(maxsize=None)
 def mode_symbols(kmax: int):
-    """Cached read-only (float modes, Delta's symbol, G's symbol, complex mode columns)
-    of a truncation."""
+    """Cached read-only (Delta's symbol, G's symbol, complex mode columns) of a truncation."""
     modes, ksq = grid(kmax)
     lapl = 4 * np.pi**2 * ksq
-    symbols = (modes.astype(float), lapl,
-               np.divide(1.0, lapl, out=np.zeros_like(lapl), where=lapl > 0),
+    symbols = (lapl, np.divide(1.0, lapl, out=np.zeros_like(lapl), where=lapl > 0),
                np.ascontiguousarray(modes.T, dtype=complex))
     for arr in symbols:
         arr.setflags(write=False)

@@ -16,27 +16,19 @@ adjoint -i iota(L kappa) for a 4x4 matrix L (the identity, C or L_x),
 applied by `_first_order`.  With weights w = L kappa per mode, the symbol is
 sum_a w_a eps_a (or iota_a), and each eps_a and iota_a only flips blade
 bit a and attaches a sign.  So a symbol, like a fiber matrix, is a row
-plan: each result blade is a fixed-order sum of (source blade, factor,
-negate) terms, which one kernel, `_apply_rows`, builds on the blade-major
-(16, n) array (see `fields`) with no BLAS call.  A symbol's plan is read off
-`WEDGE_E` or `INTERIOR_E` at import, with the weight columns as factors; a
-fiber matrix's plan is read off its nonzero entries (`apply_fiber`).
-
-When each row of L holds a single nonzero, +-1 at column p(a) (the identity,
-I, J and K, however they are passed), the weight column a is exactly
-+-kappa_{p(a)}: the symbol's plan then takes the cached complex mode column
-p(a) as the factor of axis a, with its negate flag flipped for a -1, and is
-built once per truncation and L (`_folded_plan`).  Any other L (d_x, a general
-structure vector) takes its weights from one (n, 4) @ (4, 4) product per
-call (`_apply_symbol`).  Both give the same bits for the same L.
+plan of (source blade, factor, negate) terms, read by one builder,
+`_row_plan`, off a stack of tables and applied by one kernel, `_apply_rows`,
+on the blade-major (16, n) array (see `fields`) with no BLAS call.  The
+symbols' plans are read off `WEDGE_E` and `INTERIOR_E` at import, and each
+call binds axis a's factor from row a of L: the cached complex mode column p
+(negated for -1) when the row holds a single +-1 at p, as for d and d_C with
+C in {I, J, K}; else w_a summed in a fixed order (d_x, a general C).
 
 Adjoint signs are not transcribed from anywhere: they are forced by the
 L^2 adjointness property, which the test suite asserts directly.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -60,9 +52,9 @@ def _apply_rows(coeffs: np.ndarray, rows, scale: complex | None = None) -> np.nd
     (s, factor, negate) terms of rows[r], in order, times scale if one is given.
 
     Each row is built on the blade-major (16, n) array through one n-length
-    scratch row, with no BLAS call.  Its first term is added to (or subtracted
-    from) +0.0, so that, as in a sum into zeros, every zero of the sum is +0.0
-    whatever the signs of its terms' zeros.
+    scratch row; a term with no factor takes the source row itself.  Its first
+    term is added to (or subtracted from) +0.0, so that, as in a sum into zeros,
+    every zero of the sum is +0.0 whatever the signs of its terms' zeros.
     """
     src = coeffs.T
     out = np.empty(src.shape, dtype=complex)
@@ -71,85 +63,57 @@ def _apply_rows(coeffs: np.ndarray, rows, scale: complex | None = None) -> np.nd
         if not terms:
             dst.fill(0.0)
         for i, (s, factor, negate) in enumerate(terms):
-            np.multiply(src[s], factor, out=scratch)
-            (np.subtract if negate else np.add)(dst if i else 0.0, scratch, out=dst)
+            term = src[s] if factor is None else np.multiply(src[s], factor, out=scratch)
+            (np.subtract if negate else np.add)(dst if i else 0.0, term, out=dst)
         if scale is not None:
             dst *= scale
     return out.T
 
 
-def apply_fiber(f: FormField, mat: np.ndarray) -> FormField:
-    """Apply one mode-independent 16x16 fiber matrix to every mode.
-
-    Each entry is that of the row-major f.coeffs @ mat.T, summed over the
-    nonzero entries of its row of mat in ascending source order, whatever the
-    BLAS or its thread count.
-    """
-    rows, cols = np.nonzero(mat)
+def _row_plan(tables, units):
+    """Row plan of a stack of 16x16 tables: each blade's (source, factor, negate) terms
+    over the nonzero entries, in (table, source) order.  A +-1 entry of tables[t] takes
+    units[t] as its factor (None: the kernel adds or subtracts the source row itself)
+    and negates for -1; any other entry is its own factor."""
     plan = [[] for _ in range(N_BLADES)]
-    for dst, src, factor in zip(rows.tolist(), cols.tolist(), mat[rows, cols].tolist()):
-        plan[dst].append((src, factor, False))
-    return FormField(f.kmax, _apply_rows(f.coeffs, plan))
-
-
-def _symbol_plan(tables):
-    """Row plan of sum_a w_a E_a for E_a = tables[a]: each blade's (source, a, negate)
-    terms, in axis order, with w_a the factor of every term of axis a.
-
-    Each E_a must be a signed flip of bit a: blade m to +-blade m ^ 2^a on one
-    half of the blades (bit a clear for eps, set for iota), 0 on the other.
-    """
-    plan = [[] for _ in range(N_BLADES)]
-    for a, E in enumerate(tables):
+    for E, unit in zip(tables, units):
         dst, src = np.nonzero(E)
-        signs = E[dst, src]
-        assert (len(src) == N_BLADES // 2 and np.all(dst == src ^ 1 << a)
-                and len(set(src >> a & 1)) == 1 and np.all(np.abs(signs) == 1)), \
-            f"table {a} is not a signed flip of bit {a}"
-        for m, r, sign in zip(src.tolist(), dst.tolist(), signs.tolist()):
-            plan[r].append((m, a, sign < 0))
-    return tuple(map(tuple, plan))
+        for r, s, v in zip(dst.tolist(), src.tolist(), E[dst, src].tolist()):
+            plan[r].append((s, unit, v == -1) if v in (1, -1) else (s, v, False))
+    return plan
 
 
-_EPS_PLAN = _symbol_plan(WEDGE_E)
-_IOTA_PLAN = _symbol_plan(INTERIOR_E)
+def apply_fiber(f: FormField, mat: np.ndarray) -> FormField:
+    """Apply one mode-independent 16x16 fiber matrix to every mode: each entry of the
+    product of f.coeffs with mat.T summed over its row of mat in ascending source order."""
+    return FormField(f.kmax, _apply_rows(f.coeffs, _row_plan([mat], [None])))
 
 
-def _apply_symbol(coeffs: np.ndarray, weights: np.ndarray, plan, scale: complex) -> np.ndarray:
-    """scale * sum_a weights[:, a] * E_a per mode, for the symbol plan of the E_a, with each
-    weight column cast to complex once, as a product with the field would cast it."""
-    w = np.ascontiguousarray(weights.T, dtype=complex)
-    return _apply_rows(coeffs, [[(s, w[a], negate) for s, a, negate in row] for row in plan], scale)
+# the symbols' (source, axis, negate) plans: _first_order binds each axis a's factor per call
+_EPS_PLAN = _row_plan(WEDGE_E, range(4))
+_IOTA_PLAN = _row_plan(INTERIOR_E, range(4))
 
 
-def _signed_columns(L: np.ndarray):
-    """(p(a), L[a, p(a)] < 0) per row a when each row of L holds a single nonzero,
-    +-1 at column p(a); None for any other L."""
-    columns = []
-    for row in L.tolist():
-        entries = [(p, v) for p, v in enumerate(row) if v != 0]
-        if len(entries) != 1 or abs(entries[0][1]) != 1:
-            return None
-        columns.append((entries[0][0], entries[0][1] < 0))
-    return tuple(columns)
-
-
-@lru_cache(maxsize=None)
-def _folded_plan(kmax: int, star: bool, columns) -> tuple:
-    """Row plan of the symbol of an L with `columns` = _signed_columns(L): the factor of
-    axis a is the complex mode column p(a), and its negate flag flips when L[a, p(a)] < 0."""
-    modes = mode_symbols(kmax)[3]
-    return tuple(tuple((s, modes[columns[a][0]], negate != columns[a][1]) for s, a, negate in row)
-                 for row in (_IOTA_PLAN if star else _EPS_PLAN))
+def _axis_factor(columns: np.ndarray, row: list) -> tuple:
+    """(factor, flip) of the symbol axis whose row of L is `row`, for the complex mode
+    columns: column p, flipped for -1, for a row holding a single +-1 at p; otherwise
+    ((row[0] k0 + row[1] k1) + row[2] k2) + row[3] k3 over their real parts, cast once."""
+    nonzero = [p for p, v in enumerate(row) if v != 0]
+    if len(nonzero) == 1 and abs(row[nonzero[0]]) == 1:
+        return columns[nonzero[0]], row[nonzero[0]] < 0
+    weight = columns[0].real * row[0]
+    for p in 1, 2, 3:
+        weight += columns[p].real * row[p]
+    return weight.astype(complex), False
 
 
 def _first_order(f: FormField, L: np.ndarray, star: bool) -> FormField:
     """i eps(L kappa), or its adjoint -i iota(L kappa) when star is set."""
     plan, scale = (_IOTA_PLAN, -2j * np.pi) if star else (_EPS_PLAN, 2j * np.pi)
-    columns = _signed_columns(L)
-    if columns is not None:
-        return FormField(f.kmax, _apply_rows(f.coeffs, _folded_plan(f.kmax, star, columns), scale))
-    return FormField(f.kmax, _apply_symbol(f.coeffs, mode_symbols(f.kmax)[0] @ L.T, plan, scale))
+    columns = mode_symbols(f.kmax)[2]
+    axes = [_axis_factor(columns, row) for row in L.tolist()]
+    rows = [[(s, axes[a][0], negate != axes[a][1]) for s, a, negate in row] for row in plan]
+    return FormField(f.kmax, _apply_rows(f.coeffs, rows, scale))
 
 
 def exterior_d(f: FormField) -> FormField:
@@ -187,7 +151,7 @@ def xhat(f: FormField, x) -> FormField:
 
 
 def laplacian(f: FormField) -> FormField:
-    return FormField(f.kmax, f.coeffs * mode_symbols(f.kmax)[1][:, None])
+    return FormField(f.kmax, f.coeffs * mode_symbols(f.kmax)[0][:, None])
 
 
 def laplacian_hodge(f: FormField) -> FormField:
@@ -198,7 +162,7 @@ def laplacian_hodge(f: FormField) -> FormField:
 
 
 def green(f: FormField) -> FormField:
-    return FormField(f.kmax, f.coeffs * mode_symbols(f.kmax)[2][:, None])
+    return FormField(f.kmax, f.coeffs * mode_symbols(f.kmax)[1][:, None])
 
 
 def harmonic_project(f: FormField) -> FormField:
@@ -300,5 +264,8 @@ def conjugation_defect(f: FormField, u, x) -> float:
     rot = rotor_matrix(u)
     inv = rot.T  # the fiber action of a unit quaternion is orthogonal
     lhs = apply_fiber(quaternionic_d(apply_fiber(f, inv), x), rot)
-    rhs = quaternionic_d(f, left_matrix(u) @ x)
+    lu = left_matrix(u)
+    # the product ux, summed in a fixed order: the one that made the pinned reports
+    ux = (lu[:, 0] * x[0] + lu[:, 2] * x[2]) + (lu[:, 1] * x[1] + lu[:, 3] * x[3])
+    rhs = quaternionic_d(f, ux)
     return rel_defect(lhs, rhs)

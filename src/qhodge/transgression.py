@@ -159,7 +159,7 @@ def transgress4(target: FormField, tol: float = DEFAULT_TOL[4]) -> Transgression
     if degs and min(degs) < 4:
         raise DegreeTooLow(f"target has components of degree {degs}; need degree >= 4")
     tau = FormField(target.kmax)
-    inv = mode_symbols(target.kmax)[2]
+    inv = mode_symbols(target.kmax)[1]
     tau.coeffs[:, 0] = target.coeffs[:, VOL_MASK] * inv * inv
     return _result(tau, quartic_differential(tau), target, scale, 4, +1.0, pre)
 
@@ -190,7 +190,7 @@ def measure_lapl_constant(modes, tol: float = 1e-10):
     phi.coeffs[np.ravel(rows), 0] = 1.0
     # both sides live on the vol blade times each probe's mode pair
     num = quartic_differential(phi).coeffs[:, VOL_MASK]
-    lapl = mode_symbols(phi.kmax)[1]
+    lapl = mode_symbols(phi.kmax)[0]
     den = phi.coeffs[:, 0] * lapl * lapl
     ratios = {}
     for k, pair in zip(modes, rows):

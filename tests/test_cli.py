@@ -568,9 +568,19 @@ def dynamic_arch_openblas() -> bool:
     return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
 
 
+def openblas_coretypes() -> list[str]:
+    """The OpenBLAS kernels compared with the default one: Sandybridge, Nehalem and, on a
+    CPU with AVX2, Haswell."""
+    coretypes = ["Sandybridge", "Nehalem"]
+    cpuinfo = Path("/proc/cpuinfo")
+    if cpuinfo.exists() and re.search(r"\bavx2\b", cpuinfo.read_text(encoding="utf-8")):
+        coretypes.append("Haswell")
+    return coretypes
+
+
 # the pinned twisted torsion, and the verify suites that take no BLAS product whose bits
-# follow the kernel: operators (d_x's weights, the rotors), quaternionic (rotors) and
-# clifford (spin's 4x4 products) do
+# follow the kernel: operators (the rotors and the helpers' products), quaternionic
+# (rotors) and clifford (spin's 4x4 products) do
 KERNEL_RUNS = f"""
 import sys
 from qhodge.cli import main
@@ -578,6 +588,24 @@ suites = [a for s in ("exterior", "kodaira", "transgression", "zeta") for a in (
 sys.exit(main(["torsion", "--theta", "{THETA}", "--out", "torsion.json"])
          or main(["verify", "--kmax", "2", "--fields", "1", "--seed", "7", "--theta", "{THETA}",
                   *suites, "--out", "verify.json"]))
+"""
+
+
+# the hash of d_x and d_x* of seeded fields at kmax 2 and 4, for a few seeded x each
+D_X_HASH = """
+import hashlib
+import numpy as np
+from qhodge.fields import random_field
+from qhodge.operators import quaternionic_d, quaternionic_d_star
+digest = hashlib.sha256()
+for kmax in (2, 4):
+    rng = np.random.default_rng(kmax)
+    f = random_field(kmax, rng)
+    for _ in range(3):
+        x = rng.standard_normal(4)
+        for op in (quaternionic_d, quaternionic_d_star):
+            digest.update(np.ascontiguousarray(op(f, x).coeffs).tobytes())
+print(digest.hexdigest())
 """
 
 
@@ -617,10 +645,7 @@ class TestModuleEntryPoint:
     @pytest.mark.skipif(not dynamic_arch_openblas(),
                         reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS on x86_64")
     def test_outputs_do_not_depend_on_openblas_kernel(self, tmp_path):
-        coretypes = ["Sandybridge", "Nehalem"]
-        cpuinfo = Path("/proc/cpuinfo")
-        if cpuinfo.exists() and re.search(r"\bavx2\b", cpuinfo.read_text(encoding="utf-8")):
-            coretypes.append("Haswell")
+        coretypes = openblas_coretypes()
         outputs = {}
         for coretype in ["default", *coretypes]:
             cwd = tmp_path / coretype
@@ -631,6 +656,18 @@ class TestModuleEntryPoint:
             outputs[coretype] = [(cwd / name).read_bytes() for name in ("torsion.json", "verify.json")]
         for coretype in coretypes:
             assert outputs[coretype] == outputs["default"], coretype
+
+    @pytest.mark.skipif(not dynamic_arch_openblas(),
+                        reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS on x86_64")
+    def test_quaternionic_d_does_not_depend_on_openblas_kernel(self, tmp_path):
+        hashes = {}
+        for coretype in ["default", *openblas_coretypes()]:
+            env = {} if coretype == "default" else {"OPENBLAS_CORETYPE": coretype}
+            proc = run_python(SRC, ["-c", D_X_HASH], tmp_path, **env)
+            assert proc.returncode == 0, proc.stderr
+            hashes[coretype] = proc.stdout
+        for coretype, digest in hashes.items():
+            assert digest == hashes["default"], coretype
 
     @staticmethod
     def run_module(cwd, argv, **env):

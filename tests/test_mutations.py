@@ -51,21 +51,24 @@ MUTANTS = {
     "order4-one-green": ("transgression.py", "target.coeffs[:, VOL_MASK] * inv * inv",
                          "target.coeffs[:, VOL_MASK] * inv"),
     # apply_fiber's plan sends each matrix entry (i, j) from blade i to blade j: the transpose
-    "apply-fiber-transpose": ("operators.py", "zip(rows.tolist(), cols.tolist(),",
-                              "zip(cols.tolist(), rows.tolist(),"),
+    "apply-fiber-transpose": ("operators.py", "_row_plan([mat], [None])",
+                              "_row_plan([mat.T], [None])"),
+    # a +-1 fiber entry adds its source row whatever its sign: every -1 reads as +1
+    "fiber-unit-negate": ("operators.py", "(s, unit, v == -1)",
+                          "(s, unit, v == -1 and unit is not None)"),
     # the adjoint's symbol plan drops its negate flags, so iota acts as unsigned bit flips
-    "symbol-plan-negate": ("operators.py", "_IOTA_PLAN = _symbol_plan(INTERIOR_E)",
-                           "_IOTA_PLAN = tuple(tuple((s, a, False) for s, a, _ in row) "
-                           "for row in _symbol_plan(INTERIOR_E))"),
+    "symbol-plan-negate": ("operators.py", "_IOTA_PLAN = _row_plan(INTERIOR_E, range(4))",
+                           "_IOTA_PLAN = [[(s, a, False) for s, a, _ in row] "
+                           "for row in _row_plan(INTERIOR_E, range(4))]"),
     # both symbol plans drop their negate flags, so d^2 != 0: the transgression solvers
     # refuse their targets, which fails those checks instead of ending the run
-    "both-symbol-plans-negate": ("operators.py", "plan[r].append((m, a, sign < 0))",
-                                 "plan[r].append((m, a, False))"),
-    # the plan of an L with one +-1 a row ignores the signs of L: d_I, d_J and d_K lose theirs
-    "folded-plan-sign": ("operators.py", "negate != columns[a][1])", "negate)"),
+    "both-symbol-plans-negate": ("operators.py", "negate != axes[a][1])", "axes[a][1])"),
+    # each symbol axis ignores the sign of its row of L: d_I, d_J and d_K lose theirs
+    "axis-factor-sign": ("operators.py", "negate != axes[a][1])", "negate)"),
 }
 # mutants that must fail a check (exit 1), not a numerical gate
-FAIL_A_CHECK = {"both-symbol-plans-negate", "folded-plan-sign", "merge-sign-masks-1-2"}
+FAIL_A_CHECK = {"apply-fiber-transpose", "fiber-unit-negate", "symbol-plan-negate",
+                "both-symbol-plans-negate", "axis-factor-sign", "merge-sign-masks-1-2"}
 # the writer mutants must fail the one check that reads written text back
 ROUNDTRIP = {"writer-re-im", "writer-k-tables"}
 

@@ -42,6 +42,7 @@ from qhodge.quaternionic import (
     lefschetz_matrix,
     rotor_matrix,
     structure_matrix,
+    type_projector_matrix,
     xhat_matrix,
 )
 
@@ -94,102 +95,113 @@ def literal_symbol(coeffs, weights, tables, scale):
     return out * scale
 
 
-def unit_weights(a):
-    """Weights that select axis a on each of 16 rows."""
-    w = np.zeros((N_BLADES, 4))
-    w[:, a] = 1.0
-    return w
+def fixed_order_weights(kmax, L):
+    """Column a: ((L[a, 0] k0 + L[a, 1] k1) + L[a, 2] k2) + L[a, 3] k3 over the integer grid."""
+    k = grid(kmax)[0]
+    return ((k[:, 0:1] * L[:, 0] + k[:, 1:2] * L[:, 1]) + k[:, 2:3] * L[:, 2]) + k[:, 3:4] * L[:, 3]
+
+
+def bind(plan, factors):
+    """A symbol plan with axis a's factor set to factors[a]."""
+    return [[(s, factors[a], negate) for s, a, negate in row] for row in plan]
+
+
+def unit_factors(a):
+    """Factors that select axis a on each of 16 rows."""
+    return [np.full(N_BLADES, complex(b == a)) for b in range(4)]
 
 
 SYMBOLS = [(operators._EPS_PLAN, WEDGE_E, 2j * np.pi), (operators._IOTA_PLAN, INTERIOR_E, -2j * np.pi)]
 
 
+def assert_symbol(f, L, got, star):
+    """got has the values of the literal symbol of L with the fixed-order weights, and, on
+    a real field, its form text too (so no zero of got is -0.0 where the literal's is not)."""
+    _, tables, scale = SYMBOLS[star]
+    want = literal_symbol(f.coeffs, fixed_order_weights(f.kmax, L), tables, scale)
+    assert np.array_equal(got, want)
+    if not np.iscomplex(f.coeffs).any():
+        assert "".join(dump_json(FormField(f.kmax, got))) == "".join(dump_json(FormField(f.kmax, want)))
+
+
+def cosine_field(kmax, rng):
+    """a (e^{2 pi i k.xi} + e^{-2 pi i k.xi}) with real a: a field with real coefficients."""
+    k = (min(kmax, 1), 0, -min(kmax, 1), min(kmax, 1))
+    a = rng.standard_normal(N_BLADES)
+    cosine = single_mode(kmax, k, a) + single_mode(kmax, tuple(-np.array(k)), a)
+    assert not np.iscomplex(cosine.coeffs).any()
+    return cosine
+
+
 class TestSymbolKernel:
-    """The symbol row plans against the literal sum of four fiber products."""
+    """Every first-order symbol against the literal sum of four fiber products, with the
+    weights summed in the fixed order."""
 
     @pytest.mark.parametrize("kmax", [0, 1, 2, 3])
     def test_equals_literal_formula(self, kmax):
         rng = np.random.default_rng(SEED + 30 + kmax)
-        matrices = [np.eye(4), *(structure_matrix(c) for c in "IJK"),
-                    left_matrix(rand_quat(rng)), rng.standard_normal((4, 4))]
-        # a cosine mode a (e^{2 pi i k.xi} + e^{-2 pi i k.xi}) with real a has real coefficients
-        k = (min(kmax, 1), 0, -min(kmax, 1), min(kmax, 1))
-        a = rng.standard_normal(N_BLADES)
-        cosine = single_mode(kmax, k, a) + single_mode(kmax, tuple(-np.array(k)), a)
-        assert not np.iscomplex(cosine.coeffs).any()
-        for f in (random_field(kmax, rng), random_field(kmax, rng), cosine):
+        # structures, d_x, and an L whose rows hold a +1, a -1, no unit and only zeros
+        mixed = np.eye(4)[[2, 0, 3, 1]] * [[1], [-1], [1], [1]]
+        mixed[2] = rng.standard_normal(4)
+        mixed[3, 1:3] = 0.0
+        matrices = [np.eye(4), *(structure_matrix(c) for c in "IJK"), left_matrix(rand_quat(rng)),
+                    rng.standard_normal((4, 4)), 2 * np.eye(4), mixed]
+        for f in (random_field(kmax, rng), random_field(kmax, rng), cosine_field(kmax, rng)):
             for L in matrices:
-                weights = grid(kmax)[0] @ L.T
-                for plan, tables, scale in SYMBOLS:
-                    got = operators._apply_symbol(f.coeffs, weights, plan, scale)
-                    want = literal_symbol(f.coeffs, weights, tables, scale)
-                    assert np.array_equal(got, want)
-                    if f is cosine:
-                        assert "".join(dump_json(FormField(kmax, got))) == \
-                            "".join(dump_json(FormField(kmax, want)))
+                for star in (False, True):
+                    assert_symbol(f, L, operators._first_order(f, L, star).coeffs, star)
 
     @pytest.mark.parametrize("kmax", [1, 2, 4, 6])
     def test_weights_are_the_integer_grid_product(self, kmax):
-        # the weights of an L that does not fold read the cached float modes; the product
-        # has the bits of int @ float
+        # a row with a single +-1 reads the cached complex mode column itself; any other
+        # row's weight has the bits of the fixed-order sum over the integer grid
+        columns = mode_symbols(kmax)[2]
         rng = np.random.default_rng(SEED + 35 + kmax)
-        for L in (np.eye(4), *(structure_matrix(c) for c in "IJK"), left_matrix(rand_quat(rng))):
-            got, want = mode_symbols(kmax)[0] @ L.T, grid(kmax)[0] @ L.T
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        for L in (np.eye(4), *(structure_matrix(c) for c in "IJK"), -structure_matrix("K")):
+            for row, want in zip(L.tolist(), fixed_order_weights(kmax, L).T):
+                factor, flip = operators._axis_factor(columns, row)
+                assert factor.base is columns and not factor.flags.writeable
+                assert np.array_equal(-factor if flip else factor, want)
+        for L in (left_matrix(rand_quat(rng)), rng.standard_normal((4, 4)), 2 * np.eye(4)):
+            for row, want in zip(L.tolist(), fixed_order_weights(kmax, L).T):
+                factor, flip = operators._axis_factor(columns, row)
+                assert not flip
+                assert np.array_equal(factor.view(np.uint64), want.astype(complex).view(np.uint64))
 
     @pytest.mark.parametrize("kmax", range(5))
     def test_structure_plans_keep_the_bits_of_the_weight_product(self, kmax):
-        # the identity and I, J, K, whether named, given as matrices or as axis 3-vectors
-        # (also negated), fold into cached plans; they must give the weights' bits
-        (eps, _, up), (iota, _, down) = SYMBOLS
-        cases = [(exterior_d, (), np.eye(4), eps, up), (d_star, (), np.eye(4), iota, down)]
+        # d, d*, and d_C, d_C* for I, J, K named, given as matrices or as axis 3-vectors (also
+        # negated), d_x and d_x* and a general structure vector
+        rng = np.random.default_rng(SEED + 40 + kmax)
+        cases = [(exterior_d, None, np.eye(4), False), (d_star, None, np.eye(4), True)]
         for name, axis in zip(STRUCTURE_NAMES, np.eye(3)):
             L = structure_matrix(name)
             for c, Lc in ((name, L), (L, L), (axis, L), (-axis, -L)):
-                cases += [(twisted_d, (c,), Lc, eps, up), (twisted_d_star, (c,), Lc, iota, down)]
-        f = random_field(kmax, np.random.default_rng(SEED + 40 + kmax))
-        for op, args, L, plan, scale in cases:
-            assert operators._signed_columns(L) is not None
-            got = op(f, *args).coeffs.T
-            want = operators._apply_symbol(f.coeffs, mode_symbols(kmax)[0] @ L.T, plan, scale).T
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-
-    def test_only_an_l_with_one_unit_a_row_folds(self):
-        rng = np.random.default_rng(SEED + 45)
-        assert operators._signed_columns(structure_matrix("J")) == \
-            ((2, True), (3, False), (0, False), (1, True))
-        for L in (left_matrix(rand_quat(rng)), structure_matrix(np.array([0.6, 0.8, 0.0])),
-                  2 * np.eye(4), np.zeros((4, 4)), np.full((4, 4), np.nan)):
-            assert operators._signed_columns(L) is None
-
-    def test_folded_factors_are_the_cached_mode_columns(self):
-        columns = mode_symbols(2)[3]
-        plan = operators._folded_plan(2, False, operators._signed_columns(np.eye(4)))
-        assert operators._folded_plan(2, False, operators._signed_columns(np.eye(4))) is plan
-        for row in plan:
-            for _, factor, _ in row:
-                assert factor.base is columns and not factor.flags.writeable
+                cases += [(twisted_d, c, Lc, False), (twisted_d_star, c, Lc, True)]
+        x, c = rand_quat(rng), np.array([0.6, 0.8, 0.0])
+        cases += [(quaternionic_d, x, left_matrix(x), False), (quaternionic_d_star, x, left_matrix(x), True),
+                  (twisted_d, c, structure_matrix(c), False), (twisted_d_star, c, structure_matrix(c), True)]
+        for f in (random_field(kmax, rng), cosine_field(kmax, rng)):
+            for op, arg, L, star in cases:
+                got = op(f) if arg is None else op(f, arg)
+                assert_symbol(f, L, got.coeffs, star)
 
     def test_plans_rebuild_the_tables(self):
         units = np.eye(N_BLADES, dtype=complex)  # row m: the unit blade m
         for plan, tables, _ in SYMBOLS:
             for a in range(4):
-                rebuilt = operators._apply_symbol(units, unit_weights(a), plan, 1.0).T
+                rebuilt = operators._apply_rows(units, bind(plan, unit_factors(a))).T
                 assert np.array_equal(rebuilt, tables[a])
+        for M in (*AD.values(), GRADING, lefschetz_dual_matrix("J"), type_projector_matrix("I", 1, 0)):
+            assert np.array_equal(operators._apply_rows(units, operators._row_plan([M], [None])).T, M)
 
     def test_plan_from_a_corrupted_table_differs(self):
         bad = WEDGE_E.copy()
         bad[2, 0b0100, 0] *= -1  # dxi^3 = -(dxi^3 ^ 1)
-        rebuilt = operators._apply_symbol(np.eye(N_BLADES, dtype=complex), unit_weights(2),
-                                          operators._symbol_plan(bad), 1.0).T
+        plan = operators._row_plan(bad, range(4))
+        rebuilt = operators._apply_rows(np.eye(N_BLADES, dtype=complex), bind(plan, unit_factors(2))).T
         assert np.array_equal(rebuilt, bad[2])
         assert not np.array_equal(rebuilt, WEDGE_E[2])
-
-    def test_table_that_is_no_bit_flip_is_refused(self):
-        bad = WEDGE_E.copy()
-        bad[1, 0b0011, 0] = 1.0  # blade 0 sent to a blade two bits away
-        with pytest.raises(AssertionError, match="table 1 is not a signed flip of bit 1"):
-            operators._symbol_plan(bad)
 
 
 def literal_fiber(coeffs, mat):
@@ -223,6 +235,15 @@ class TestApplyFiber:
             got = np.ascontiguousarray(apply_fiber(f, M).coeffs)
             want = literal_fiber(f.coeffs, M)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("kmax", range(4))
+    def test_complex_matrix_has_the_bits_of_the_literal_sum(self, kmax):
+        # every entry but a +-1 is its own, complex, factor
+        f = random_field(kmax, np.random.default_rng(SEED + 50 + kmax))
+        M = type_projector_matrix("I", 1, 0)
+        assert np.iscomplexobj(M) and np.iscomplex(M).any()
+        got = np.ascontiguousarray(apply_fiber(f, M).coeffs)
+        assert np.array_equal(got.view(np.uint64), literal_fiber(f.coeffs, M).view(np.uint64))
 
     @pytest.mark.parametrize("kmax", range(5))
     def test_within_the_dot_product_bound_of_the_row_major_product(self, kmax):
