@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, report schemas, determinism."""
 
 import argparse
+import contextlib
 import dataclasses
 import gc
 import importlib
@@ -8,10 +9,14 @@ import inspect
 import itertools
 import json
 import math
+import multiprocessing
+import os
 import pickle
 import pkgutil
 import platform
 import re
+import signal
+import time
 from pathlib import Path
 
 import numpy as np
@@ -438,6 +443,90 @@ class TestExceptionPickling:
         assert direct[0] == code
         assert exit_of(pickle.loads(pickle.dumps(exc))) == direct
         assert not (tmp_path / "out.json").exists()
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the main thread if the block runs past `seconds`; a forked
+    child does not inherit the alarm."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _cores(monkeypatch, count):
+    """Make the process see `count` usable cores; 2 sends operators to a worker."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+class TestSuiteWorker:
+    """With operators and another suite selected on two usable cores, operators runs in a
+    forked worker: the same report, the same exit codes, and no process left behind."""
+
+    def _forks(self, monkeypatch):
+        forks = []
+        real = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real())
+        return forks
+
+    def test_report_is_the_in_process_report(self, monkeypatch):
+        cfg = RunConfig(kmax=2, field_count=2, seed=5, theta=(0.13, 0.71, 0.29, 0.9))
+        _cores(monkeypatch, 1)
+        serial = json.dumps(run_suites(cfg))
+        _cores(monkeypatch, 2)
+        forks = self._forks(monkeypatch)
+        assert json.dumps(run_suites(cfg)) == serial
+        assert forks == [1]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cores, selection", [
+        (1, ()),
+        (2, ("operators",)),
+        (2, ("kodaira", "transgression")),
+    ], ids=["one-core", "operators-alone", "no-operators"])
+    def test_runs_in_process(self, monkeypatch, cores, selection):
+        _cores(monkeypatch, cores)
+        monkeypatch.setattr(os, "fork", _raise(AssertionError("a process was started")))
+        assert run_suites(RunConfig(kmax=1, field_count=1, suites=selection))["all_pass"]
+
+    def test_dead_worker_raises(self, monkeypatch):
+        _cores(monkeypatch, 2)
+        monkeypatch.setitem(suites.SUITES, "operators", lambda cfg: os._exit(1))
+        with _deadline(30), pytest.raises(RuntimeError, match=r"worker process died \(exit code 1\)"):
+            run_suites(RunConfig(kmax=1, field_count=1, suites=("operators", "zeta")))
+        assert multiprocessing.active_children() == []
+
+    ARGV = ["verify", "--kmax", "1", "--fields", "1", "--suite", "operators", "--suite", "zeta"]
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_worker_exception_keeps_its_exit(self, tmp_path, monkeypatch, capsys, cores):
+        _cores(monkeypatch, cores)
+        forks = self._forks(monkeypatch)
+        monkeypatch.setitem(suites.SUITES, "operators", _raise(zeta.MethodDisagreement("gap")))
+        out = tmp_path / "out.json"
+        assert run([*self.ARGV, "--out", str(out)]) == 4
+        assert capsys.readouterr().err == "numerical failure: gap\n"
+        assert len(forks) == cores - 1
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
+    def test_parent_exception_kills_the_worker(self, tmp_path, monkeypatch, capsys):
+        _cores(monkeypatch, 2)
+        forks = self._forks(monkeypatch)
+        monkeypatch.setitem(suites.SUITES, "operators", lambda cfg: time.sleep(60))
+        monkeypatch.setitem(suites.SUITES, "zeta", _raise(zeta.QuadratureFailure("quad")))
+        with _deadline(30):
+            assert run([*self.ARGV, "--out", str(tmp_path / "out.json")]) == 4
+        assert capsys.readouterr().err == "numerical failure: quad\n"
+        assert forks == [1]
+        assert multiprocessing.active_children() == []
 
 
 class TestUnwritableOut:

@@ -87,3 +87,14 @@ def test_cli_import_loads_no_scipy(tmp_path):
     out = run_python(SRC.parent, ["-c", code], tmp_path)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == b"[]"
+
+
+def test_cli_import_loads_no_process_pool(tmp_path):
+    # verify imports multiprocessing only when it starts a worker, so every other command
+    # and the benchmark's set-up skip its import time
+    code = ("import sys, qhodge.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'"
+            " or m.startswith('concurrent.futures')))")
+    out = run_python(SRC.parent, ["-c", code], tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == b"[]"
