@@ -448,21 +448,47 @@ SUITES = {
 WORKER_SUITE = "operators"
 
 
+class _WorkerTraceback(Exception):
+    """The formatted traceback of an exception raised in the worker, chained as its cause."""
+
+
 def _send_residuals(conn, name: str, cfg: RunConfig) -> None:
-    """Worker body: send (True, suite residuals) or (False, the exception it raised)."""
+    """Worker body: send (True, suite residuals) or (False, (exception, its traceback))."""
     try:
         reply = (True, SUITES[name](cfg))
     except Exception as exc:  # re-raised by the parent, so main maps it to its exit code
-        reply = (False, exc)
+        import traceback
+
+        reply = (False, (exc, traceback.format_exc()))
     conn.send(reply)
 
 
-def _residuals(cfg: RunConfig, selected: tuple) -> dict:
-    """Each selected suite's residuals by name, WORKER_SUITE in a worker process when it helps.
+def _receive(receiver, worker) -> dict:
+    """The worker's residuals, or raise what it raised (or a RuntimeError if it died)."""
+    try:
+        ok, value = receiver.recv()
+    except EOFError:
+        worker.join()
+        raise RuntimeError(f"the {WORKER_SUITE} suite's worker process died "
+                           f"(exit code {worker.exitcode})") from None
+    if not ok:
+        exc, text = value
+        raise exc from _WorkerTraceback(text)
+    return value
 
-    The worker is forked, so it shares this process's built tables and any patched suite; a
-    suite's residuals depend only on cfg, so they are the same in either process.  The
-    worker is reaped before this returns or raises, and killed first if this side raises.
+
+def _residuals(cfg: RunConfig, selected: tuple) -> dict:
+    """Each selected suite's residuals by name, WORKER_SUITE in a forked worker process when
+    another suite is selected and a second core is usable, so that this process runs the
+    others meanwhile.
+
+    The worker shares this process's built tables and any patched suite; a suite's
+    residuals depend only on cfg, so they are the same in either process.  An exception
+    wins as in a serial run: a suite before WORKER_SUITE in `selected` raises at once, and
+    one after it raises only if the worker's suite did not.  The worker is reaped before
+    this returns or raises, and killed first if this side raises.  With one usable core
+    every suite runs here: two processes taking turns on one core made `verify` about 10%
+    slower (CPU quotas of a cgroup are not seen, only the affinity mask).
     """
     if (WORKER_SUITE not in selected or len(selected) == 1
             or not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2):
@@ -474,23 +500,24 @@ def _residuals(cfg: RunConfig, selected: tuple) -> dict:
     worker = ctx.Process(target=_send_residuals, args=(sender, WORKER_SUITE, cfg))
     worker.start()
     sender.close()  # the worker holds the only write end, so its death reads as EOF
+    results = {}
     try:
-        results = {name: SUITES[name](cfg) for name in selected if name != WORKER_SUITE}
-        try:
-            ok, value = receiver.recv()
-        except EOFError:
-            worker.join()
-            raise RuntimeError(f"the {WORKER_SUITE} suite's worker process died "
-                               f"(exit code {worker.exitcode})") from None
+        for name in selected:
+            if name == WORKER_SUITE:
+                continue
+            try:
+                results[name] = SUITES[name](cfg)
+            except Exception:
+                if selected.index(name) > selected.index(WORKER_SUITE):
+                    _receive(receiver, worker)  # raises the worker's exception, met first serially
+                raise
+        results[WORKER_SUITE] = _receive(receiver, worker)
     except BaseException:
         worker.kill()
         raise
     finally:
         worker.join()
         receiver.close()
-    if not ok:
-        raise value
-    results[WORKER_SUITE] = value
     return results
 
 

@@ -503,29 +503,51 @@ class TestSuiteWorker:
             run_suites(RunConfig(kmax=1, field_count=1, suites=("operators", "zeta")))
         assert multiprocessing.active_children() == []
 
-    ARGV = ["verify", "--kmax", "1", "--fields", "1", "--suite", "operators", "--suite", "zeta"]
-
-    @pytest.mark.parametrize("cores", [1, 2])
-    def test_worker_exception_keeps_its_exit(self, tmp_path, monkeypatch, capsys, cores):
-        _cores(monkeypatch, cores)
-        forks = self._forks(monkeypatch)
-        monkeypatch.setitem(suites.SUITES, "operators", _raise(zeta.MethodDisagreement("gap")))
-        out = tmp_path / "out.json"
-        assert run([*self.ARGV, "--out", str(out)]) == 4
-        assert capsys.readouterr().err == "numerical failure: gap\n"
-        assert len(forks) == cores - 1
-        assert not out.exists()
-        assert multiprocessing.active_children() == []
-
     def test_parent_exception_kills_the_worker(self, tmp_path, monkeypatch, capsys):
+        # zeta comes first, so its exception wins without waiting for the worker
         _cores(monkeypatch, 2)
         forks = self._forks(monkeypatch)
         monkeypatch.setitem(suites.SUITES, "operators", lambda cfg: time.sleep(60))
         monkeypatch.setitem(suites.SUITES, "zeta", _raise(zeta.QuadratureFailure("quad")))
+        argv = ["verify", "--kmax", "1", "--fields", "1", "--suite", "zeta", "--suite", "operators"]
         with _deadline(30):
-            assert run([*self.ARGV, "--out", str(tmp_path / "out.json")]) == 4
+            assert run([*argv, "--out", str(tmp_path / "out.json")]) == 4
         assert capsys.readouterr().err == "numerical failure: quad\n"
         assert forks == [1]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize("order, raising, winner", [
+        (("operators", "zeta"), ("operators",), "operators"),
+        (("operators", "zeta"), ("zeta",), "zeta"),
+        (("operators", "zeta"), ("operators", "zeta"), "operators"),
+        (("zeta", "operators"), ("operators", "zeta"), "zeta"),
+    ], ids=["worker", "parent", "worker-first", "parent-first"])
+    def test_errors_are_the_serial_errors(self, tmp_path, monkeypatch, capsys, cores, order,
+                                          raising, winner):
+        # an exception keeps its exit code and stderr line, and of two raising suites the
+        # one first in the selection wins, as in a serial run
+        _cores(monkeypatch, cores)
+        forks = self._forks(monkeypatch)
+        for name in raising:
+            monkeypatch.setitem(suites.SUITES, name, _raise(zeta.MethodDisagreement(name)))
+        out = tmp_path / "out.json"
+        argv = ["verify", "--kmax", "1", "--fields", "1", "--out", str(out)]
+        assert run([*argv, *itertools.chain(*(("--suite", n) for n in order))]) == 4
+        assert capsys.readouterr().err == f"numerical failure: {winner}\n"
+        assert len(forks) == cores - 1
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
+    def test_worker_exception_carries_its_traceback(self, monkeypatch):
+        def broken_operators_suite(cfg):
+            raise ValueError("broken")
+
+        _cores(monkeypatch, 2)
+        monkeypatch.setitem(suites.SUITES, "operators", broken_operators_suite)
+        with pytest.raises(ValueError, match="broken") as info:
+            run_suites(RunConfig(kmax=1, field_count=1, suites=("operators", "zeta")))
+        assert "in broken_operators_suite" in str(info.value.__cause__)
         assert multiprocessing.active_children() == []
 
 
