@@ -14,23 +14,36 @@ The (n, 16) array is stored blade-major (column-major): `coeffs.T` is a
 C-contiguous (16, n) array, so each blade's n coefficients are one
 contiguous run, which is what the row kernel in `operators` reads and
 writes.  A field keeps a blade-major array it is built from and copies a
-row-major one once.  The whole-field reductions (`norm`, `distance`,
-`inner`, `realness_defect`) read `coeffs.T` in memory order, blade by
-blade, so none of them copies the field into another layout.
+row-major one once.
+
+A field may also cover one contiguous range of grid rows, [start, stop):
+a whole field is the range [0, n), and `FormField.rows` views any range of
+a field without a copy.  Every operator is mode-diagonal, so it maps the
+rows of a field to the same rows.  The grid is cut into the row blocks of
+`row_blocks`, and every sum over a field (`norm`, `distance`, `inner`)
+runs block by block in block order, whole or blocked alike: so a sum
+accumulated over a field's blocks one at a time (a `Partial`) has the bits
+of the same sum over the whole field.
 """
 
 from __future__ import annotations
 
 import gc
 import json
+import math
 import numbers
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain, repeat
-from operator import itemgetter
+from operator import add, itemgetter
 
 import numpy as np
 
 from .exterior import DEGREE, N_BLADES
+
+# rows of one block at most (row_blocks): at truncation 4 the 6561 rows make 3 blocks of
+# 2187, 560 KB each blade-major; 5 blocks of 1312 rows held less but ran slower, as each
+# operator call costs a fixed ~60 us of numpy calls per block
+BLOCK_ROWS = 2187
 
 
 # bytes one dense field may take: truncation 12 ((2*12+1)^4 modes x 16 blades
@@ -87,6 +100,22 @@ def mode_symbols(kmax: int):
     for arr in symbols:
         arr.setflags(write=False)
     return symbols
+
+
+@lru_cache(maxsize=None)
+def row_blocks(kmax: int) -> tuple:
+    """The (start, stop) row blocks of the grid of truncation kmax, in row order.
+
+    Their count is the least odd number of blocks of at most BLOCK_ROWS rows, and
+    their bounds round j * n / count to the nearest row, which makes them symmetric
+    about the middle row n // 2: block i holds the rows of -k for the k of block
+    count - 1 - i, and the middle block holds k = 0.
+    """
+    n = (2 * kmax + 1) ** 4
+    count = -(-n // BLOCK_ROWS)
+    count += 1 - count % 2
+    bounds = [(j * n + count // 2) // count for j in range(count + 1)]
+    return tuple(zip(bounds[:-1], bounds[1:]))
 
 
 # a form field's entries are formatted this many at a time, so a dense field's
@@ -175,78 +204,204 @@ def _entry_column(entries, key: str, width: int, types, what: str) -> np.ndarray
     return column.reshape(-1, width) if width else column
 
 
-def _norm_of_parts(parts: np.ndarray) -> float:
-    """sqrt of the sum of squares of a 1-D float array, summed in its order.
+def _blade_total(sums: np.ndarray) -> float:
+    """The sum of a block's per-blade sums, in blade order: an overflow is inf, not a warning."""
+    total = 0.0
+    for value in sums.tolist():
+        total += value
+    return total
 
-    The sum runs in numpy's own loop rather than a BLAS dot, so its value
-    does not depend on the BLAS thread count.  When it overflows or
-    underflows, the parts are rescaled by a power of two (exact) that brings
-    the largest near 1.
+
+class SquareSum:
+    """A sum of squares of floats, value * 4**scale, added up block by block.
+
+    A block's sum is numpy's row sum of each blade's squares (`einsum`, never a BLAS
+    dot), summed over the blades in blade order.  Its scale is 0 unless that sum overflows, or
+    underflows to 0 with a nonzero part: then its parts are rescaled by a power of two
+    (exact) that brings the largest near 1.  Adding two sums brings both to the larger
+    scale, and by a further 4**512 should the sum of two finite values overflow, so a
+    root that is representable is finite.
     """
-    with np.errstate(over="ignore"):  # handled below
-        value = float(np.sqrt(np.einsum("i,i->", parts, parts)))
-    if value == np.inf or (value == 0.0 and parts.any()):
-        _, e = np.frexp(np.abs(parts).max())
-        scaled = np.ldexp(parts, -e)
-        value = float(np.ldexp(np.sqrt(np.einsum("i,i->", scaled, scaled)), e))
-    return value
+
+    __slots__ = ("value", "scale")
+
+    def __init__(self, value: float, scale: int = 0):
+        self.value, self.scale = value, scale
+
+    @classmethod
+    def of_parts(cls, parts: np.ndarray) -> "SquareSum":
+        """The sum of squares of a 2-D float array, each row a blade's parts."""
+        value = _blade_total(np.einsum("ij,ij->i", parts, parts))
+        if value == math.inf or (value == 0.0 and parts.any()):
+            peak = float(np.abs(parts).max())
+            if peak < math.inf:
+                scale = math.frexp(peak)[1]
+                scaled = np.ldexp(parts, -scale)
+                return cls(_blade_total(np.einsum("ij,ij->i", scaled, scaled)), scale)
+        return cls(value)
+
+    def __add__(self, other: "SquareSum") -> "SquareSum":
+        scale = max(self.scale, other.scale)
+        a = math.ldexp(self.value, 2 * (self.scale - scale))
+        b = math.ldexp(other.value, 2 * (other.scale - scale))
+        total = a + b
+        if total == math.inf and a < math.inf and b < math.inf:
+            scale += 512
+            total = math.ldexp(a, -1024) + math.ldexp(b, -1024)
+        return SquareSum(total, scale)
+
+    def root(self) -> float:
+        """sqrt of the sum: inf when it lies beyond the float range, NaN for a NaN part."""
+        root = math.sqrt(self.value)
+        if self.scale == 0:
+            return root
+        with np.errstate(over="ignore"):
+            return float(np.ldexp(root, self.scale))
+
+
+class Peak:
+    """A maximum added up block by block: a NaN stays NaN."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: float = -math.inf):
+        self.value = value
+
+    def __add__(self, other: "Peak") -> "Peak":
+        return Peak(float(np.max([self.value, other.value])))
+
+
+class Partial:
+    """A residual's partial sums over some blocks of rows, and how to finish it.
+
+    The partials of consecutive row blocks add up, term by term and in block order
+    (SquareSum, Peak, or a complex sum); value() is finish(*terms) on the sums of
+    every block.
+    """
+
+    __slots__ = ("finish", "terms")
+
+    def __init__(self, finish, *terms):
+        self.finish, self.terms = finish, terms
+
+    def __add__(self, other: "Partial") -> "Partial":
+        return Partial(self.finish, *(a + b for a, b in zip(self.terms, other.terms)))
+
+    def value(self) -> float:
+        return self.finish(*self.terms)
+
+
+def finish_blocks(block_parts) -> dict:
+    """{name: residual} from an iterable of {name: Partial} dicts, one per row block,
+    added up in block order."""
+    total = None
+    for parts in block_parts:
+        total = parts if total is None else {k: total[k] + p for k, p in parts.items()}
+    return {k: p.value() for k, p in total.items()}
+
+
+def _inner_of_blocks(a: np.ndarray, b: np.ndarray) -> complex:
+    """sum of conj(b) * a over two (16, r) blade-major blocks, in real arithmetic.
+
+    Each product and difference is its own ufunc call, so no fused multiply-add
+    enters (numpy's complex product takes one where the CPU has it): the real
+    part is the product of the two float views (real and imaginary parts
+    interleaved), the imaginary part b.real * a.imag - b.imag * a.real.  numpy
+    sums each blade's row pairwise, then the blades are summed in blade order.
+    """
+    rows = a.shape[1]
+    prod = np.multiply(b.view(float), a.view(float))
+    re = _blade_total(prod.sum(axis=1))
+    cross, scratch = prod[:, :rows], prod[:, rows:]
+    np.multiply(b.real, a.imag, out=cross)
+    np.multiply(b.imag, a.real, out=scratch)
+    np.subtract(cross, scratch, out=cross)
+    return complex(re, _blade_total(cross.sum(axis=1)))
 
 
 class FormField:
     """Truncated Fourier series of a complex-valued differential form on T^4.
 
-    `coeffs` is the (n, 16) array of coefficients, stored blade-major.
+    `coeffs` is the (rows, 16) array of coefficients of the grid rows
+    [start, stop), stored blade-major: each blade's coefficients are one
+    contiguous run.  A whole field has start 0 and all n rows.
     """
 
-    __slots__ = ("kmax", "coeffs")
+    __slots__ = ("kmax", "coeffs", "start", "stop")
 
-    def __init__(self, kmax: int, coeffs: np.ndarray | None = None):
+    def __init__(self, kmax: int, coeffs: np.ndarray | None = None, start: int = 0):
         self.kmax = int(kmax)
         check_truncation(self.kmax)
         n = (2 * self.kmax + 1) ** 4
+        self.start = int(start)
         if coeffs is None:
-            self.coeffs = np.zeros((N_BLADES, n), dtype=complex).T
-        else:
-            coeffs = np.asarray(coeffs, dtype=complex, order="F")
-            if coeffs.shape != (n, N_BLADES):
-                raise ValueError(f"expected coeffs of shape {(n, N_BLADES)}, got {coeffs.shape}")
-            self.coeffs = coeffs
+            coeffs = np.zeros((N_BLADES, n - self.start), dtype=complex).T
+        c = np.asarray(coeffs)
+        if c.dtype != complex or c.ndim != 2 or c.strides[0] != c.itemsize:
+            c = np.asarray(c, dtype=complex, order="F")
+        if c.ndim != 2 or c.shape[1] != N_BLADES or not 0 <= self.start < self.start + len(c) <= n:
+            want = (n, N_BLADES) if self.start == 0 else f"(rows in 1..{n - self.start}, {N_BLADES})"
+            raise ValueError(f"expected coeffs of shape {want}, got {c.shape}")
+        self.coeffs = c
+        self.stop = self.start + len(c)
 
     # -- bookkeeping ----------------------------------------------------
     @property
     def modes(self) -> np.ndarray:
-        return grid(self.kmax)[0]
+        return grid(self.kmax)[0][self.start:self.stop]
 
     def mode_index(self, k) -> int:
+        """The row of coeffs that holds mode k."""
         k = np.asarray(k, dtype=int).reshape(4)
         if np.abs(k).max() > self.kmax:
             raise KeyError(f"mode {tuple(k)} outside truncation kmax={self.kmax}")
-        return int(_mode_rows(k, self.kmax))
+        row = int(_mode_rows(k, self.kmax))
+        if not self.start <= row < self.stop:
+            raise KeyError(f"mode {tuple(k)} outside rows [{self.start}, {self.stop})")
+        return row - self.start
 
     def set_coeff(self, k, a) -> None:
         self.coeffs[self.mode_index(k)] = a
+
+    def rows(self, start: int, stop: int) -> "FormField":
+        """This field over the grid rows [start, stop), which it must cover: a view, no copy."""
+        if not self.start <= start < stop <= self.stop:
+            raise ValueError(f"rows [{start}, {stop}) outside [{self.start}, {self.stop})")
+        return FormField(self.kmax, self.coeffs[start - self.start:stop - self.start], start)
+
+    def blocks(self):
+        """Views of this field over each row block (row_blocks) its rows meet, cut to its rows,
+        in row order: this field itself when it lies in one block."""
+        for start, stop in row_blocks(self.kmax):
+            start, stop = max(start, self.start), min(stop, self.stop)
+            if (start, stop) == (self.start, self.stop):
+                yield self
+            elif start < stop:
+                yield self.rows(start, stop)
 
     # -- algebra ---------------------------------------------------------
     def _check(self, other: "FormField") -> None:
         if self.kmax != other.kmax:
             raise ValueError("truncation mismatch")
+        if (self.start, self.stop) != (other.start, other.stop):
+            raise ValueError("row range mismatch")
 
     def __add__(self, other):
         if not isinstance(other, FormField):
             return NotImplemented
         self._check(other)
-        return FormField(self.kmax, self.coeffs + other.coeffs)
+        return FormField(self.kmax, self.coeffs + other.coeffs, self.start)
 
     def __sub__(self, other):
         if not isinstance(other, FormField):
             return NotImplemented
         self._check(other)
-        return FormField(self.kmax, self.coeffs - other.coeffs)
+        return FormField(self.kmax, self.coeffs - other.coeffs, self.start)
 
     def __mul__(self, scalar):
         if not isinstance(scalar, numbers.Number):
             return NotImplemented
-        return FormField(self.kmax, self.coeffs * scalar)
+        return FormField(self.kmax, self.coeffs * scalar, self.start)
 
     __rmul__ = __mul__
 
@@ -254,45 +409,56 @@ class FormField:
     def inner(self, other: "FormField") -> complex:
         """L^2 pairing; Fourier modes and blades are orthonormal.
 
-        The products conj(other) * self are formed in place in the conj array,
-        written out so that no size decides the operand order, and summed in
-        blade-major (blade, mode) order, the order they are stored in.
+        The sum of conj(other) * self in real arithmetic, block by block
+        (`_inner_of_blocks`); the blocks' sums are added in block order.
         """
         if not isinstance(other, FormField):
             raise TypeError(f"inner product of a FormField with {type(other).__name__}")
         self._check(other)
-        prod = np.conj(other.coeffs)
-        np.multiply(prod, self.coeffs, out=prod)
-        return complex(np.sum(prod.T))
+        return reduce(add, [_inner_of_blocks(a.coeffs.T, b.coeffs.T)
+                            for a, b in zip(self.blocks(), other.blocks())])
+
+    def square_sum(self) -> SquareSum:
+        """The sum of squares of the real and imaginary parts, block by block, through
+        views of the stored array: no copy."""
+        return reduce(add, [SquareSum.of_parts(b.coeffs.T.view(float)) for b in self.blocks()])
 
     def norm(self) -> float:
-        """L^2 norm; finite whenever it is representable, even when its square is not.
+        """L^2 norm; finite whenever it is representable, even when its square is not."""
+        return self.square_sum().root()
 
-        The sum of squares runs over the real and imaginary parts in
-        blade-major order, through a view of the stored array: no copy.
-        """
-        return _norm_of_parts(self.coeffs.T.reshape(-1).view(float))
-
-    def distance(self, other: "FormField") -> float:
-        """||self - other||, equal to (self - other).norm() bit for bit.
-
-        The difference is written straight into one blade-major array.
-        """
+    def distance_sum(self, other: "FormField") -> SquareSum:
+        """The square sum of self - other, each block's difference written into one
+        blade-major block."""
         if not isinstance(other, FormField):
             raise TypeError(f"distance of a FormField to {type(other).__name__}")
         self._check(other)
-        diff = np.empty(self.coeffs.T.shape, dtype=complex)
-        np.subtract(self.coeffs.T, other.coeffs.T, out=diff)
-        return _norm_of_parts(diff.reshape(-1).view(float))
+        sums = []
+        for a, b in zip(self.blocks(), other.blocks()):
+            diff = np.subtract(a.coeffs.T, b.coeffs.T)
+            sums.append(SquareSum.of_parts(diff.view(float)))
+        return reduce(add, sums)
+
+    def distance(self, other: "FormField") -> float:
+        """||self - other||, equal to (self - other).norm() bit for bit."""
+        return self.distance_sum(other).root()
 
     def degrees(self, tol: float = 0.0):
         present = np.abs(self.coeffs).max(axis=0)
         return sorted({int(DEGREE[m]) for m in range(N_BLADES) if present[m] > tol})
 
-    def realness_defect(self) -> float:
-        """max |omega_k - conj(omega_{-k})|, formed blade-major in one conj array."""
+    def realness_defect(self, mirror: "FormField | None" = None) -> float:
+        """max over this field's rows of |omega_k - conj(omega_{-k})|, formed blade-major
+        in one conj array, with omega_{-k} read from mirror: the field over the mirrored
+        rows [n - stop, n - start), by default this field, which must then be whole or
+        a middle block."""
+        mirror = self if mirror is None else mirror
+        n = (2 * self.kmax + 1) ** 4
+        if mirror.kmax != self.kmax or (mirror.start, mirror.stop) != (n - self.stop, n - self.start):
+            raise ValueError(f"the mirror of rows [{self.start}, {self.stop}) covers "
+                             f"[{n - self.stop}, {n - self.start})")
         c = self.coeffs.T
-        diff = np.conj(c[:, ::-1])
+        diff = np.conj(mirror.coeffs.T[:, ::-1])
         np.subtract(c, diff, out=diff)
         return float(np.abs(diff).max())
 
@@ -399,12 +565,13 @@ def random_field(
     """
     check_truncation(kmax)
     n = (2 * kmax + 1) ** 4
-    # drawn straight into blade-major storage; numpy divides a complex array by
-    # a real scalar as a product with its reciprocal, so this has the bits of
-    # (N1 + 1j N2) / np.sqrt(2)
+    # drawn through one row-major buffer into blade-major storage; numpy divides a
+    # complex array by a real scalar as a product with its reciprocal, so this has
+    # the bits of (N1 + 1j N2) / np.sqrt(2)
     c = np.empty((N_BLADES, n), dtype=complex).T
-    c.real = rng.standard_normal((n, N_BLADES))
-    c.imag = rng.standard_normal((n, N_BLADES))
+    draw = rng.standard_normal((n, N_BLADES))
+    c.real = draw
+    c.imag = rng.standard_normal(out=draw)
     c *= 1 / np.sqrt(2)
     if degree is not None:
         c[:, DEGREE != degree] = 0.0

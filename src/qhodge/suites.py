@@ -19,11 +19,20 @@ from numpy.linalg import norm
 
 from . import spin, zeta
 from .exterior import DEGREE, INTERIOR_E, N_BLADES, STAR, VOL, VOL_MASK, WEDGE, wedge
-from .fields import FormField, check_truncation, dump_json, random_field, single_mode
+from .fields import (
+    FormField,
+    Partial,
+    Peak,
+    check_truncation,
+    dump_json,
+    finish_blocks,
+    random_field,
+    single_mode,
+)
 from .operators import (
     apply_fiber,
-    cancellation_defect,
-    conjugation_defect,
+    cancellation_parts,
+    conjugation_sides,
     d_star,
     exterior_d,
     grading,
@@ -34,7 +43,7 @@ from .operators import (
     laplacian_hodge,
     quaternionic_d,
     quaternionic_d_star,
-    rel_defect,
+    rel_parts,
     twisted_d,
     twisted_d_star,
     xhat,
@@ -224,13 +233,77 @@ def _worst(samples) -> dict[str, float]:
     return {name: float(np.max([r[name] for r in rows])) for name in rows[0]}
 
 
+def _adjointness(kmax: int, size: float = 1.0):
+    """Finish of an adjointness check: |<A f, g> - <f, A* g>| over 2 pi kmax ||f|| ||g|| size."""
+    def finish(lhs, rhs, f_sum, g_sum):
+        scale = max(f_sum.root() * g_sum.root(), 1e-300) * 2 * np.pi * kmax
+        return abs(lhs - rhs) / (scale * size)
+    return finish
+
+
 def _operator_samples(cfg: RunConfig, rng: np.random.Generator):
     """One dict of residuals per random sample (f, g, x, y, u, real fr).
 
-    A loop, not a function per sample: each sample's fields stay bound until
-    the next sample rebinds them, so the allocator reuses their memory
-    instead of returning it to the OS and faulting it back in.
+    Each sample is drawn whole, so the draws do not depend on the blocks, then
+    taken one row block at a time (`FormField.blocks`): every operand is
+    computed on the block, each check's partial sums are added up over the
+    blocks, and its residual is finished after the last one.  A loop, not a
+    function per block: each block's fields stay bound until the next block
+    rebinds them, so the allocator reuses their memory instead of returning it
+    to the OS and faulting it back in.
     """
+    n = (2 * cfg.kmax + 1) ** 4
+    realness_ops = (exterior_d, d_star, laplacian, green, harmonic_project)
+
+    def realness_peak(fr, block) -> Peak:
+        """The peak realness defect of the operators' images of fr over the block's rows k up to
+        the middle row n // 2, against their mirror rows, -k: a row past the middle is read
+        with its mirror, since |w_k - conj(w_-k)| is the same number at k and -k."""
+        stop = min(block.stop, n // 2 + 1)
+        if block.start >= stop:
+            return Peak()
+        rows, mirror = fr.rows(block.start, stop), fr.rows(n - stop, n - block.start)
+        return Peak(float(np.max([op(rows).realness_defect(op(mirror)) for op in realness_ops])))
+
+    def block_parts(f, g, x, y, u, fr):
+        adjointness, adjointness_x = _adjointness(cfg.kmax), _adjointness(cfg.kmax, norm(x))
+        for fb, gb, frb in zip(f.blocks(), g.blocks(), fr.blocks()):
+            # each check right after its operands: a, b and c are the operands of one check only
+            out: dict[str, Partial] = {}
+            df = exterior_d(fb)
+            out["d_squared"] = Partial(lambda a, b: a.root() / max(b.root(), 1e-300),
+                                       exterior_d(df).square_sum(), df.square_sum())
+            dIf = twisted_d(fb, "I")
+            # d_C is also the commutator [ad_C, d]
+            out["twisted_realizations_agree"] = rel_parts(
+                dIf, apply_fiber(df, AD["I"]) - exterior_d(apply_fiber(fb, AD["I"])))
+            a, b = exterior_d(dIf), twisted_d(df, "I")
+            out["d_dI_anticommute"] = cancellation_parts(a + b, a, b)
+            dxf, dyf = quaternionic_d(fb, x), quaternionic_d(fb, y)
+            out["relation_i_xhat_dy"] = rel_parts(xhat(dyf, x) - quaternionic_d(xhat(fb, x), y),
+                                                  quaternionic_d(fb, left_matrix(x) @ y))
+            a, b = quaternionic_d(dyf, x), quaternionic_d(dxf, y)
+            out["relation_ii_dx_dy"] = cancellation_parts(a + b, a, b)
+            lapf = laplacian(fb)
+            a, b, c = quaternionic_d(quaternionic_d_star(fb, y), x), quaternionic_d_star(dxf, y), (x @ y) * lapf
+            out["relation_iii_dx_dy_star"] = Partial(
+                lambda a, b, c, d: a.root() / max(b.root() + c.root(), d.root(), 1e-300),
+                (a + b - c).square_sum(), a.square_sum(), b.square_sum(), c.square_sum())
+            f_sum, g_sum = fb.square_sum(), gb.square_sum()
+            out["adjointness_d"] = Partial(adjointness, df.inner(gb), fb.inner(d_star(gb)), f_sum, g_sum)
+            out["adjointness_dI"] = Partial(adjointness, dIf.inner(gb), fb.inner(twisted_d_star(gb, "I")),
+                                            f_sum, g_sum)
+            out["adjointness_dx"] = Partial(adjointness_x, dxf.inner(gb), fb.inner(quaternionic_d_star(gb, x)),
+                                            f_sum, g_sum)
+            out["laplacian_vs_hodge"] = rel_parts(lapf, laplacian_hodge(fb))
+            out["hodge_decomposition"] = rel_parts(harmonic_project(fb) + laplacian(green(fb)), fb)
+            out["grading_commutator"] = rel_parts(grading(df) - exterior_d(grading(fb)), df)
+            out["conjugation_law"] = rel_parts(*conjugation_sides(fb, u, x))
+            out["realness_preserved"] = Partial(lambda p, s: p.value / max(s.root(), 1e-300),
+                                                realness_peak(fr, frb), frb.square_sum())
+            out["laplacian_commutes_dC"] = rel_parts(laplacian(twisted_d(fb, "J")), twisted_d(lapf, "J"))
+            yield out
+
     for _ in range(cfg.field_count):
         f = random_field(cfg.kmax, rng)
         g = random_field(cfg.kmax, rng)
@@ -239,45 +312,7 @@ def _operator_samples(cfg: RunConfig, rng: np.random.Generator):
         u = rng.standard_normal(4)
         u = u / norm(u)
         fr = random_field(cfg.kmax, rng, real=True)
-
-        df = exterior_d(f)
-        dIf = twisted_d(f, "I")
-        dxf = quaternionic_d(f, x)
-        dyf = quaternionic_d(f, y)
-        lapf = laplacian(f)
-        # d_C is also the commutator [ad_C, d]
-        ad_form = apply_fiber(df, AD["I"]) - exterior_d(apply_fiber(f, AD["I"]))
-        d_dI, dI_d = exterior_d(dIf), twisted_d(df, "I")
-        dxdy, dydx = quaternionic_d(dyf, x), quaternionic_d(dxf, y)
-        dx_dystar = quaternionic_d(quaternionic_d_star(f, y), x)
-        dystar_dx = quaternionic_d_star(dxf, y)
-        re_xbar_y_lap = (x @ y) * lapf
-        scale = max(f.norm() * g.norm(), 1e-300) * 2 * np.pi * cfg.kmax
-        yield {
-            "d_squared": exterior_d(df).norm() / max(df.norm(), 1e-300),
-            "twisted_realizations_agree": rel_defect(dIf, ad_form),
-            "d_dI_anticommute": cancellation_defect(d_dI + dI_d, d_dI, dI_d),
-            "relation_i_xhat_dy": rel_defect(
-                xhat(dyf, x) - quaternionic_d(xhat(f, x), y),
-                quaternionic_d(f, left_matrix(x) @ y),
-            ),
-            "relation_ii_dx_dy": cancellation_defect(dxdy + dydx, dxdy, dydx),
-            "relation_iii_dx_dy_star": (dx_dystar + dystar_dx - re_xbar_y_lap).norm()
-            / max(dx_dystar.norm() + dystar_dx.norm(), re_xbar_y_lap.norm(), 1e-300),
-            "adjointness_d": abs(df.inner(g) - f.inner(d_star(g))) / scale,
-            "adjointness_dI": abs(dIf.inner(g) - f.inner(twisted_d_star(g, "I"))) / scale,
-            "adjointness_dx": abs(dxf.inner(g) - f.inner(quaternionic_d_star(g, x)))
-            / (scale * norm(x)),
-            "laplacian_vs_hodge": rel_defect(lapf, laplacian_hodge(f)),
-            "hodge_decomposition": rel_defect(harmonic_project(f) + laplacian(green(f)), f),
-            "grading_commutator": rel_defect(grading(df) - exterior_d(grading(f)), df),
-            "conjugation_law": conjugation_defect(f, u, x),
-            "realness_preserved": float(np.max([
-                op(fr).realness_defect()
-                for op in (exterior_d, d_star, laplacian, green, harmonic_project)
-            ])) / max(fr.norm(), 1e-300),
-            "laplacian_commutes_dC": rel_defect(laplacian(twisted_d(f, "J")), twisted_d(lapf, "J")),
-        }
+        yield finish_blocks(block_parts(f, g, x, y, u, fr))
 
 
 def suite_operators(cfg: RunConfig) -> dict[str, float]:

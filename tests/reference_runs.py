@@ -23,6 +23,9 @@ def target(order: int) -> str:
 # (command line, exit code, pinned report or None)
 RUNS = [
     (["verify", "--kmax", "2", "--fields", "2", "--seed", "7", "--theta", THETA], 0, "verify.json"),
+    # kmax 4 cuts the grid into three row blocks: the field suites' sums cross block seams
+    (["verify", "--kmax", "4", "--fields", "2", "--seed", "7", "--theta", THETA,
+      "--suite", "operators", "--suite", "kodaira"], 0, "verify-blocks.json"),
     (["verify", "--seed", "3", "--theta", THETA], 0, None),
     (["verify", "--kmax", "2", "--fields", "1", "--seed", "11"], 0, None),
     (["torsion"], 0, "torsion-untwisted.json"),

@@ -689,6 +689,16 @@ def openblas_coretypes() -> list[str]:
     return coretypes
 
 
+def numpy_simd_levels() -> list[str]:
+    """numpy's run-time dispatch targets that this CPU has, in numpy's order (lowest first)."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy before 2.0
+        from numpy.core import _multiarray_umath as umath
+    features = getattr(umath, "__cpu_features__", {})
+    return [level for level in getattr(umath, "__cpu_dispatch__", []) if features.get(level)]
+
+
 # the pinned twisted torsion, and the verify suites that take no BLAS product whose bits
 # follow the kernel: operators (the rotors and the helpers' products), quaternionic
 # (rotors) and clifford (spin's 4x4 products) do
@@ -779,6 +789,25 @@ class TestModuleEntryPoint:
             hashes[coretype] = proc.stdout
         for coretype, digest in hashes.items():
             assert digest == hashes["default"], coretype
+
+    @pytest.mark.skipif(not numpy_simd_levels(), reason="numpy dispatches to no SIMD level here")
+    def test_operators_report_does_not_depend_on_numpy_simd_level(self, tmp_path):
+        # each run disables one more of the levels this CPU has, from the top, so that each
+        # level and the baseline in turn serve numpy's ufuncs
+        levels = numpy_simd_levels()
+        argv = ["verify", "--suite", "operators", "--kmax", "2", "--fields", "1", "--seed", "7",
+                "--theta", THETA, "--out", "verify.json"]
+        reports = {}
+        for top in range(len(levels), -1, -1):
+            disabled = " ".join(levels[top:])
+            cwd = tmp_path / f"level-{top}"
+            cwd.mkdir()
+            proc = run_python(SRC, ["-m", "qhodge.cli", *argv], cwd,
+                              **({"NPY_DISABLE_CPU_FEATURES": disabled} if disabled else {}))
+            assert proc.returncode == 0, proc.stderr
+            reports[disabled or "none"] = (cwd / "verify.json").read_bytes()
+        for disabled, report in reports.items():
+            assert report == reports["none"], disabled
 
     @staticmethod
     def run_module(cwd, argv, **env):
