@@ -104,18 +104,11 @@ def mode_symbols(kmax: int):
 
 @lru_cache(maxsize=None)
 def row_blocks(kmax: int) -> tuple:
-    """The (start, stop) row blocks of the grid of truncation kmax, in row order.
-
-    Their count is the least odd number of blocks of at most BLOCK_ROWS rows, and
-    their bounds round j * n / count to the nearest row, which makes them symmetric
-    about the middle row n // 2: block i holds the rows of -k for the k of block
-    count - 1 - i, and the middle block holds k = 0.
-    """
+    """The (start, stop) row blocks of the grid of truncation kmax, in row order:
+    consecutive runs of BLOCK_ROWS rows, the last one shorter when BLOCK_ROWS does not
+    divide the row count."""
     n = (2 * kmax + 1) ** 4
-    count = -(-n // BLOCK_ROWS)
-    count += 1 - count % 2
-    bounds = [(j * n + count // 2) // count for j in range(count + 1)]
-    return tuple(zip(bounds[:-1], bounds[1:]))
+    return tuple((start, min(start + BLOCK_ROWS, n)) for start in range(0, n, BLOCK_ROWS))
 
 
 # a form field's entries are formatted this many at a time, so a dense field's
@@ -259,23 +252,11 @@ class SquareSum:
             return float(np.ldexp(root, self.scale))
 
 
-class Peak:
-    """A maximum added up block by block: a NaN stays NaN."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: float = -math.inf):
-        self.value = value
-
-    def __add__(self, other: "Peak") -> "Peak":
-        return Peak(float(np.max([self.value, other.value])))
-
-
 class Partial:
     """A residual's partial sums over some blocks of rows, and how to finish it.
 
     The partials of consecutive row blocks add up, term by term and in block order
-    (SquareSum, Peak, or a complex sum); value() is finish(*terms) on the sums of
+    (SquareSum or a complex sum); value() is finish(*terms) on the sums of
     every block.
     """
 
@@ -450,8 +431,8 @@ class FormField:
     def realness_defect(self, mirror: "FormField | None" = None) -> float:
         """max over this field's rows of |omega_k - conj(omega_{-k})|, formed blade-major
         in one conj array, with omega_{-k} read from mirror: the field over the mirrored
-        rows [n - stop, n - start), by default this field, which must then be whole or
-        a middle block."""
+        rows [n - stop, n - start), by default this field, whose rows must then be
+        symmetric about the middle row n // 2, as a whole field's are."""
         mirror = self if mirror is None else mirror
         n = (2 * self.kmax + 1) ** 4
         if mirror.kmax != self.kmax or (mirror.start, mirror.stop) != (n - self.stop, n - self.start):

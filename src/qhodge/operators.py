@@ -30,7 +30,10 @@ rows, reading its symbols for those rows only, so a field can be processed
 one block of rows at a time (`fields.row_blocks`).  The residual helpers
 come in two forms: `rel_parts` and `cancellation_parts` give the partial
 sums of one block, which add up over the blocks (`fields.Partial`), and
-`rel_defect` and `cancellation_defect` finish them on whole fields.
+`rel_defect` and `cancellation_defect` finish them on whole fields.  The
+whole-field forms, and `conjugation_defect`, have no caller in the package
+since the field suites run by row block: they stay as the tests' whole-field
+references.
 
 Adjoint signs are not transcribed from anywhere: they are forced by the
 L^2 adjointness property, which the test suite asserts directly.

@@ -22,7 +22,6 @@ from .exterior import DEGREE, INTERIOR_E, N_BLADES, STAR, VOL, VOL_MASK, WEDGE, 
 from .fields import (
     FormField,
     Partial,
-    Peak,
     check_truncation,
     dump_json,
     finish_blocks,
@@ -250,24 +249,15 @@ def _operator_samples(cfg: RunConfig, rng: np.random.Generator):
     blocks, and its residual is finished after the last one.  A loop, not a
     function per block: each block's fields stay bound until the next block
     rebinds them, so the allocator reuses their memory instead of returning it
-    to the OS and faulting it back in.
+    to the OS and faulting it back in.  realness_preserved, a maximum, is taken
+    after the other checks, block by block over the rows up to the middle row.
     """
     n = (2 * cfg.kmax + 1) ** 4
     realness_ops = (exterior_d, d_star, laplacian, green, harmonic_project)
 
-    def realness_peak(fr, block) -> Peak:
-        """The peak realness defect of the operators' images of fr over the block's rows k up to
-        the middle row n // 2, against their mirror rows, -k: a row past the middle is read
-        with its mirror, since |w_k - conj(w_-k)| is the same number at k and -k."""
-        stop = min(block.stop, n // 2 + 1)
-        if block.start >= stop:
-            return Peak()
-        rows, mirror = fr.rows(block.start, stop), fr.rows(n - stop, n - block.start)
-        return Peak(float(np.max([op(rows).realness_defect(op(mirror)) for op in realness_ops])))
-
-    def block_parts(f, g, x, y, u, fr):
+    def block_parts(f, g, x, y, u):
         adjointness, adjointness_x = _adjointness(cfg.kmax), _adjointness(cfg.kmax, norm(x))
-        for fb, gb, frb in zip(f.blocks(), g.blocks(), fr.blocks()):
+        for fb, gb in zip(f.blocks(), g.blocks()):
             # each check right after its operands: a, b and c are the operands of one check only
             out: dict[str, Partial] = {}
             df = exterior_d(fb)
@@ -299,8 +289,6 @@ def _operator_samples(cfg: RunConfig, rng: np.random.Generator):
             out["hodge_decomposition"] = rel_parts(harmonic_project(fb) + laplacian(green(fb)), fb)
             out["grading_commutator"] = rel_parts(grading(df) - exterior_d(grading(fb)), df)
             out["conjugation_law"] = rel_parts(*conjugation_sides(fb, u, x))
-            out["realness_preserved"] = Partial(lambda p, s: p.value / max(s.root(), 1e-300),
-                                                realness_peak(fr, frb), frb.square_sum())
             out["laplacian_commutes_dC"] = rel_parts(laplacian(twisted_d(fb, "J")), twisted_d(lapf, "J"))
             yield out
 
@@ -312,7 +300,14 @@ def _operator_samples(cfg: RunConfig, rng: np.random.Generator):
         u = rng.standard_normal(4)
         u = u / norm(u)
         fr = random_field(cfg.kmax, rng, real=True)
-        yield finish_blocks(block_parts(f, g, x, y, u, fr))
+        out = finish_blocks(block_parts(f, g, x, y, u))
+        # each block's rows k up to the middle row against their mirrors -k, as
+        # |w_k - conj(w_-k)| is the same number at -k; no view of fr outlives this sample
+        halves = [(b.start, min(b.stop, n // 2 + 1)) for b in fr.blocks() if b.start <= n // 2]
+        out["realness_preserved"] = float(np.max([
+            op(fr.rows(start, stop)).realness_defect(op(fr.rows(n - stop, n - start)))
+            for start, stop in halves for op in realness_ops])) / max(fr.norm(), 1e-300)
+        yield out
 
 
 def suite_operators(cfg: RunConfig) -> dict[str, float]:
