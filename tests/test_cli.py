@@ -762,20 +762,32 @@ class TestModuleEntryPoint:
             reports.append((tmp_path / out).read_bytes())
         assert reports[0] == reports[1]
 
-    @pytest.mark.skipif(not dynamic_arch_openblas(),
-                        reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS on x86_64")
-    def test_outputs_do_not_depend_on_openblas_kernel(self, tmp_path):
-        coretypes = openblas_coretypes()
+    @pytest.fixture(scope="class")
+    def kernel_outputs(self, tmp_path_factory):
+        """KERNEL_OUTPUTS by name, per OpenBLAS kernel, from one child run each."""
+        tmp_path = tmp_path_factory.mktemp("kernels")
         outputs = {}
-        for coretype in ["default", *coretypes]:
+        for coretype in ["default", *openblas_coretypes()]:
             cwd = tmp_path / coretype
             cwd.mkdir()
             env = {} if coretype == "default" else {"OPENBLAS_CORETYPE": coretype}
             proc = run_python(SRC, ["-c", KERNEL_RUNS], cwd, **env)
             assert proc.returncode == 0, proc.stderr
-            outputs[coretype] = [(cwd / name).read_bytes() for name in KERNEL_OUTPUTS]
-        for coretype in coretypes:
-            assert outputs[coretype] == outputs["default"], coretype
+            outputs[coretype] = {name: (cwd / name).read_bytes() for name in KERNEL_OUTPUTS}
+        return outputs
+
+    @pytest.mark.skipif(not dynamic_arch_openblas(),
+                        reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS on x86_64")
+    def test_outputs_do_not_depend_on_openblas_kernel(self, kernel_outputs):
+        for coretype, files in kernel_outputs.items():
+            for name in ("torsion.json", "verify.json"):
+                assert files[name] == kernel_outputs["default"][name], (coretype, name)
+
+    @pytest.mark.skipif(not dynamic_arch_openblas(),
+                        reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS on x86_64")
+    def test_quaternionic_d_does_not_depend_on_openblas_kernel(self, kernel_outputs):
+        for coretype, files in kernel_outputs.items():
+            assert files["d_x.sha256"] == kernel_outputs["default"]["d_x.sha256"], coretype
 
     @pytest.mark.skipif(not numpy_simd_levels(), reason="numpy dispatches to no SIMD level here")
     def test_operators_report_does_not_depend_on_numpy_simd_level(self, tmp_path):
