@@ -87,16 +87,13 @@ def grid(kmax: int):
     return modes, ksq
 
 
-# the scalar symbols per mode: Delta's 4 pi^2 |k|^2, G's, its inverse off k = 0 and 0 on
-# it, and the modes as complex (4, n) columns, from which every first-order symbol reads
-# its axis weights (operators._first_order)
+# the scalar symbols per mode: Delta's 4 pi^2 |k|^2, and G's, its inverse off k = 0 and 0
+# on it (the first-order symbols' axis weights are `operators._weight`)
 @lru_cache(maxsize=None)
 def mode_symbols(kmax: int):
-    """Cached read-only (Delta's symbol, G's symbol, complex mode columns) of a truncation."""
-    modes, ksq = grid(kmax)
-    lapl = 4 * np.pi**2 * ksq
-    symbols = (lapl, np.divide(1.0, lapl, out=np.zeros_like(lapl), where=lapl > 0),
-               np.ascontiguousarray(modes.T, dtype=complex))
+    """Cached read-only (Delta's symbol, G's symbol) of a truncation."""
+    lapl = 4 * np.pi**2 * grid(kmax)[1]
+    symbols = (lapl, np.divide(1.0, lapl, out=np.zeros_like(lapl), where=lapl > 0))
     for arr in symbols:
         arr.setflags(write=False)
     return symbols

@@ -20,20 +20,21 @@ plan of (source blade, factor, negate) terms, read by one builder,
 `_row_plan`, off a stack of tables and applied by one kernel, `_apply_rows`,
 on the blade-major (16, n) array (see `fields`) with no BLAS call.  The
 symbols' plans are read off `WEDGE_E` and `INTERIOR_E` at import, and each
-call binds axis a's factor from row a of L: the cached complex mode column p
-(negated for -1) when the row holds a single +-1 at p, as for d and d_C with
-C in {I, J, K}; else the grid row of w_a summed in a fixed order (d_x, a
-general C), formed once for the last few such rows and kept.
+call binds axis a's factor from row a of L by one rule, whatever L is: the
+grid row of w_a summed in a fixed order (`_weight`), where a row whose first
+nonzero entry is negative reads the weight of its negation and flips the
+axis's negate flags, so r and -r share one array.  d, d_I, d_J and d_K, the
+pencil d_x at x = 1, i, j, k, read the four unit rows; d_x reads four general
+ones.
 
 Every operator maps a field over some grid rows to a field over the same
 rows, reading its symbols for those rows only, so a field can be processed
 one block of rows at a time (`fields.row_blocks`).  The residual helpers
 come in two forms: `rel_parts` and `cancellation_parts` give the partial
 sums of one block, which add up over the blocks (`fields.Partial`), and
-`rel_defect` and `cancellation_defect` finish them on whole fields.  The
-whole-field forms, and `conjugation_defect`, have no caller in the package
-since the field suites run by row block: they stay as the tests' whole-field
-references.
+`rel_defect` and `cancellation_defect` finish them on whole fields.  Since
+the field suites run by row block, the whole-field forms have no caller in
+the package: they stay as the tests' whole-field references.
 
 Adjoint signs are not transcribed from anywhere: they are forced by the
 L^2 adjointness property, which the test suite asserts directly.
@@ -41,7 +42,6 @@ L^2 adjointness property, which the test suite asserts directly.
 
 from __future__ import annotations
 
-import struct
 from functools import lru_cache
 
 import numpy as np
@@ -105,7 +105,7 @@ def _row_plan(tables, units):
     return plan
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=16)
 def _fiber_plan(dtype: str, data: bytes) -> list:
     """The row plan of the 16x16 fiber matrix of this dtype and these C-order bytes."""
     mat = np.frombuffer(data, dtype).reshape(N_BLADES, N_BLADES)
@@ -124,30 +124,30 @@ _EPS_PLAN = _row_plan(WEDGE_E, range(4))
 _IOTA_PLAN = _row_plan(INTERIOR_E, range(4))
 
 
-def _axis_factor(columns: np.ndarray, row: list) -> tuple:
-    """(factor, flip) of the symbol axis whose row of L is `row`, over the whole grid of the
-    complex mode columns: column p, flipped for -1, for a row holding a single +-1 at p;
-    otherwise the weight ((row[0] k0 + row[1] k1) + row[2] k2) + row[3] k3 (`_weight`)."""
-    nonzero = [p for p, v in enumerate(row) if v != 0]
-    if len(nonzero) == 1 and abs(row[nonzero[0]]) == 1:
-        return columns[nonzero[0]], row[nonzero[0]] < 0
-    return _weight(columns.shape[1], struct.pack("4d", *row)), False
+def _axis_factor(kmax: int, row: list) -> tuple:
+    """(factor, flip) of the symbol axis whose row of L is `row`, over the whole grid of
+    truncation kmax: the weight of the row, or, when its first nonzero entry is negative,
+    the weight of its negation with flip set.  The key's zeros are all +0.0, so a key's
+    weight does not depend on which of its equal rows came first."""
+    flip = next((v < 0 for v in row if v != 0), False)
+    return _weight(kmax, tuple(0.0 - v if flip else v + 0.0 for v in row)), flip
 
 
-@lru_cache(maxsize=16)
-def _weight(n: int, row: bytes) -> np.ndarray:
-    """The read-only complex grid row of ((r0 k0 + r1 k1) + r2 k2) + r3 k3 over the n modes,
-    for the float row r with these bytes, kept for the last 16 rows (one dense field's bytes).
+# the four unit rows of d and d_C, and the 16 general rows of one `verify` operators
+# sample (the rows of x, y, xy and ux): 1.25 dense fields' bytes at any truncation
+@lru_cache(maxsize=20)
+def _weight(kmax: int, row: tuple) -> np.ndarray:
+    """The read-only complex grid row of ((r0 k0 + r1 k1) + r2 k2) + r3 k3 over the modes of
+    truncation kmax, for the float row r.
 
     The grid is the product of four axes -kmax..kmax, the last varying fastest, so each
     product r_p k_p is formed once per axis value and the sums by broadcasting, in that
     order: the last sum is one pass into the real part of one preallocated row.
     """
-    r = struct.unpack("4d", row)
-    m = round(n ** 0.25)
-    axis = np.arange(-(m // 2), m // 2 + 1, dtype=float)
-    t0, t1, t2, t3 = (axis * v for v in r)
-    out = np.zeros(n, dtype=complex)
+    m = 2 * kmax + 1
+    axis = np.arange(-kmax, kmax + 1, dtype=float)
+    t0, t1, t2, t3 = (axis * v for v in row)
+    out = np.zeros(m**4, dtype=complex)
     np.add((np.add.outer(t0, t1)[:, :, None] + t2)[..., None], t3, out=out.real.reshape(m, m, m, m))
     out.setflags(write=False)
     return out
@@ -156,9 +156,8 @@ def _weight(n: int, row: bytes) -> np.ndarray:
 def _first_order(f: FormField, L: np.ndarray, star: bool) -> FormField:
     """i eps(L kappa), or its adjoint -i iota(L kappa) when star is set."""
     plan, scale = (_IOTA_PLAN, -2j * np.pi) if star else (_EPS_PLAN, 2j * np.pi)
-    columns = mode_symbols(f.kmax)[2]
     axes = [(factor[f.start:f.stop], flip)
-            for factor, flip in (_axis_factor(columns, row) for row in L.tolist())]
+            for factor, flip in (_axis_factor(f.kmax, row) for row in L.tolist())]
     rows = [[(s, axes[a][0], negate != axes[a][1]) for s, a, negate in row] for row in plan]
     return FormField(f.kmax, _apply_rows(f.coeffs, rows, scale), f.start)
 
@@ -342,8 +341,3 @@ def conjugation_sides(f: FormField, u, x) -> tuple:
     # the product ux, summed in a fixed order: the one that made the pinned reports
     ux = (lu[:, 0] * x[0] + lu[:, 2] * x[2]) + (lu[:, 1] * x[1] + lu[:, 3] * x[3])
     return lhs, quaternionic_d(f, ux)
-
-
-def conjugation_defect(f: FormField, u, x) -> float:
-    """|| U d_x U^{-1}(f) - d_{Ux}(f) || / scale for (4,) arrays u (a unit) and x."""
-    return rel_defect(*conjugation_sides(f, u, x))

@@ -507,6 +507,24 @@ def _receive(receiver, worker) -> dict:
     return value
 
 
+def _start_worker(cfg: RunConfig) -> tuple:
+    """(worker, read end of its pipe) of a forked process running WORKER_SUITE.  An OSError
+    from making the pipe or starting the process propagates, with the pipe's ends closed."""
+    import multiprocessing  # here, not at module level: the import would add to every command
+
+    ctx = multiprocessing.get_context("fork")
+    receiver, sender = ctx.Pipe(duplex=False)
+    try:
+        worker = ctx.Process(target=_send_residuals, args=(sender, WORKER_SUITE, cfg))
+        worker.start()
+    except OSError:
+        receiver.close()
+        raise
+    finally:
+        sender.close()  # the worker holds the only write end, so its death reads as EOF
+    return worker, receiver
+
+
 def _residuals(cfg: RunConfig, selected: tuple) -> dict:
     """Each selected suite's residuals by name, WORKER_SUITE in a forked worker process when
     another suite is selected and a second core is usable, so that this process runs the
@@ -518,18 +536,16 @@ def _residuals(cfg: RunConfig, selected: tuple) -> dict:
     one after it raises only if the worker's suite did not.  The worker is reaped before
     this returns or raises, and killed first if this side raises.  With one usable core
     every suite runs here: two processes taking turns on one core made `verify` about 10%
-    slower (CPU quotas of a cgroup are not seen, only the affinity mask).
+    slower (CPU quotas of a cgroup are not seen, only the affinity mask).  So does every
+    suite when the worker cannot be started (an OSError, such as EAGAIN from fork).
     """
     if (WORKER_SUITE not in selected or len(selected) == 1
             or not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2):
         return {name: SUITES[name](cfg) for name in selected}
-    import multiprocessing  # here, not at module level: the import would add to every command
-
-    ctx = multiprocessing.get_context("fork")
-    receiver, sender = ctx.Pipe(duplex=False)
-    worker = ctx.Process(target=_send_residuals, args=(sender, WORKER_SUITE, cfg))
-    worker.start()
-    sender.close()  # the worker holds the only write end, so its death reads as EOF
+    try:
+        worker, receiver = _start_worker(cfg)
+    except OSError:  # no pipe or no process to be had, as at a process limit
+        return {name: SUITES[name](cfg) for name in selected}
     results = {}
     try:
         for name in selected:

@@ -26,6 +26,9 @@ RUNS = [
     # kmax 4 cuts the grid into three row blocks: the field suites' sums cross block seams
     (["verify", "--kmax", "4", "--fields", "2", "--seed", "7", "--theta", THETA,
       "--suite", "operators", "--suite", "kodaira"], 0, "verify-blocks.json"),
+    # kmax 3 cuts its 2401 rows into a whole block and a short one, (0, 2187) and (2187, 2401)
+    (["verify", "--kmax", "3", "--fields", "1", "--seed", "7", "--theta", THETA,
+      "--suite", "operators", "--suite", "kodaira"], 0, "verify-short-block.json"),
     (["verify", "--seed", "3", "--theta", THETA], 0, None),
     (["verify", "--kmax", "2", "--fields", "1", "--seed", "11"], 0, None),
     (["torsion"], 0, "torsion-untwisted.json"),

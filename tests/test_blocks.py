@@ -18,7 +18,7 @@ from qhodge.fields import BLOCK_ROWS, FormField, random_field, row_blocks
 from qhodge.operators import (
     apply_fiber,
     cancellation_defect,
-    conjugation_defect,
+    conjugation_sides,
     d_star,
     exterior_d,
     grading,
@@ -114,7 +114,7 @@ def literal_operator_samples(cfg, rng):
             "laplacian_vs_hodge": rel_defect(lapf, laplacian_hodge(f)),
             "hodge_decomposition": rel_defect(harmonic_project(f) + laplacian(green(f)), f),
             "grading_commutator": rel_defect(grading(df) - exterior_d(grading(f)), df),
-            "conjugation_law": conjugation_defect(f, u, x),
+            "conjugation_law": rel_defect(*conjugation_sides(f, u, x)),
             "realness_preserved": float(np.max([
                 op(fr).realness_defect() for op in (exterior_d, d_star, laplacian, green, harmonic_project)
             ])) / max(fr.norm(), 1e-300),

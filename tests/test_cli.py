@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import dataclasses
+import errno
 import gc
 import importlib
 import inspect
@@ -495,6 +496,34 @@ class TestSuiteWorker:
         _cores(monkeypatch, cores)
         monkeypatch.setattr(os, "fork", _raise(AssertionError("a process was started")))
         assert run_suites(RunConfig(kmax=1, field_count=1, suites=selection))["all_pass"]
+
+    @pytest.mark.parametrize("refused", ["fork", "pipe"])
+    def test_no_worker_to_be_had_runs_every_suite_here(self, tmp_path, monkeypatch, capsys, refused):
+        # at a process or descriptor limit the run is the serial run, with the pipe ends
+        # it opened closed
+        cfg = RunConfig(kmax=1, field_count=1, suites=("operators", "zeta"))
+        _cores(monkeypatch, 1)
+        serial = json.dumps(run_suites(cfg))
+        _cores(monkeypatch, 2)
+        ctx, pipes = multiprocessing.get_context("fork"), []
+        if refused == "fork":
+            monkeypatch.setattr(os, "fork", _raise(BlockingIOError(errno.EAGAIN, "no process")))
+            real_pipe = ctx.Pipe
+
+            def recording_pipe(duplex):
+                ends = real_pipe(duplex)
+                pipes.extend(ends)
+                return ends
+
+            monkeypatch.setattr(ctx, "Pipe", recording_pipe)
+        else:
+            monkeypatch.setattr(ctx, "Pipe", _raise(OSError(errno.EMFILE, "no descriptor")))
+        assert json.dumps(run_suites(cfg)) == serial
+        argv = ["verify", "--kmax", "1", "--fields", "1", "--suite", "operators", "--suite", "zeta"]
+        assert run([*argv, "--out", str(tmp_path / "out.json")]) == 0
+        assert capsys.readouterr().err == ""
+        assert all(end.closed for end in pipes) and len(pipes) == (4 if refused == "fork" else 0)
+        assert multiprocessing.active_children() == []
 
     def test_dead_worker_raises(self, monkeypatch):
         _cores(monkeypatch, 2)

@@ -5,7 +5,8 @@ divided by the bytes of one dense field, counts the fields (and parts of
 fields) the suite keeps live at its peak.  PEAK_FIELDS holds the count each
 suite reaches at kmax 4 with 3 fields, plus 0.5 field-sizes of slack: a change
 that binds more intermediates at once fails here.  The per-truncation caches
-(`grid`, `mode_symbols`) are built before the measure: they are kept for the
+(`grid`, `mode_symbols`, and the unit-row weights of d and d_C in
+`operators._weight`) are built before the measure: they are kept for the
 process, not held by the suite, and whichever suite runs first would count them.
 """
 
@@ -15,6 +16,7 @@ import pytest
 
 from qhodge import suites
 from qhodge.fields import FormField, grid, mode_symbols
+from qhodge.operators import exterior_d
 from qhodge.suites import SUITES, RunConfig
 
 KMAX, FIELDS = 4, 3
@@ -28,6 +30,7 @@ def traced_peak_fields(name: str) -> float:
     SUITES[name](RunConfig(kmax=1, field_count=1))  # the fiber tables and caches, built once
     grid(KMAX)
     mode_symbols(KMAX)
+    exterior_d(FormField(KMAX))
     was_tracing = tracemalloc.is_tracing()
     if not was_tracing:
         tracemalloc.start()

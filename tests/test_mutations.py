@@ -65,10 +65,14 @@ MUTANTS = {
     "both-symbol-plans-negate": ("operators.py", "negate != axes[a][1])", "axes[a][1])"),
     # each symbol axis ignores the sign of its row of L: d_I, d_J and d_K lose theirs
     "axis-factor-sign": ("operators.py", "negate != axes[a][1])", "negate)"),
+    # a row whose first nonzero entry is negative binds its negation's weight unflipped:
+    # d_I, d_J, d_K and d_x act with some axes' signs reversed
+    "axis-fold-flip": ("operators.py", "for v in row)), flip", "for v in row)), False"),
 }
 # mutants that must fail a check (exit 1), not a numerical gate
 FAIL_A_CHECK = {"apply-fiber-transpose", "fiber-unit-negate", "symbol-plan-negate",
-                "both-symbol-plans-negate", "axis-factor-sign", "merge-sign-masks-1-2"}
+                "both-symbol-plans-negate", "axis-factor-sign", "axis-fold-flip",
+                "merge-sign-masks-1-2"}
 # the writer mutants must fail the one check that reads written text back
 ROUNDTRIP = {"writer-re-im", "writer-k-tables"}
 

@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 from qhodge.exterior import GRADING, INTERIOR_E, N_BLADES, VOL, WEDGE_E
-from qhodge.fields import FormField, dump_json, grid, mode_symbols, random_field, single_mode
+from qhodge.fields import FormField, dump_json, grid, random_field, single_mode
 from qhodge.operators import (
     apply_fiber,
     cancellation_defect,
-    conjugation_defect,
+    conjugation_sides,
     d_star,
     exterior_d,
     grading,
@@ -31,7 +31,7 @@ from qhodge.operators import (
     twisted_d_star,
     xhat,
 )
-from qhodge import operators
+from qhodge import operators, suites
 from qhodge.quaternionic import (
     AD,
     GROUP,
@@ -153,20 +153,32 @@ class TestSymbolKernel:
 
     @pytest.mark.parametrize("kmax", [1, 2, 4, 6])
     def test_weights_are_the_integer_grid_product(self, kmax):
-        # a row with a single +-1 reads the cached complex mode column itself; any other
-        # row's weight has the bits of the fixed-order sum over the integer grid
-        columns = mode_symbols(kmax)[2]
+        # every row binds the same way: the weight of the row, or of its negation with the
+        # flip set when its first nonzero entry is negative, with the bits of the fixed-order
+        # sum over the integer grid; r and -r share one read-only array
         rng = np.random.default_rng(SEED + 35 + kmax)
-        for L in (np.eye(4), *(structure_matrix(c) for c in "IJK"), -structure_matrix("K")):
-            for row, want in zip(L.tolist(), fixed_order_weights(kmax, L).T):
-                factor, flip = operators._axis_factor(columns, row)
-                assert factor.base is columns and not factor.flags.writeable
-                assert np.array_equal(-factor if flip else factor, want)
-        for L in (left_matrix(rand_quat(rng)), rng.standard_normal((4, 4)), 2 * np.eye(4)):
-            for row, want in zip(L.tolist(), fixed_order_weights(kmax, L).T):
-                factor, flip = operators._axis_factor(columns, row)
-                assert not flip
-                assert np.array_equal(factor.view(np.uint64), want.astype(complex).view(np.uint64))
+        zeros = np.array([[0.0, -1.5, 0.0, 2.0], [0.0, 0.0, 0.0, -3.0], [-0.0, 0.0, -1.0, -0.0],
+                          [0.0, 0.0, 0.0, 0.0]])
+        for L in (np.eye(4), *(structure_matrix(c) for c in "IJK"), -structure_matrix("K"),
+                  left_matrix(rand_quat(rng)), rng.standard_normal((4, 4)), 2 * np.eye(4),
+                  2 * structure_matrix("I"), zeros):
+            for row in L.tolist():
+                factor, flip = operators._axis_factor(kmax, row)
+                leading = next((v for v in row if v != 0), 0.0)
+                assert flip == (leading < 0) and not factor.flags.writeable
+                bound = -np.array([row]) if flip else np.array([row])
+                want = fixed_order_weights(kmax, bound)[:, 0].astype(complex)
+                assert np.array_equal(factor.view(np.uint64), want.view(np.uint64))
+                negated, negated_flip = operators._axis_factor(kmax, [-v for v in row])
+                assert negated is factor and negated_flip == (leading > 0)
+                assert factor.any() == (leading != 0)
+
+    def test_an_operators_sample_forms_sixteen_weights(self):
+        # the four unit rows of d and d_C, then the 16 rows of x, y, xy and ux per sample,
+        # across row blocks: the cache keeps every row still in use, so none is formed twice
+        operators._weight.cache_clear()
+        suites.suite_operators(suites.RunConfig(kmax=3, field_count=2))
+        assert operators._weight.cache_info().misses == 4 + 16 * 2
 
     @pytest.mark.parametrize("kmax", range(5))
     def test_structure_plans_keep_the_bits_of_the_weight_product(self, kmax):
@@ -531,13 +543,13 @@ class TestConjugationLaw:
     def test_trivial_u(self):
         rng = np.random.default_rng(SEED + 18)
         f = random_field(1, rng)
-        assert conjugation_defect(f, ONE, rand_quat(rng)) <= 1e-14
+        assert rel_defect(*conjugation_sides(f, ONE, rand_quat(rng))) <= 1e-14
 
     def test_quarter_rotation(self):
         # U = I realizes d -> d_I
         rng = np.random.default_rng(SEED + 19)
         f = random_field(1, rng)
-        assert conjugation_defect(f, np.array([0.0, 1.0, 0.0, 0.0]), ONE) <= 1e-10
+        assert rel_defect(*conjugation_sides(f, np.array([0.0, 1.0, 0.0, 0.0]), ONE)) <= 1e-10
 
     def test_random(self):
         rng = np.random.default_rng(SEED + 20)
@@ -545,4 +557,4 @@ class TestConjugationLaw:
             f = random_field(1, rng)
             u = rand_quat(rng)
             u /= np.linalg.norm(u)
-            assert conjugation_defect(f, u, rand_quat(rng)) <= 1e-10
+            assert rel_defect(*conjugation_sides(f, u, rand_quat(rng))) <= 1e-10
