@@ -24,6 +24,10 @@ rows of a field to the same rows.  The grid is cut into the row blocks of
 runs block by block in block order, whole or blocked alike: so a sum
 accumulated over a field's blocks one at a time (a `Partial`) has the bits
 of the same sum over the whole field.
+
+The grid is symmetric about k = 0: the row of -k is n - 1 - row(k), and k = 0
+is the middle row n // 2.  Only this module reads those rows (`random_field`,
+`FormField.realness_defect`); other modules ask a field or the symbols.
 """
 
 from __future__ import annotations
@@ -70,12 +74,8 @@ def _mode_rows(k, kmax: int):
 
 @lru_cache(maxsize=None)
 def grid(kmax: int):
-    """Cached mode bookkeeping for a given truncation.
-
-    Returns (modes, ksq): the (n, 4) integer mode array in lexicographic
-    order and |k|^2 per mode.  The grid is symmetric about k = 0, so the row
-    of -k is n - 1 - row(k) and k = 0 is the middle row, n // 2.
-    """
+    """Cached read-only (modes, ksq) of a truncation: the (n, 4) integer mode array in
+    lexicographic order and |k|^2 per mode."""
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
     r = np.arange(-kmax, kmax + 1)
@@ -425,20 +425,21 @@ class FormField:
         present = np.abs(self.coeffs).max(axis=0)
         return sorted({int(DEGREE[m]) for m in range(N_BLADES) if present[m] > tol})
 
-    def realness_defect(self, mirror: "FormField | None" = None) -> float:
-        """max over this field's rows of |omega_k - conj(omega_{-k})|, formed blade-major
-        in one conj array, with omega_{-k} read from mirror: the field over the mirrored
-        rows [n - stop, n - start), by default this field, whose rows must then be
-        symmetric about the middle row n // 2, as a whole field's are."""
-        mirror = self if mirror is None else mirror
+    def realness_defect(self) -> float:
+        """max over the modes k of |omega_k - conj(omega_{-k})|, a NaN kept: the same number
+        at -k, so each row block up to the middle row k = 0 is read against its mirror rows,
+        with one conj array a block.  ValueError on a row range, which has no mirror rows."""
         n = (2 * self.kmax + 1) ** 4
-        if mirror.kmax != self.kmax or (mirror.start, mirror.stop) != (n - self.stop, n - self.start):
-            raise ValueError(f"the mirror of rows [{self.start}, {self.stop}) covers "
-                             f"[{n - self.stop}, {n - self.start})")
-        c = self.coeffs.T
-        diff = np.conj(mirror.coeffs.T[:, ::-1])
-        np.subtract(c, diff, out=diff)
-        return float(np.abs(diff).max())
+        if (self.start, self.stop) != (0, n):
+            raise ValueError(f"rows [{self.start}, {self.stop}) of {n} hold no mirror rows")
+        c, defects = self.coeffs.T, []
+        for start, stop in row_blocks(self.kmax):
+            stop = min(stop, n // 2 + 1)
+            if start < stop:
+                diff = np.conj(c[:, ::-1][:, start:stop])
+                np.subtract(c[:, start:stop], diff, out=diff)
+                defects.append(np.abs(diff).max())
+        return float(np.max(defects))
 
     # -- serialization -----------------------------------------------------
     def _json_chunks(self, indent: int):

@@ -9,7 +9,8 @@ With kappa = 2 pi k the mode symbols are
     d_x     ->  i eps(L_x kappa)            (L_x = left_matrix(x), x a (4,) array)
     d*      -> -i iota(kappa)               (iota = contraction, adjoint of eps)
     Delta   ->  4 pi^2 |k|^2 . Id
-    G       ->  (4 pi^2 |k|^2)^{-1} off the k = 0 mode, 0 on it.
+    G       ->  (4 pi^2 |k|^2)^{-1} off the k = 0 mode, 0 on it
+    P_harm  ->  Id on the kernel of Delta's symbol (k = 0), 0 off it.
 
 Every first-order operator is therefore one symbol, i eps(L kappa) or its
 adjoint -i iota(L kappa) for a 4x4 matrix L (the identity, C or L_x),
@@ -212,12 +213,11 @@ def green(f: FormField) -> FormField:
 
 
 def harmonic_project(f: FormField) -> FormField:
-    """f's k = 0 row, the middle row n // 2 of the grid; zero on every other row."""
-    out = FormField(f.kmax, np.zeros((N_BLADES, len(f.coeffs)), dtype=complex).T, f.start)
-    zero = (2 * f.kmax + 1) ** 4 // 2 - f.start
-    if 0 <= zero < len(f.coeffs):
-        out.coeffs[zero] = f.coeffs[zero]
-    return out
+    """f on the kernel of Delta's symbol, the k = 0 row; +0.0 on every other row."""
+    # only the kept rows are written, so the zeros' untouched pages add nothing to the peak RSS
+    out = np.zeros((N_BLADES, len(f.coeffs)), dtype=complex)
+    np.copyto(out, f.coeffs.T, where=mode_symbols(f.kmax)[0][f.start:f.stop] == 0)
+    return FormField(f.kmax, out.T, f.start)
 
 
 # ---------------------------------------------------------------------------

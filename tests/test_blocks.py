@@ -180,6 +180,51 @@ def cuts(large):
         *((kmax, name) for kmax in (1, 2, 3) for name in sorted(CUTS)), *large], indirect=["cut"])
 
 
+@pytest.mark.parametrize("kmax", [0, 1, 2, 4])
+def test_harmonic_project_copies_the_middle_row(kmax, cut):
+    # f's bits on the middle row k = 0, a -0.0 among them, and +0.0 on every other row,
+    # where an inf or a NaN must not become a NaN (no 0 * inf)
+    f = random_field(kmax, np.random.default_rng(60 + kmax))
+    n = len(f.coeffs)
+    f.coeffs[n // 2, 1] = complex(-0.0, 2.0)
+    if n > 1:
+        f.coeffs[0, 2], f.coeffs[n - 1, 3], f.coeffs[n // 2 - 1, 4] = np.inf, np.nan, complex(np.inf, np.nan)
+    for part in [f, *f.blocks()]:
+        want = np.zeros((N_BLADES, len(part.coeffs)), dtype=complex)
+        if part.start <= n // 2 < part.stop:
+            want[:, n // 2 - part.start] = part.coeffs[n // 2 - part.start]
+        got = harmonic_project(part)
+        assert (got.start, got.stop) == (part.start, part.stop) and got.coeffs.T.flags.c_contiguous
+        assert np.array_equal(got.coeffs.T.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("kmax", range(5))
+def test_realness_defect_reads_every_mirror_pair(kmax, cut):
+    rng = np.random.default_rng(70 + kmax)
+    n = (2 * kmax + 1) ** 4
+    for f in (random_field(kmax, rng), random_field(kmax, rng, real=True)):
+        c = f.coeffs
+        assert f.realness_defect() == float(np.abs(c - np.conj(c)[::-1]).max())
+    # an imaginary k = 0 coefficient a reads 2|a|: the middle row is its own mirror
+    f = FormField(kmax)
+    f.coeffs[n // 2, 5] = 2.5j
+    assert f.realness_defect() == 5.0
+    # a NaN on a block's edge, the first, middle or last row
+    edges = {0, n // 2, n - 1, *(row for start, stop in fields.row_blocks(kmax)
+                                 for row in (start, stop - 1) if 0 <= row < n)}
+    for row in sorted(edges):
+        f = random_field(kmax, rng, real=True)
+        f.coeffs[row, 9] = complex(0.0, np.nan)
+        assert math.isnan(f.realness_defect())
+    # a row range holds no mirror rows: each block of the cut short of the whole field, a
+    # range that misses the first row and one that stops after the middle row
+    ranges = [(b.start, b.stop) for b in f.blocks()] + ([(1, n), (0, n // 2 + 1)] if n > 1 else [])
+    for start, stop in ranges:
+        if (start, stop) != (0, n):
+            with pytest.raises(ValueError):
+                f.rows(start, stop).realness_defect()
+
+
 @cuts([(5, "even"), (5, "uneven"), (6, "one"), (6, "odd")])
 def test_kodaira_equals_the_whole_field_compositions(kmax, cut):
     f = random_field(kmax, np.random.default_rng(40 + kmax))

@@ -71,6 +71,13 @@ def test_unpinned_run_exits_and_writes_nothing(tmp_path, monkeypatch, argv, code
     assert list(tmp_path.iterdir()) == []
 
 
+def test_every_pinned_report_is_one_runs_entry():
+    # the committed targets are inputs; every other file is the report of exactly one entry
+    named = sorted(name for _, _, name in RUNS if name is not None)
+    assert named == sorted(path.name for path in PINNED_DIR.glob("*.json")
+                           if not path.name.startswith("target-order"))
+
+
 def test_committed_targets_are_reproducible(tmp_path):
     write_targets(tmp_path)
     written = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
