@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from . import quaternionic, transgression, zeta
-from .fields import FormField, dump_json, grid, load_json
+from .fields import FormField, dump_json, grid, load_json, mode_symbols
 from .suites import RunConfig, run_suites
 
 EXIT_OK = 0
@@ -54,6 +54,8 @@ def _check_out(out: str | None) -> None:
         return
     if not out:
         raise UsageError("cannot write '': an empty path names no file")
+    if "\0" in out:
+        raise UsageError(f"cannot write {out}: it holds a NUL byte")
     parent = os.path.dirname(os.path.abspath(out))
     if os.path.isdir(out):
         raise UsageError(f"cannot write {out}: it is a directory")
@@ -217,13 +219,12 @@ def cmd_torsion(args) -> int:
 
 
 def _probe_modes(count: int):
-    """The first `count` nonzero modes of the kmax-3 box by increasing |k|^2.
+    """The first `count` nonzero modes of the kmax-3 box by increasing |k|^2 (Delta's symbol).
 
     Ties keep the grid's lexicographic order; k = 0 sorts first and is dropped.
     """
-    modes, ksq = grid(PROBE_KMAX)
-    order = np.argsort(ksq, kind="stable")[1:count + 1]
-    return [tuple(int(v) for v in k) for k in modes[order]]
+    order = np.argsort(mode_symbols(PROBE_KMAX)[0], kind="stable")[1:count + 1]
+    return [tuple(int(v) for v in k) for k in grid(PROBE_KMAX)[order]]
 
 
 def cmd_lapl_constant(args) -> int:

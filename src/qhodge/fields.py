@@ -27,7 +27,8 @@ of the same sum over the whole field.
 
 The grid is symmetric about k = 0: the row of -k is n - 1 - row(k), and k = 0
 is the middle row n // 2.  Only this module reads those rows (`random_field`,
-`FormField.realness_defect`); other modules ask a field or the symbols.
+`FormField.realness_defect`); other modules ask a field or the symbols.  The
+grid's order and kappa / 2 pi live here alone too: `grid` and `_axis_weight`.
 """
 
 from __future__ import annotations
@@ -73,26 +74,44 @@ def _mode_rows(k, kmax: int):
 
 
 @lru_cache(maxsize=None)
-def grid(kmax: int):
-    """Cached read-only (modes, ksq) of a truncation: the (n, 4) integer mode array in
-    lexicographic order and |k|^2 per mode."""
+def grid(kmax: int) -> np.ndarray:
+    """Cached read-only (n, 4) integer mode array of a truncation, in lexicographic order."""
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
     r = np.arange(-kmax, kmax + 1)
     modes = np.stack(np.meshgrid(r, r, r, r, indexing="ij"), axis=-1).reshape(-1, 4)
-    ksq = np.einsum("na,na->n", modes, modes).astype(float)
     assert np.array_equal(_mode_rows(modes, kmax), np.arange(len(modes)))
-    for arr in (modes, ksq):
-        arr.setflags(write=False)
-    return modes, ksq
+    modes.setflags(write=False)
+    return modes
 
 
-# the scalar symbols per mode: Delta's 4 pi^2 |k|^2, and G's, its inverse off k = 0 and 0
-# on it (the first-order symbols' axis weights are `operators._weight`)
+# the four unit rows of d and d_C, and the 16 general rows of one `verify` operators
+# sample (the rows of x, y, xy and ux): 1.25 dense fields' bytes at any truncation
+@lru_cache(maxsize=20)
+def _axis_weight(kmax: int, row: tuple) -> np.ndarray:
+    """The read-only complex grid row of ((r0 k0 + r1 k1) + r2 k2) + r3 k3 over the modes of
+    truncation kmax, for the float row r.
+
+    The grid is the product of four axes -kmax..kmax, the last varying fastest, so each
+    product r_p k_p is formed once per axis value and the sums by broadcasting, in that
+    order: the last sum is one pass into the real part of one preallocated row.
+    """
+    m = 2 * kmax + 1
+    axis = np.arange(-kmax, kmax + 1, dtype=float)
+    t0, t1, t2, t3 = (axis * v for v in row)
+    out = np.zeros(m**4, dtype=complex)
+    np.add((np.add.outer(t0, t1)[:, :, None] + t2)[..., None], t3, out=out.real.reshape(m, m, m, m))
+    out.setflags(write=False)
+    return out
+
+
+# the scalar symbols per mode, read off the unit rows' weights k_p (the ones d binds):
+# Delta's 4 pi^2 (((k0^2 + k1^2) + k2^2) + k3^2), and G's, its inverse off k = 0 and 0 on it
 @lru_cache(maxsize=None)
 def mode_symbols(kmax: int):
     """Cached read-only (Delta's symbol, G's symbol) of a truncation."""
-    lapl = 4 * np.pi**2 * grid(kmax)[1]
+    k0, k1, k2, k3 = (_axis_weight(kmax, row).real for row in map(tuple, np.eye(4).tolist()))
+    lapl = 4 * np.pi**2 * (((k0 * k0 + k1 * k1) + k2 * k2) + k3 * k3)
     symbols = (lapl, np.divide(1.0, lapl, out=np.zeros_like(lapl), where=lapl > 0))
     for arr in symbols:
         arr.setflags(write=False)
@@ -326,7 +345,7 @@ class FormField:
     # -- bookkeeping ----------------------------------------------------
     @property
     def modes(self) -> np.ndarray:
-        return grid(self.kmax)[0][self.start:self.stop]
+        return grid(self.kmax)[self.start:self.stop]
 
     def mode_index(self, k) -> int:
         """The row of coeffs that holds mode k."""

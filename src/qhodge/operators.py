@@ -22,11 +22,11 @@ plan of (source blade, factor, negate) terms, read by one builder,
 on the blade-major (16, n) array (see `fields`) with no BLAS call.  The
 symbols' plans are read off `WEDGE_E` and `INTERIOR_E` at import, and each
 call binds axis a's factor from row a of L by one rule, whatever L is: the
-grid row of w_a summed in a fixed order (`_weight`), where a row whose first
-nonzero entry is negative reads the weight of its negation and flips the
-axis's negate flags, so r and -r share one array.  d, d_I, d_J and d_K, the
-pencil d_x at x = 1, i, j, k, read the four unit rows; d_x reads four general
-ones.
+grid row of w_a summed in a fixed order (`fields._axis_weight`: only `fields`
+knows the grid's order), where a row whose first nonzero entry is negative
+reads the weight of its negation and flips the axis's negate flags, so r and
+-r share one array.  d, d_I, d_J and d_K, the pencil d_x at x = 1, i, j, k,
+read the four unit rows; d_x reads four general ones.
 
 Every operator maps a field over some grid rows to a field over the same
 rows, reading its symbols for those rows only, so a field can be processed
@@ -48,7 +48,7 @@ from functools import lru_cache
 import numpy as np
 
 from .exterior import GRADING, INTERIOR_E, N_BLADES, WEDGE_E
-from .fields import FormField, Partial, finish_blocks, mode_symbols
+from .fields import FormField, Partial, _axis_weight, finish_blocks, mode_symbols
 from .quaternionic import (
     STRUCTURE_NAMES,
     left_matrix,
@@ -131,27 +131,7 @@ def _axis_factor(kmax: int, row: list) -> tuple:
     the weight of its negation with flip set.  The key's zeros are all +0.0, so a key's
     weight does not depend on which of its equal rows came first."""
     flip = next((v < 0 for v in row if v != 0), False)
-    return _weight(kmax, tuple(0.0 - v if flip else v + 0.0 for v in row)), flip
-
-
-# the four unit rows of d and d_C, and the 16 general rows of one `verify` operators
-# sample (the rows of x, y, xy and ux): 1.25 dense fields' bytes at any truncation
-@lru_cache(maxsize=20)
-def _weight(kmax: int, row: tuple) -> np.ndarray:
-    """The read-only complex grid row of ((r0 k0 + r1 k1) + r2 k2) + r3 k3 over the modes of
-    truncation kmax, for the float row r.
-
-    The grid is the product of four axes -kmax..kmax, the last varying fastest, so each
-    product r_p k_p is formed once per axis value and the sums by broadcasting, in that
-    order: the last sum is one pass into the real part of one preallocated row.
-    """
-    m = 2 * kmax + 1
-    axis = np.arange(-kmax, kmax + 1, dtype=float)
-    t0, t1, t2, t3 = (axis * v for v in row)
-    out = np.zeros(m**4, dtype=complex)
-    np.add((np.add.outer(t0, t1)[:, :, None] + t2)[..., None], t3, out=out.real.reshape(m, m, m, m))
-    out.setflags(write=False)
-    return out
+    return _axis_weight(kmax, tuple(0.0 - v if flip else v + 0.0 for v in row)), flip
 
 
 def _first_order(f: FormField, L: np.ndarray, star: bool) -> FormField:

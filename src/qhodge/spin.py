@@ -210,7 +210,7 @@ def dirac_block_check(theta=(0, 0, 0, 0), kmax: int = 3) -> dict:
     t = 1/(4 pi^2), where each mode weighs exp(-|k + theta|^2), and divided
     by the ungraded trace, so a defect in any low mode shows at O(1).
     """
-    kappa = 2 * np.pi * (grid(kmax)[0] + reduce_theta(theta))
+    kappa = 2 * np.pi * (grid(kmax) + reduce_theta(theta))
     lam = np.einsum("na,na->n", kappa, kappa)
     basis = _dirac_basis()
     D = np.einsum("na,aij->nij", kappa, basis)

@@ -26,7 +26,7 @@ import pytest
 import qhodge
 from qhodge import cli, spin, suites, transgression, zeta
 from qhodge.cli import main
-from qhodge.fields import random_field, single_mode
+from qhodge.fields import grid, random_field, single_mode
 from qhodge.exterior import VOL
 from qhodge.operators import exterior_d
 from qhodge.suites import RunConfig, run_suites
@@ -622,11 +622,12 @@ class TestUnwritableOut:
         return [*argv, "--input", str(inp)]
 
     @WORK
-    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    @pytest.mark.parametrize("target", ["missing-dir", "directory", "nul-byte"])
     def test_checked_before_any_work(self, tmp_path, monkeypatch, capsys, argv, module, name,
                                      target):
         argv = self.no_work(tmp_path, monkeypatch, argv, module, name)
-        out = tmp_path / "missing_dir" / "out.json" if target == "missing-dir" else tmp_path
+        out = {"missing-dir": tmp_path / "missing_dir" / "out.json", "directory": tmp_path,
+               "nul-byte": f"{tmp_path}/rep\0ort.json"}[target]
         before = sorted(tmp_path.rglob("*"))
         assert run([*argv, "--out", str(out)]) == 2
         captured = capsys.readouterr()
@@ -657,11 +658,15 @@ class TestUnwritableOut:
 
     def test_config_out_checked_before_suites(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "run_suites", _raise(AssertionError("run_suites ran before out")))
-        out = tmp_path / "missing_dir" / "out.json"
+        monkeypatch.chdir(tmp_path)
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"out": str(out)}))
-        assert run(["verify", "--config", str(config)]) == 2
-        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+        for out in (str(tmp_path / "missing_dir" / "out.json"), "rep\0ort.json"):
+            config.write_text(json.dumps({"out": out}))
+            before = sorted(tmp_path.rglob("*"))
+            assert run(["verify", "--config", str(config)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+            assert sorted(tmp_path.rglob("*")) == before  # nothing created
 
     def test_relative_out_in_working_directory(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -1089,6 +1094,10 @@ class TestLaplConstant:
         assert len(set(modes)) == 2400 and (0, 0, 0, 0) not in modes
         assert modes[:5] == [(-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1),
                              (0, 0, 0, 1)]
+        # sorted by Delta's symbol, with the stable order of the integer |k|^2
+        box = grid(cli.PROBE_KMAX)
+        order = np.argsort((box * box).sum(axis=1), kind="stable")[1:]
+        assert modes == [tuple(int(v) for v in k) for k in box[order]]
 
     def test_stdout_emission(self, capsys):
         code = run(["lapl-constant", "--modes", "2"])

@@ -6,8 +6,9 @@ fields) the suite keeps live at its peak.  PEAK_FIELDS holds the count each
 suite reaches at kmax 4 with 3 fields, plus 0.5 field-sizes of slack: a change
 that binds more intermediates at once fails here.  The per-truncation caches
 (`grid`, `mode_symbols`, and the unit-row weights of d and d_C in
-`operators._weight`) are built before the measure: they are kept for the
-process, not held by the suite, and whichever suite runs first would count them.
+`fields._axis_weight`, which `mode_symbols` reads too) are built before the
+measure: they are kept for the process, not held by the suite, and whichever
+suite runs first would count them.
 """
 
 import tracemalloc

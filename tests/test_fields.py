@@ -42,18 +42,20 @@ def same_bits(a, b) -> bool:
 
 class TestGrid:
     def test_mode_count(self):
-        # k = 0 is the middle row, which FormField code reads as the harmonic mode
+        # k = 0 is the middle row, which FormField code reads as the harmonic mode, and the
+        # only zero of Delta's symbol; grid is the one read-only (n, 4) integer mode array
         for kmax in range(9):
-            modes, ksq = grid(kmax)
+            modes = grid(kmax)
             n = (2 * kmax + 1) ** 4
-            assert modes.shape == (n, 4)
-            assert np.flatnonzero(ksq == 0).tolist() == [n // 2]
+            assert isinstance(modes, np.ndarray) and modes.shape == (n, 4)
+            assert modes.dtype.kind == "i" and not modes.flags.writeable
+            assert np.flatnonzero(mode_symbols(kmax)[0] == 0).tolist() == [n // 2]
             assert not modes[n // 2].any()
 
     def test_negation_permutation(self):
         # the row of -k is n - 1 - row(k): reversing the rows negates every mode
         for kmax in range(9):
-            modes, _ = grid(kmax)
+            modes = grid(kmax)
             assert np.array_equal(modes[::-1], -modes)
 
     def test_mode_index_roundtrip(self):
@@ -75,11 +77,12 @@ class TestGrid:
 
 
 class TestModeSymbols:
-    @pytest.mark.parametrize("kmax", [1, 2, 4, 6])
+    @pytest.mark.parametrize("kmax", [0, 1, 2, 4, 6])
     def test_bits_of_the_expressions_they_replace(self, kmax):
-        # Delta's and G's symbols, and nothing else: the first-order symbols' axis weights
-        # are operators._weight
-        modes, ksq = grid(kmax)
+        # Delta's and G's symbols, and nothing else, read off the unit rows' axis weights
+        # (fields._axis_weight) with the bits of 4 pi^2 |k|^2 over the integer modes
+        modes = grid(kmax)
+        ksq = np.einsum("na,na->n", modes, modes).astype(float)
         inv = np.zeros_like(ksq)
         inv[ksq > 0] = 1.0 / (4 * np.pi**2 * ksq[ksq > 0])
         want = (4 * np.pi**2 * ksq, inv)

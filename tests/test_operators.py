@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from qhodge.exterior import GRADING, INTERIOR_E, N_BLADES, VOL, WEDGE_E
-from qhodge.fields import FormField, dump_json, grid, random_field, single_mode
+from qhodge.fields import FormField, _axis_weight, dump_json, grid, random_field, single_mode
 from qhodge.operators import (
     apply_fiber,
     cancellation_defect,
@@ -97,7 +97,7 @@ def literal_symbol(coeffs, weights, tables, scale):
 
 def fixed_order_weights(kmax, L):
     """Column a: ((L[a, 0] k0 + L[a, 1] k1) + L[a, 2] k2) + L[a, 3] k3 over the integer grid."""
-    k = grid(kmax)[0]
+    k = grid(kmax)
     return ((k[:, 0:1] * L[:, 0] + k[:, 1:2] * L[:, 1]) + k[:, 2:3] * L[:, 2]) + k[:, 3:4] * L[:, 3]
 
 
@@ -176,9 +176,9 @@ class TestSymbolKernel:
     def test_an_operators_sample_forms_sixteen_weights(self):
         # the four unit rows of d and d_C, then the 16 rows of x, y, xy and ux per sample,
         # across row blocks: the cache keeps every row still in use, so none is formed twice
-        operators._weight.cache_clear()
+        _axis_weight.cache_clear()
         suites.suite_operators(suites.RunConfig(kmax=3, field_count=2))
-        assert operators._weight.cache_info().misses == 4 + 16 * 2
+        assert _axis_weight.cache_info().misses == 4 + 16 * 2
 
     @pytest.mark.parametrize("kmax", range(5))
     def test_structure_plans_keep_the_bits_of_the_weight_product(self, kmax):
