@@ -56,11 +56,30 @@ def _check_out(out: str | None) -> None:
         raise UsageError("cannot write '': an empty path names no file")
     if "\0" in out:
         raise UsageError(f"cannot write {out}: it holds a NUL byte")
-    parent = os.path.dirname(os.path.abspath(out))
+    try:
+        path = os.fsencode(os.path.abspath(out))
+    except UnicodeEncodeError:  # a lone surrogate, such as a config file's JSON can hold
+        shown = out.encode("utf-8", "backslashreplace").decode()  # printable on any stderr
+        raise UsageError(f"cannot write {shown}: it cannot be encoded as a file name") from None
+    parent = os.path.dirname(os.path.realpath(out))  # where open() creates it, past any link
     if os.path.isdir(out):
         raise UsageError(f"cannot write {out}: it is a directory")
+    # "x/", "x/." or "x/..": realpath drops or resolves the last part, so the parent
+    # above would not be the one open() writes in
+    if os.path.basename(out) in ("", os.curdir, os.pardir):
+        raise UsageError(f"cannot write {out}: it names a directory")
     if not (os.path.isdir(parent) and os.access(parent, os.W_OK | os.X_OK)):
         raise UsageError(f"cannot write {out}: {parent} is not a writable directory")
+    # the parent's file system's limits, in bytes; PATH_MAX counts the terminating NUL, and
+    # -1 means no limit
+    try:
+        name_max, path_max = (os.pathconf(parent, v) for v in ("PC_NAME_MAX", "PC_PATH_MAX"))
+    except OSError:  # limits it does not report: open() alone can tell
+        name_max = path_max = -1
+    if len(os.path.basename(path)) > name_max > 0:
+        raise UsageError(f"cannot write {out}: its name is longer than the file system allows")
+    if len(path) >= path_max > 0:
+        raise UsageError(f"cannot write {out}: its path is longer than the file system allows")
 
 
 def _emit(doc: dict, out: str | None) -> None:

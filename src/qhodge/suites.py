@@ -339,18 +339,19 @@ def suite_transgression(cfg: RunConfig) -> dict[str, float]:
 
     def roundtrips():
         for _ in range(5):
+            # each source is drawn just before its solves and dropped after them, in the
+            # draw order f, sigma, the invariant's source; each target stays bound until the
+            # next one replaces it, so a solve's temporaries reuse freed memory rather than
+            # the heap being trimmed and regrown
             f = random_field(kmax, rng)
-            sigma = random_field(kmax, rng, degree=0)
-            inv = apply_fiber(random_field(kmax, rng), INVARIANT_PROJECTOR)
-            # each target stays bound until the next one replaces it, so a solve's
-            # temporaries reuse freed memory rather than the heap being trimmed and regrown
             target = exterior_d(f)
             r1 = _roundtrip(transgress1, target)
             target = exterior_d(twisted_d(f, "I"))
+            del f
             r2 = _roundtrip(transgress2, target, "I")
-            target = quartic_differential(sigma)
+            target = quartic_differential(random_field(kmax, rng, degree=0))
             r4 = _roundtrip(transgress4, target)
-            target = quartic_differential(inv)
+            target = quartic_differential(apply_fiber(random_field(kmax, rng), INVARIANT_PROJECTOR))
             yield {
                 "transgress1_roundtrip": r1,
                 "transgress2_roundtrip": r2,

@@ -622,18 +622,59 @@ class TestUnwritableOut:
         return [*argv, "--input", str(inp)]
 
     @WORK
-    @pytest.mark.parametrize("target", ["missing-dir", "directory", "nul-byte"])
+    @pytest.mark.parametrize("target", ["missing-dir", "directory", "nul-byte", "overlong-name",
+                                        "trailing-sep", "parent-dir", "unencodable"])
     def test_checked_before_any_work(self, tmp_path, monkeypatch, capsys, argv, module, name,
                                      target):
         argv = self.no_work(tmp_path, monkeypatch, argv, module, name)
         out = {"missing-dir": tmp_path / "missing_dir" / "out.json", "directory": tmp_path,
-               "nul-byte": f"{tmp_path}/rep\0ort.json"}[target]
+               "nul-byte": f"{tmp_path}/rep\0ort.json",
+               "overlong-name": tmp_path / ("x" * 300 + ".json"),
+               "trailing-sep": f"{tmp_path}/newfile/",
+               "parent-dir": f"{tmp_path}/missing_dir/..",
+               "unencodable": f"{tmp_path}/rep\ud800ort.json"}[target]
         before = sorted(tmp_path.rglob("*"))
         assert run([*argv, "--out", str(out)]) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith(f"error: cannot write {out}: ")
+        shown = str(out).encode("utf-8", "backslashreplace").decode()  # the lone surrogate escaped
+        assert captured.err.startswith(f"error: cannot write {shown}: ")
         assert captured.err.count("\n") == 1
         assert sorted(tmp_path.rglob("*")) == before  # nothing created
+
+    def test_trailing_sep_after_a_file(self, tmp_path, monkeypatch, capsys):
+        # "<file>/" reads as a writable parent once abspath drops the separator
+        monkeypatch.setattr(zeta, "torsion_report", _raise(AssertionError("torsion_report ran")))
+        (tmp_path / "peak.py").write_text("")
+        out = f"{tmp_path}/peak.py/"
+        assert run(["torsion", "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: cannot write {out}: it names a directory\n"
+
+    def test_link_into_a_missing_dir(self, tmp_path, monkeypatch, capsys):
+        # open() follows the link, so the directory to check is its target's
+        monkeypatch.setattr(zeta, "torsion_report", _raise(AssertionError("torsion_report ran")))
+        out = tmp_path / "out.json"
+        out.symlink_to(tmp_path / "missing_dir" / "out.json")
+        assert run(["torsion", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: cannot write {out}: {tmp_path / 'missing_dir'} "
+                                           "is not a writable directory\n")
+        assert sorted(tmp_path.iterdir()) == [out]
+
+    def test_overlong_path(self, tmp_path, monkeypatch, capsys):
+        # every part is short, but the whole path reaches the file system's PATH_MAX
+        monkeypatch.setattr(zeta, "torsion_report", _raise(AssertionError("torsion_report ran")))
+        path_max, name = os.pathconf(tmp_path, "PC_PATH_MAX"), "x" * 100
+        parent = tmp_path
+        while len(os.fsencode(parent)) + 203 + len(name) < path_max:
+            parent = parent / ("d" * 200)
+        parent = parent / ("d" * (path_max - len(os.fsencode(parent)) - 2 - len(name)))
+        parent.mkdir(parents=True)
+        out = parent / name
+        assert len(os.fsencode(out)) == path_max  # one byte more than open() accepts
+        before = sorted(tmp_path.rglob("*"))
+        assert run(["torsion", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write {out}: its path is longer than the file system allows\n")
+        assert sorted(tmp_path.rglob("*")) == before
 
     @WORK
     def test_empty_out_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv, module, name):

@@ -23,7 +23,7 @@ from qhodge.suites import SUITES, RunConfig
 KMAX, FIELDS = 4, 3
 FIELD_BYTES = (2 * KMAX + 1) ** 4 * 16 * 16
 
-PEAK_FIELDS = {"operators": 8.3, "kodaira": 5.9, "transgression": 7.6}
+PEAK_FIELDS = {"operators": 8.3, "kodaira": 5.9, "transgression": 5.3}
 
 
 def traced_peak_fields(name: str) -> float:

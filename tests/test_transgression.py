@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qhodge import transgression
+from qhodge import suites, transgression
 from qhodge.exterior import VOL, VOL_MASK
 from qhodge.fields import FormField, random_field, single_mode
 from qhodge.operators import (
@@ -414,3 +414,20 @@ class TestGreenFormulaStructure:
         minus = rel_defect(rec, -1.0 * target)
         assert plus <= 1e-9
         assert minus > 1.0
+
+
+class TestSuiteDrawOrder:
+    def test_sources_are_drawn_in_the_pinned_order(self, monkeypatch):
+        # the pins compare residuals within 1e-13, so a reordered stream of draws would pass
+        # them unseen: each round trip draws f, sigma and the invariant's source, then each
+        # refusal trial its 1-form
+        calls = []
+        original = suites.random_field
+
+        def recording(kmax, rng, **options):
+            calls.append((kmax, options.get("degree")))
+            return original(kmax, rng, **options)
+
+        monkeypatch.setattr(suites, "random_field", recording)
+        suites.suite_transgression(suites.RunConfig(kmax=2, field_count=1))
+        assert calls == [(2, None), (2, 0), (2, None)] * 5 + [(2, 1)] * 5
